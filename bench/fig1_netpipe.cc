@@ -7,12 +7,16 @@
  * Paper reference points: latency in excess of 40 us for small request
  * sizes and bandwidth under 2 Gbps for large ones, despite the 10 Gbps
  * fabric — the cost of per-packet TCP/IP processing on wimpy cores.
+ *
+ * --out=PATH also writes the table as JSON, one row per size.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "baseline/tcp_stack.hh"
 #include "bench/common.hh"
+#include "sim/json.hh"
 #include "sim/simulation.hh"
 
 namespace {
@@ -61,8 +65,14 @@ bandwidthGbps(std::uint32_t size)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Args args(argc, argv, {"out"});
+    const std::string out = args.get("out", "");
+    sim::JsonWriter w;
+    w.beginArtifact("fig1_netpipe");
+    w.key("rows").beginArray();
+
     std::printf("# Fig. 1: netpipe on a Calxeda-class microserver "
                 "(TCP/IP deep-stack model)\n");
     std::printf("# 10 Gbps integrated fabric; per-packet kernel costs on "
@@ -71,10 +81,19 @@ main()
                 "bandwidth(Gbps)");
     for (std::uint32_t size :
          {64u, 256u, 1024u, 4096u, 16384u, 65536u, 262144u}) {
-        std::printf("%-10u %14.1f %16.2f\n", size, latencyUs(size),
-                    bandwidthGbps(size));
+        const double us = latencyUs(size);
+        const double gbps = bandwidthGbps(size);
+        std::printf("%-10u %14.1f %16.2f\n", size, us, gbps);
+        w.beginObject()
+            .field("size_bytes", size)
+            .field("latency_us", us)
+            .field("bandwidth_gbps", gbps)
+            .endObject();
     }
     std::printf("# paper shape: >40 us small-message latency, "
                 "<2 Gbps large-message bandwidth\n");
+    w.endArray().endObject();
+    if (!out.empty())
+        sim::writeFile(out, w.str());
     return 0;
 }

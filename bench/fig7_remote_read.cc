@@ -10,24 +10,20 @@
  * DRAM), 10 M ops/s at 64 B, 9.6 GB/s at 8 KB, double-sided bandwidth =
  * 2x single-sided; development platform ~1.5 us base latency growing
  * with request size.
+ *
+ * --out=PATH also writes the tables as JSON: one row per size and
+ * platform, plus the local DRAM yardstick.
  */
 
-#include <cinttypes>
+#include <string>
 
 #include "bench/common.hh"
+#include "sim/json.hh"
 
 namespace {
 
 using namespace sonuma;
 using api::TestBed;
-
-struct Point
-{
-    std::uint32_t size;
-    double latencyNs = 0;
-    double gbps = 0;
-    double mops = 0;
-};
 
 /** Synchronous latency: one node reading (single-sided). */
 sim::Task
@@ -66,12 +62,13 @@ bandwidthWorker(api::RmcSession *s, vm::VAddr buf, std::uint64_t segBytes,
     *mops = static_cast<double>(ops) / secs / 1e6;
 }
 
+/** Print one platform's table and append its rows to @p w. */
 void
-runPlatform(const rmc::RmcParams &params, bool bandwidth_too)
+runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
+            double localNs, sim::JsonWriter &w)
 {
     const std::uint32_t sizes[] = {64,   128,  256,  512,
                                    1024, 2048, 4096, 8192};
-    const double localNs = bench::measureLocalDramNs();
     std::printf("# local DRAM load: %.1f ns\n", localNs);
 
     std::printf("%-8s %14s %14s", "size(B)", "lat-1sided(ns)",
@@ -82,17 +79,16 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too)
     std::printf("\n");
 
     for (const std::uint32_t size : sizes) {
-        Point p;
-        p.size = size;
         const int iters = size <= 512 ? 300 : 100;
 
         // (a) single-sided latency.
+        double lat1 = 0;
         {
             TestBed bed = bench::twoNodeBed(params);
             auto &s = bed.session(1);
             const auto buf = s.allocBuffer(size);
             bed.spawn(latencyWorker(&s, buf, bed.segBytes(), size, iters,
-                                    &p.latencyNs));
+                                    &lat1));
             bed.run();
         }
 
@@ -147,9 +143,18 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too)
             }
         }
 
-        std::printf("%-8u %14.1f %14.1f", p.size, p.latencyNs, lat2);
-        if (bandwidth_too)
+        std::printf("%-8u %14.1f %14.1f", size, lat1, lat2);
+        w.beginObject()
+            .field("size_bytes", size)
+            .field("lat_1sided_ns", lat1)
+            .field("lat_2sided_ns", lat2);
+        if (bandwidth_too) {
             std::printf(" %14.1f %14.1f %10.2f", bw1, bw2, mops1);
+            w.field("bw_1sided_gbps", bw1)
+                .field("bw_2sided_gbps", bw2)
+                .field("mops_1sided", mops1);
+        }
+        w.endObject();
         std::printf("\n");
     }
 }
@@ -159,22 +164,32 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv, {"platform"});
+    bench::Args args(argc, argv, {"platform", "out"});
     const bool emuOnly = args.get("platform", "") == "emu";
     const bool hwOnly = args.get("platform", "") == "hw";
+    const std::string out = args.get("out", "");
+    const double localNs = bench::measureLocalDramNs();
+    sim::JsonWriter w;
+    w.beginArtifact("fig7_remote_read")
+        .field("local_dram_ns", localNs);
+    w.key("hw").beginArray();
 
     if (!emuOnly) {
         auto hw = rmc::RmcParams::simulatedHardware();
         bench::printConfigHeader(
             "Fig. 7a/7b: remote reads, simulated hardware", hw);
-        runPlatform(hw, /*bandwidth_too=*/true);
+        runPlatform(hw, /*bandwidth_too=*/true, localNs, w);
         std::printf("\n");
     }
+    w.endArray().key("emu").beginArray();
     if (!hwOnly) {
         auto emu = rmc::RmcParams::emulationPlatform();
         bench::printConfigHeader(
             "Fig. 7c: remote reads, development platform", emu);
-        runPlatform(emu, /*bandwidth_too=*/false);
+        runPlatform(emu, /*bandwidth_too=*/false, localNs, w);
     }
+    w.endArray().endObject();
+    if (!out.empty())
+        sim::writeFile(out, w.str());
     return 0;
 }

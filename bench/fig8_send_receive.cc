@@ -12,15 +12,19 @@
  * Paper reference points: 340 ns minimal half-duplex latency, >10 Gbps
  * at 4 KB, 12.8 Gbps at 8 KB on simulated hardware; 1.4 us minimum and
  * a 1 KB optimal threshold on the development platform.
+ *
+ * --out=PATH also writes the tables as JSON, one row per size and
+ * platform.
  */
 
 #include <limits>
-#include <vector>
-
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "api/messaging.hh"
 #include "bench/common.hh"
+#include "sim/json.hh"
 
 namespace {
 
@@ -112,9 +116,10 @@ streamGbps(const rmc::RmcParams &rp, const MsgParams &mp,
     return gbps;
 }
 
+/** Print one platform's table and append its rows to @p w. */
 void
 runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
-            bool bandwidth_too)
+            bool bandwidth_too, sim::JsonWriter &w)
 {
     const std::uint32_t sizes[] = {64,   128,  256,  512,
                                    1024, 2048, 4096, 8192};
@@ -138,6 +143,12 @@ runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
         const double lh = pingPongLatencyNs(rp, push, size, iters);
         const double lt = pingPongLatencyNs(rp, tuned, size, iters);
         std::printf("%-8u | %10.0f %10.0f %10.0f", size, lp, lh, lt);
+        w.beginObject()
+            .field("size_bytes", size)
+            .field("tuned_threshold_bytes", tunedThreshold)
+            .field("lat_pull_ns", lp)
+            .field("lat_push_ns", lh)
+            .field("lat_tuned_ns", lt);
 
         if (bandwidth_too) {
             const int count = size >= 4096 ? 400 : 800;
@@ -145,7 +156,11 @@ runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
             const double bh = streamGbps(rp, push, size, count);
             const double bt = streamGbps(rp, tuned, size, count);
             std::printf(" | %9.2f %9.2f %9.2f", bp, bh, bt);
+            w.field("bw_pull_gbps", bp)
+                .field("bw_push_gbps", bh)
+                .field("bw_tuned_gbps", bt);
         }
+        w.endObject();
         std::printf("\n");
     }
 }
@@ -155,22 +170,31 @@ runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv, {"platform"});
+    bench::Args args(argc, argv, {"platform", "out"});
     const bool emuOnly = args.get("platform", "") == "emu";
     const bool hwOnly = args.get("platform", "") == "hw";
+    const std::string out = args.get("out", "");
+    sim::JsonWriter w;
+    w.beginArtifact("fig8_send_receive");
+    w.key("hw").beginArray();
 
     if (!emuOnly) {
         auto hw = rmc::RmcParams::simulatedHardware();
         bench::printConfigHeader(
             "Fig. 8a/8b: send/receive, simulated hardware", hw);
-        runPlatform(hw, /*tunedThreshold=*/256, /*bandwidth_too=*/true);
+        runPlatform(hw, /*tunedThreshold=*/256, /*bandwidth_too=*/true, w);
         std::printf("\n");
     }
+    w.endArray().key("emu").beginArray();
     if (!hwOnly) {
         auto emu = rmc::RmcParams::emulationPlatform();
         bench::printConfigHeader(
             "Fig. 8c: send/receive, development platform", emu);
-        runPlatform(emu, /*tunedThreshold=*/1024, /*bandwidth_too=*/false);
+        runPlatform(emu, /*tunedThreshold=*/1024, /*bandwidth_too=*/false,
+                    w);
     }
+    w.endArray().endObject();
+    if (!out.empty())
+        sim::writeFile(out, w.str());
     return 0;
 }

@@ -13,36 +13,34 @@
  *
  * All soNUMA runs execute on the API-v2 Workload runtime (one
  * coroutine per node, §5.3 barrier alignment; src/app/pagerank.cc).
- *
- * --scale replaces the comparison tables with the rack-scale study the
- * ROADMAP asks for: the fine-grain implementation as a SweepDriver
- * workload at 64/256/512 nodes on 3D tori ({4,4,4} -> {4,8,8} ->
- * {8,8,8}), one FIG9_<label>.json artifact per cell (--out-dir=...).
- * The graph is fixed across node counts, so throughput (mops) rising
- * with the node count is the paper's near-linear scaling claim.
+ * The rack-scale study (64-512 nodes on 3D tori) is the "pagerank"
+ * workload of bench_sweep.
  *
  * Workload substitution (DESIGN.md): deterministic power-law graph in
  * place of the paper's Twitter subset. --vertices/--degree override the
- * scale; --quick shrinks it for smoke runs.
+ * scale; --quick shrinks it for smoke runs. --out=PATH also writes the
+ * tables as JSON, one row per node count and platform.
  */
 
 #include <cinttypes>
 #include <cstdio>
+#include <string>
 
-#include "api/sweep.hh"
 #include "app/graph.hh"
 #include "app/pagerank.hh"
 #include "bench/common.hh"
+#include "sim/json.hh"
 
 namespace {
 
 using namespace sonuma;
 using namespace sonuma::app;
 
+/** Print one side's table and append its rows to @p w. */
 void
 runSide(const char *title, const Graph &g, const PageRankConfig &cfg,
         const std::vector<std::uint32_t> &nodeCounts,
-        const rmc::RmcParams &rmcParams)
+        const rmc::RmcParams &rmcParams, sim::JsonWriter &w)
 {
     std::printf("\n# %s (V=%u, E=%" PRIu64 ", supersteps=%u)\n", title,
                 g.numVertices, g.numEdges(), cfg.supersteps);
@@ -60,61 +58,21 @@ runSide(const char *title, const Graph &g, const PageRankConfig &cfg,
         const auto part = randomPartition(prng, g.numVertices, n);
         const auto bulk = runPageRankBulk(g, part, cfg, rmcParams);
         const auto fine = runPageRankFine(g, part, cfg, rmcParams);
-        std::printf("%-8u %14.2f %14.2f %18.2f %16" PRIu64 "\n", n,
-                    t1 / static_cast<double>(shm.elapsed),
-                    t1 / static_cast<double>(bulk.elapsed),
-                    t1 / static_cast<double>(fine.elapsed),
-                    fine.remoteOps);
+        const double shmX = t1 / static_cast<double>(shm.elapsed);
+        const double bulkX = t1 / static_cast<double>(bulk.elapsed);
+        const double fineX = t1 / static_cast<double>(fine.elapsed);
+        std::printf("%-8u %14.2f %14.2f %18.2f %16" PRIu64 "\n", n, shmX,
+                    bulkX, fineX, fine.remoteOps);
+        w.beginObject()
+            .field("nodes", n)
+            .field("vertices", g.numVertices)
+            .field("baseline_us", sim::ticksToUs(base.elapsed))
+            .field("speedup_shm", shmX)
+            .field("speedup_bulk", bulkX)
+            .field("speedup_fine", fineX)
+            .field("fine_remote_ops", fine.remoteOps)
+            .endObject();
     }
-}
-
-/** The rack-scale Fig. 9 study: fine-grain PageRank via SweepDriver. */
-int
-runScaleStudy(const bench::Args &args, bool quick)
-{
-    app::registerPageRankSweepWorkload();
-
-    api::SweepConfig cfg;
-    cfg.workload = "pagerank";
-    cfg.nodeCounts =
-        args.getList("nodes", quick ? "8,16" : "64,256,512");
-    cfg.topologies = {node::Topology::kTorus};
-    cfg.torusNdims = 3;
-    cfg.torusDims = args.getDims("topo");
-    cfg.requestSizes = {64}; // one vertex record per remote read
-    cfg.qpDepths = {64};
-    cfg.qpCounts = args.getList("qps", "1");
-    if (cfg.qpCounts.empty())
-        cfg.qpCounts = {1};
-    cfg.seed = args.getU64("seed", 1);
-    cfg.outDir = args.get("out-dir", "");
-    // 65536 vertices keep >= 128 owned vertices per node at 512 nodes,
-    // so compute still dominates the O(N) barrier broadcast and the
-    // mops curve stays near-linear through the whole 64-512 sweep.
-    cfg.pagerank.vertices = static_cast<std::uint32_t>(
-        args.getU64("vertices", quick ? 1024 : 65536));
-    cfg.pagerank.degree =
-        static_cast<std::uint32_t>(args.getU64("degree", quick ? 4 : 8));
-    cfg.pagerank.supersteps = 1;
-    cfg.pagerank.l2PerNodeBytes = args.getU64("l2kb", 256) * 1024;
-
-    std::printf("# Fig. 9 scale study: fine-grain PageRank, fixed graph "
-                "(V=%u, degree=%u), 3D tori\n",
-                cfg.pagerank.vertices, cfg.pagerank.degree);
-    std::printf("# strong scaling: mops rising with nodes is the paper's "
-                "near-linear claim\n");
-    api::SweepDriver driver(cfg);
-    try {
-        const auto cells = driver.run();
-        std::printf("# %zu cells done; per-cell JSON%s\n", cells.size(),
-                    cfg.outDir.empty()
-                        ? " (pass --out-dir=BENCH_sweep to keep artifacts)"
-                        : " written");
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "fig9 --scale: %s\n", e.what());
-        return 2;
-    }
-    return 0;
 }
 
 } // namespace
@@ -124,11 +82,9 @@ main(int argc, char **argv)
 {
     bench::Args args(argc, argv,
                      {"quick", "platform", "vertices", "degree",
-                      "emu-vertices", "emu-degree", "l2kb", "scale",
-                      "nodes", "topo", "qps", "seed", "out-dir"});
+                      "emu-vertices", "emu-degree", "l2kb", "out"});
     const bool quick = args.has("quick");
-    if (args.has("scale"))
-        return runScaleStudy(args, quick);
+    const std::string out = args.get("out", "");
     const bool emuOnly = args.get("platform", "") == "emu";
     const bool hwOnly = args.get("platform", "") == "hw";
 
@@ -167,6 +123,9 @@ main(int argc, char **argv)
     const std::uint64_t l2PerUnit =
         args.getU64("l2kb", quick ? 32 : 128) * 1024;
 
+    sim::JsonWriter w;
+    w.beginArtifact("fig9_pagerank");
+    w.key("hw").beginArray();
     if (!emuOnly) {
         PageRankConfig cfg;
         cfg.supersteps = 1; // as the paper ran on the simulated hardware
@@ -174,8 +133,9 @@ main(int argc, char **argv)
         cfg.l2PerUnitBytes = l2PerUnit;
         cfg.seed = 11;
         runSide("left: simulated hardware", g, cfg, {2, 4, 8},
-                rmc::RmcParams::simulatedHardware());
+                rmc::RmcParams::simulatedHardware(), w);
     }
+    w.endArray().key("emu").beginArray();
     if (!hwOnly) {
         PageRankConfig cfg;
         // The paper ran 30 supersteps at wall-clock speed; our dev
@@ -187,9 +147,12 @@ main(int argc, char **argv)
         cfg.seed = 13;
         cfg.l2PerUnitBytes = 32 * 1024; // scaled with the smaller graph
         runSide("right: development platform", gEmu, cfg, {2, 4, 8, 16},
-                rmc::RmcParams::emulationPlatform());
+                rmc::RmcParams::emulationPlatform(), w);
     }
+    w.endArray().endObject();
     std::printf("\n# paper shape: SHM ~= bulk; fine-grain noticeably "
                 "lower (per-core remote-op rate bound)\n");
+    if (!out.empty())
+        sim::writeFile(out, w.str());
     return 0;
 }

@@ -3,11 +3,11 @@
  * Simulation-core microbenchmark: raw event throughput, coroutine switch
  * throughput, and fabric hop throughput, with heap-allocation accounting.
  *
- * Emits BENCH_sim_core.json (schema v1) so the performance trajectory of
+ * Emits BENCH_sim_core.json (schema 2) so the performance trajectory of
  * the engine is tracked PR over PR:
  *
  *   {
- *     "bench": "sim_core", "schema": 1,
+ *     "bench": "sim_core", "schema": 2,
  *     "events_per_sec": ..., "ns_per_event": ...,
  *     "legacy_events_per_sec": ..., "speedup_vs_legacy": ...,
  *     "allocs_per_event_steady_state": ...,
@@ -46,6 +46,7 @@
 #include "fabric/fabric.hh"
 #include "sim/event_queue.hh"
 #include "sim/frame_pool.hh"
+#include "sim/json.hh"
 #include "sim/task.hh"
 
 //
@@ -435,33 +436,21 @@ main(int argc, char **argv)
     std::printf("peak rss:       %12.1f MB\n",
                 static_cast<double>(rss) / (1024.0 * 1024.0));
 
-    if (FILE *f = std::fopen(out.c_str(), "w")) {
-        std::fprintf(f,
-                     "{\n"
-                     "  \"bench\": \"sim_core\",\n"
-                     "  \"schema\": 1,\n"
-                     "  \"events_per_sec\": %.0f,\n"
-                     "  \"ns_per_event\": %.2f,\n"
-                     "  \"legacy_events_per_sec\": %.0f,\n"
-                     "  \"speedup_vs_legacy\": %.3f,\n"
-                     "  \"allocs_per_event_steady_state\": %.6f,\n"
-                     "  \"coro_switches_per_sec\": %.0f,\n"
-                     "  \"frame_pool_reuse_ratio\": %.4f,\n"
-                     "  \"allocs_per_coro_spawn\": %.6f,\n"
-                     "  \"fabric_hops_per_sec\": %.0f,\n"
-                     "  \"allocs_per_hop_steady_state\": %.6f,\n"
-                     "  \"peak_rss_bytes\": %llu\n"
-                     "}\n",
-                     current, 1e9 / current, legacy, current / legacy,
-                     allocsPerEvent, coro.switchesPerSec, coro.reuseRatio,
-                     coro.allocsPerSpawn, fabric.hopsPerSec,
-                     fabric.allocsPerHop,
-                     static_cast<unsigned long long>(rss));
-        std::fclose(f);
-        std::printf("# wrote %s\n", out.c_str());
-    } else {
-        std::fprintf(stderr, "cannot write %s\n", out.c_str());
-        return 1;
-    }
+    sim::JsonWriter w;
+    w.beginArtifact("sim_core")
+        .field("events_per_sec", current)
+        .field("ns_per_event", 1e9 / current)
+        .field("legacy_events_per_sec", legacy)
+        .field("speedup_vs_legacy", current / legacy)
+        .field("allocs_per_event_steady_state", allocsPerEvent)
+        .field("coro_switches_per_sec", coro.switchesPerSec)
+        .field("frame_pool_reuse_ratio", coro.reuseRatio)
+        .field("allocs_per_coro_spawn", coro.allocsPerSpawn)
+        .field("fabric_hops_per_sec", fabric.hopsPerSec)
+        .field("allocs_per_hop_steady_state", fabric.allocsPerHop)
+        .field("peak_rss_bytes", rss)
+        .endObject();
+    sim::writeFile(out, w.str());
+    std::printf("# wrote %s\n", out.c_str());
     return 0;
 }

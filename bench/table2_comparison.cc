@@ -11,18 +11,18 @@
  *
  * Plus the table's queue-pair axis: IOPS vs qpCount on shallow (8-entry)
  * rings with doorbell batching, the multi-QP session reproduction of
- * "IOPS scale with the number of QPs". One JSON artifact per point with
- * --out-dir=... (checked into BENCH_sweep/); --curve-only skips the
- * slow three-platform table for CI.
+ * "IOPS scale with the number of QPs". --out=PATH writes the
+ * three-platform table as JSON; --out-dir=DIR writes one JSON artifact
+ * per curve point (checked into BENCH_sweep/).
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "baseline/rdma.hh"
 #include "bench/common.hh"
+#include "sim/json.hh"
 #include "sim/time_series.hh"
 
 namespace {
@@ -217,29 +217,18 @@ runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
         std::printf("%-8u %14.2f %14.2f\n", n, mops, mops / n);
         if (outDir.empty())
             continue;
-        const std::string path =
-            outDir + "/TABLE2_iops_qp" + std::to_string(n) + ".json";
-        std::ofstream f(path);
-        if (!f) {
-            std::fprintf(stderr, "table2: cannot write %s\n",
-                         path.c_str());
-            std::exit(2);
-        }
-        f << "{\"bench\": \"table2_iops_vs_qps\", \"schema\": 1"
-          << ", \"qp_count\": " << n << ", \"qp_depth\": 8"
-          << ", \"doorbell_batching\": 1, \"request_bytes\": 64"
-          << ", \"mops\": " << mops << "}\n";
-        if (!obsJson.empty()) {
-            const std::string obsPath = outDir + "/OBS_TABLE2_iops_qp" +
-                                        std::to_string(n) + ".json";
-            std::ofstream of(obsPath);
-            if (!of) {
-                std::fprintf(stderr, "table2: cannot write %s\n",
-                             obsPath.c_str());
-                std::exit(2);
-            }
-            of << obsJson;
-        }
+        const std::string label = "TABLE2_iops_qp" + std::to_string(n);
+        sim::JsonWriter w;
+        w.beginArtifact("table2_iops_vs_qps")
+            .field("qp_count", n)
+            .field("qp_depth", 8)
+            .field("doorbell_batching", 1)
+            .field("request_bytes", 64)
+            .field("mops", mops)
+            .endObject();
+        sim::writeFile(outDir + "/" + label + ".json", w.str());
+        if (!obsJson.empty())
+            sim::writeFile(outDir + "/OBS_" + label + ".json", obsJson);
     }
     std::printf("# paper Table 2: IOPS scale with the number of QPs "
                 "(IB: ~8.75 Mops per QP)\n");
@@ -250,14 +239,10 @@ runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv,
-                     {"out-dir", "curve-only", "obs-period-ns"});
+    bench::Args args(argc, argv, {"out", "out-dir", "obs-period-ns"});
+    const std::string out = args.get("out", "");
     const std::string outDir = args.get("out-dir", "");
     const std::uint64_t obsPeriodNs = args.getU64("obs-period-ns", 0);
-    if (args.has("curve-only")) {
-        runQpCurve(outDir, obsPeriodNs);
-        return 0;
-    }
     std::printf("# Table 2: soNUMA vs RDMA/InfiniBand\n");
     std::printf("# measuring soNUMA (dev platform)...\n");
     const Metrics dev =
@@ -282,6 +267,25 @@ main(int argc, char **argv)
                 "1.5 / 0.3 / 1.19 us ;\n");
     std::printf("#                      1.5 / 0.3 / 1.15 us ; "
                 "1.97 / 10.9 / ~8.75-per-QP Mops\n");
+
+    if (!out.empty()) {
+        sim::JsonWriter w;
+        w.beginArtifact("table2_comparison");
+        w.key("platforms").beginArray();
+        for (const auto &[name, m] : {std::pair{"sonuma_dev", dev},
+                                      std::pair{"sonuma_hw", hw},
+                                      std::pair{"rdma_ib", ib}}) {
+            w.beginObject()
+                .field("platform", name)
+                .field("max_bw_gbps", m.maxBwGbps)
+                .field("read_rtt_us", m.readRttUs)
+                .field("fetch_add_us", m.fetchAddUs)
+                .field("mops", m.mops)
+                .endObject();
+        }
+        w.endArray().endObject();
+        sim::writeFile(out, w.str());
+    }
 
     runQpCurve(outDir, obsPeriodNs);
     return 0;

@@ -9,11 +9,11 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <stdexcept>
 
+#include "sim/json.hh"
 #include "sim/log.hh"
 #include "sim/time_series.hh"
 
@@ -56,56 +56,43 @@ SweepCellResult::label() const
     return out;
 }
 
-void
-SweepCellResult::writeJson(std::ostream &os) const
+std::string
+SweepCellResult::json() const
 {
-    os << "{\"bench\": \"sweep\", \"schema\": 1"
-       << ", \"workload\": \"" << sim::jsonEscape(workload) << "\""
-       << ", \"nodes\": " << nodes
-       << ", \"topology\": \"" << sim::jsonEscape(topologyName()) << "\""
-       << ", \"request_bytes\": " << requestBytes
-       << ", \"qp_depth\": " << qpDepth
-       << ", \"qp_count\": " << qpCount
-       << ", \"doorbell_batching\": " << (doorbellBatching ? 1 : 0)
-       << ", \"ops\": " << ops
-       << ", \"mops\": " << mops
-       << ", \"gbps\": " << gbps
-       << ", \"mean_latency_ns\": " << meanLatencyNs
-       << ", \"p99_latency_ns\": " << p99LatencyNs;
-    if (bgTraffic > 0) {
-        os << ", \"bg_traffic\": " << bgTraffic
-           << ", \"bg_ops\": " << bgOps;
-    }
-    if (degraded()) {
-        // Degraded fields only appear for degraded cells, so healthy
-        // artifacts stay byte-identical to the pre-fault schema.
-        os << ", \"routing\": \""
-           << sim::jsonEscape(fab::routingModeName(routing)) << "\""
-           << ", \"fault_scenario\": \"" << sim::jsonEscape(faultScenario)
-           << "\""
-           << ", \"goodput_mops\": " << goodputMops
-           << ", \"ok_ops\": " << okOps
-           << ", \"aborted_ops\": " << abortedOps
-           << ", \"retried_ops\": " << retriedOps
-           << ", \"failed_ops\": " << failedOps
-           << ", \"dropped_messages\": " << droppedMessages
-           << ", \"retransmits\": " << retransmits
-           << ", \"dup_suppressed\": " << dupSuppressed
-           << ", \"unrecoverable\": " << unrecoverable
-           << ", \"p50_latency_ns\": " << p50LatencyNs
-           << ", \"p95_latency_ns\": " << p95LatencyNs;
-    }
-    for (const auto &[key, value] : extra) {
-        os << ", \"" << sim::jsonEscape(key) << "\": ";
-        // Exact counts (vertices, edges) must never be rounded by the
-        // default 6-significant-digit double formatting.
-        if (value == std::floor(value) && std::abs(value) < 1e15)
-            os << static_cast<long long>(value);
-        else
-            os << value;
-    }
-    os << ", \"sim_us\": " << simMicros
-       << ", \"host_seconds\": " << hostSeconds << "}";
+    sim::JsonWriter w;
+    w.beginArtifact("sweep")
+        .field("workload", workload)
+        .field("nodes", nodes)
+        .field("topology", topologyName())
+        .field("request_bytes", requestBytes)
+        .field("qp_depth", qpDepth)
+        .field("qp_count", qpCount)
+        .field("doorbell_batching", doorbellBatching ? 1 : 0)
+        .field("routing", fab::routingModeName(routing))
+        .field("fault_scenario", faultScenario)
+        .field("bg_traffic", bgTraffic)
+        .field("ops", ops)
+        .field("mops", mops)
+        .field("gbps", gbps)
+        .field("goodput_mops", goodputMops)
+        .field("mean_latency_ns", meanLatencyNs)
+        .field("p50_latency_ns", p50LatencyNs)
+        .field("p95_latency_ns", p95LatencyNs)
+        .field("p99_latency_ns", p99LatencyNs)
+        .field("ok_ops", okOps)
+        .field("aborted_ops", abortedOps)
+        .field("retried_ops", retriedOps)
+        .field("failed_ops", failedOps)
+        .field("dropped_messages", droppedMessages)
+        .field("retransmits", retransmits)
+        .field("dup_suppressed", dupSuppressed)
+        .field("unrecoverable", unrecoverable)
+        .field("bg_ops", bgOps);
+    for (const auto &[key, value] : extra)
+        w.field(key, value);
+    w.field("sim_us", simMicros).field("host_seconds", hostSeconds);
+    w.endObject();
+    return w.str();
 }
 
 //
@@ -511,29 +498,17 @@ void
 SweepDriver::emit(const SweepCellResult &cell,
                   const std::string &prefix) const
 {
-    if (cfg_.echo) {
-        cell.writeJson(std::cout);
-        std::cout << "\n" << std::flush;
-    }
-    if (!cfg_.outDir.empty()) {
-        const std::string path =
-            cfg_.outDir + "/" + prefix + cell.label() + ".json";
-        std::ofstream f(path);
-        if (!f)
-            sim::fatal("sweep: cannot write " + path);
-        cell.writeJson(f);
-        f << "\n";
-        // Sampling sidecar (labels are unique across cell families, so
-        // one OBS_ namespace cannot collide).
-        if (!cell.obsJson.empty()) {
-            const std::string obsPath =
-                cfg_.outDir + "/OBS_" + cell.label() + ".json";
-            std::ofstream of(obsPath);
-            if (!of)
-                sim::fatal("sweep: cannot write " + obsPath);
-            of << cell.obsJson;
-        }
-    }
+    if (cfg_.echo)
+        std::cout << cell.json() << std::flush;
+    if (cfg_.outDir.empty())
+        return;
+    sim::writeFile(cfg_.outDir + "/" + prefix + cell.label() + ".json",
+                   cell.json());
+    // Sampling sidecar (labels are unique across cell families, so one
+    // OBS_ namespace cannot collide).
+    if (!cell.obsJson.empty())
+        sim::writeFile(cfg_.outDir + "/OBS_" + cell.label() + ".json",
+                       cell.obsJson);
 }
 
 std::vector<SweepCellResult>
@@ -545,12 +520,6 @@ SweepDriver::run()
     if (const auto it = registry().find(cfg_.workload);
         it != registry().end())
         prefix = it->second()->artifactPrefix();
-    // Degraded cells get their own artifact family so healthy
-    // SWEEP_/FIG9_ references are never overwritten by fault studies.
-    if (cfg_.faultSpec != "none" ||
-        cfg_.routing != fab::RoutingMode::kDor)
-        prefix = "DEGRADED_";
-
     std::vector<SweepCellResult> results;
     for (const auto nodes : cfg_.nodeCounts)
         for (const auto topo : cfg_.topologies)
@@ -559,7 +528,11 @@ SweepDriver::run()
                     for (const auto qps : cfg_.qpCounts) {
                         results.push_back(
                             runCell(nodes, topo, size, depth, qps));
-                        emit(results.back(), prefix);
+                        // Degraded cells get their own artifact family
+                        // so fault studies never overwrite the healthy
+                        // SWEEP_/FIG9_ references.
+                        const SweepCellResult &cell = results.back();
+                        emit(cell, cell.degraded() ? "DEGRADED_" : prefix);
                     }
     return results;
 }

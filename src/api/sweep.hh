@@ -4,13 +4,16 @@
  *
  * Runs a registered workload over the full cross product of request
  * size x QP depth x QP count x node count x topology, one freshly-built
- * TestBed + Workload per cell, and emits one JSON blob per cell in the
- * flat BENCH_sim_core.json schema so regression tooling can diff runs:
+ * TestBed + Workload per cell, and emits one flat JSON object per cell.
+ * Schema 2 carries every field in every cell; a healthy cell has
+ * routing "dor", fault_scenario "none" and zero fault counters:
  *
- *   {"bench": "sweep", "schema": 1, "workload": "uniform", "nodes": 64,
- *    "topology": "torus_8x8", "request_bytes": 64, "qp_depth": 64,
- *    "ops": 8192, "mops": ..., "gbps": ..., "mean_latency_ns": ...,
- *    "p99_latency_ns": ..., "sim_us": ..., "host_seconds": ...}
+ *   {"bench": "sweep", "schema": 2, "workload": "uniform", "nodes": 64,
+ *    "topology": "torus_8x8", "request_bytes": 64, "qp_depth": 64, ...,
+ *    "ops": 8192, "mops": ..., "p99_latency_ns": ..., "ok_ops": 8192,
+ *    ..., <workload extras>, "sim_us": ..., "host_seconds": ...}
+ *
+ * bench/check_artifacts.py holds the full field list and identities.
  *
  * Two workloads ship registered:
  *
@@ -39,7 +42,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -83,8 +85,7 @@ struct SweepConfig
      * Fault scenario applied to every cell (fab::FaultPlan grammar:
      * none | incast | node-kill@T[+D][:N] | link-kill@T[+D][:A-B] |
      * link-flap@T~PxC[:A-B] | drop@T+D[:A-B]). "none" keeps cells
-     * healthy and their artifacts byte-identical to the fault-free
-     * driver; "incast" leaves the fabric alone but switches the
+     * healthy; "incast" leaves the fabric alone but switches the
      * uniform workload to an all-to-one traffic storm on node 0.
      */
     std::string faultSpec = "none";
@@ -105,9 +106,8 @@ struct SweepConfig
      * Background traffic: every node additionally runs a closed-loop
      * stream of single-line uniform reads over a private one-QP
      * session, with a window of max(1, bgTraffic * qpDepth) — a
-     * fraction of the foreground intensity. 0 disables it (and keeps
-     * healthy artifacts byte-identical). Cells with background load
-     * get a "_bg<pct>" label suffix and bg_traffic/bg_ops JSON fields.
+     * fraction of the foreground intensity. 0 disables it. Cells with
+     * background load get a "_bg<pct>" label suffix.
      */
     double bgTraffic = 0.0;
 
@@ -132,15 +132,16 @@ struct SweepConfig
 
     /**
      * Time-series sampling period in simulated ns; 0 (default) keeps
-     * sampling off and every cell artifact byte-identical. When set,
-     * each cell also renders an OBS_<label>.json sidecar (written next
-     * to the cell artifact when outDir is set; docs/observability.md).
+     * sampling off; sampling is read-only, so cell artifacts are the
+     * same either way. When set, each cell also renders an
+     * OBS_<label>.json sidecar (written next to the cell artifact when
+     * outDir is set; docs/observability.md).
      */
     std::uint64_t obsPeriodNs = 0;
     std::size_t obsSlots = 1024; //!< fixed ring slots per series
 
     std::string outDir;   //!< write one <prefix><label>.json per cell
-    bool echo = true;     //!< print each cell's JSON line to stdout
+    bool echo = true;     //!< print each cell's JSON to stdout
 };
 
 /** One cell of the matrix plus its measurements. */
@@ -157,8 +158,8 @@ struct SweepCellResult
     bool doorbellBatching = false;
 
     // Degraded-mode coordinates (defaults = the healthy baseline; a
-    // cell is "degraded" when either differs, and only then do the
-    // degraded fields below appear in its label and JSON).
+    // cell is "degraded" when either differs, which names its label
+    // and artifact family).
     std::string faultScenario = "none";
     fab::RoutingMode routing = fab::RoutingMode::kDor;
     double bgTraffic = 0.0;         //!< background-load fraction (0 = off)
@@ -207,7 +208,7 @@ struct SweepCellResult
     /**
      * Rendered OBS_<label>.json sidecar (empty unless the cell ran with
      * SweepConfig::obsPeriodNs > 0). Captured before the cell's TestBed
-     * is torn down; not part of writeJson().
+     * is torn down; not part of json().
      */
     std::string obsJson;
 
@@ -225,8 +226,8 @@ struct SweepCellResult
     /** Human-readable topology, e.g. "torus_8x8x8" or "crossbar". */
     std::string topologyName() const;
 
-    /** Render the flat JSON blob (BENCH_sim_core.json schema style). */
-    void writeJson(std::ostream &os) const;
+    /** The cell's schema-2 JSON artifact. */
+    std::string json() const;
 };
 
 /**

@@ -77,15 +77,6 @@ class ClusterSpec
         return *this;
     }
 
-    /** Crossbar with a non-default one-way link latency. */
-    ClusterSpec &
-    crossbarLinkNs(double ns)
-    {
-        params_.topology = node::Topology::kCrossbar;
-        params_.crossbar.linkLatency = sim::nsToTicks(ns);
-        return *this;
-    }
-
     /**
      * k-ary n-cube fabric; radix per dimension, e.g. torus({8, 8}) for
      * a 64-node 2D torus or torus({8, 8, 8}) for a 512-node 3D torus.

@@ -5,7 +5,7 @@
 
 #include "sim/time_series.hh"
 
-#include <sstream>
+#include "sim/json.hh"
 
 namespace sonuma::sim {
 
@@ -49,32 +49,10 @@ TimeSeries::sample(Tick now)
         ++dropped_;
 }
 
-namespace {
-
-/** Deterministic, locale-independent double rendering. */
-void
-renderValue(std::ostringstream &os, double v)
-{
-    if (v == static_cast<double>(static_cast<std::int64_t>(v))) {
-        os << static_cast<std::int64_t>(v);
-    } else {
-        os << v;
-    }
-}
-
-} // namespace
-
 std::string
 renderObsJson(const StatRegistry &reg, const std::string &label,
               std::uint64_t periodNs)
 {
-    std::ostringstream os;
-    os << "{\n"
-       << "  \"bench\": \"obs\",\n"
-       << "  \"schema\": 1,\n"
-       << "  \"label\": \"" << jsonEscape(label) << "\",\n"
-       << "  \"period_ns\": " << periodNs << ",\n";
-
     // Elide all-zero series: an idle link's flat line carries no signal
     // and a 512-node torus has thousands of them.
     std::size_t elided = 0;
@@ -88,34 +66,28 @@ renderObsJson(const StatRegistry &reg, const std::string &label,
         else
             live.push_back(ts);
     }
-    os << "  \"series_elided\": " << elided << ",\n"
-       << "  \"series\": [";
 
-    bool firstSeries = true;
+    JsonWriter w;
+    w.beginArtifact("obs")
+        .field("label", label)
+        .field("period_ns", periodNs)
+        .field("series_elided", elided);
+    w.key("series").beginArray();
     for (const TimeSeries *ts : live) {
-        if (!firstSeries)
-            os << ",";
-        firstSeries = false;
-        os << "\n    {\"name\": \"" << jsonEscape(ts->name())
-           << "\", \"unit\": \"" << jsonEscape(ts->unit())
-           << "\", \"dropped\": " << ts->dropped()
-           << ", \"samples\": [";
+        w.beginObject()
+            .field("name", ts->name())
+            .field("unit", ts->unit())
+            .field("dropped", ts->dropped());
+        w.key("samples").beginArray();
         for (std::size_t i = 0; i < ts->size(); ++i) {
-            if (i)
-                os << ", ";
             const TimeSeries::Sample &s = ts->at(i);
-            os << "[" << s.tick / kTicksPerNs << ", ";
-            renderValue(os, s.value);
-            os << "]";
+            w.beginArray().value(s.tick / kTicksPerNs).value(s.value)
+                .endArray();
         }
-        os << "]}";
+        w.endArray().endObject();
     }
-    if (!firstSeries)
-        os << "\n  ";
-    os << "],\n"
-       << "  \"series_count\": " << live.size() << "\n"
-       << "}\n";
-    return os.str();
+    w.endArray().field("series_count", live.size()).endObject();
+    return w.str();
 }
 
 } // namespace sonuma::sim

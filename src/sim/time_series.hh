@@ -95,7 +95,7 @@ class TimeSeries
 };
 
 /**
- * Render every registered series as an OBS artifact (schema 1):
+ * Render every registered series as an OBS artifact (schema 2):
  * {"bench": "obs", "label": ..., "period_ns": N, "series": [...]}.
  * Series whose samples are all zero are elided (counted in
  * "series_elided") to keep artifacts readable at fleet scale.

@@ -181,9 +181,7 @@ runFig9PageRankStats(std::uint64_t seed)
     sonuma::app::registerPageRankSweepWorkload();
     const auto cell = api::SweepDriver(cfg).runCell(
         8, sonuma::node::Topology::kTorus, 64, 16);
-    std::ostringstream os;
-    cell.writeJson(os);
-    return os.str();
+    return cell.json();
 }
 
 TEST(Determinism, Fig9PageRankCellIsReproducible)

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -318,10 +317,8 @@ degradedConfig(const std::string &faultSpec)
 std::string
 jsonSansHostSeconds(const api::SweepCellResult &cell)
 {
-    std::ostringstream os;
-    cell.writeJson(os);
-    const std::string s = os.str();
-    return s.substr(0, s.find(", \"host_seconds\""));
+    const std::string s = cell.json();
+    return s.substr(0, s.find("\"host_seconds\""));
 }
 
 TEST(DegradedRun, NodeKillRecoverCompletesWithExactAccounting)
@@ -423,19 +420,28 @@ TEST(DegradedRun, AdaptiveOnCrossbarIsRejected)
                  std::invalid_argument);
 }
 
-TEST(DegradedRun, HealthyCellJsonHasNoDegradedFields)
+TEST(DegradedRun, HealthyCellJsonCarriesHealthyDefaults)
 {
     api::SweepDriver driver(degradedConfig("none"));
     const auto cell =
         driver.runCell(4, node::Topology::kCrossbar, 64, 16);
     EXPECT_FALSE(cell.degraded());
-    std::ostringstream os;
-    cell.writeJson(os);
-    EXPECT_EQ(os.str().find("fault_scenario"), std::string::npos)
-        << "healthy artifacts must keep the pre-fault schema byte for "
-           "byte";
-    EXPECT_EQ(os.str().find("goodput_mops"), std::string::npos);
-    EXPECT_EQ(cell.okOps, cell.ops); // accounting holds even when hidden
+    EXPECT_EQ(cell.okOps, cell.ops);
+    // Schema 2: a healthy cell carries every degraded field at its
+    // healthy default.
+    const std::string json = cell.json();
+    for (const char *field :
+         {"\"fault_scenario\": \"none\"", "\"routing\": \"dor\"",
+          "\"bg_traffic\": 0,", "\"aborted_ops\": 0,",
+          "\"retried_ops\": 0,", "\"failed_ops\": 0,",
+          "\"dropped_messages\": 0,", "\"retransmits\": 0,",
+          "\"dup_suppressed\": 0,", "\"unrecoverable\": 0,",
+          "\"bg_ops\": 0,"})
+        EXPECT_NE(json.find(field), std::string::npos) << field << "\n"
+                                                       << json;
+    EXPECT_NE(json.find("\"ok_ops\": " + std::to_string(cell.ops) + ","),
+              std::string::npos)
+        << json;
 }
 
 } // namespace

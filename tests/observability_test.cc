@@ -3,21 +3,25 @@
  * Observability pipeline tests: TimeSeries ring semantics, OBS artifact
  * rendering, sampler determinism (sampling on changes no model timing;
  * sampling off keeps cell artifacts byte-identical to the checked-in
- * exemplars), the JSON string-escaping regression, histogram percentile
- * edge cases, and the zero-allocation guarantee of the steady-state
- * sampling path. This binary overrides global operator new/delete to
- * count heap allocations (same hook as tests/sim_alloc_test.cc).
+ * exemplars), the JSON writer's number and layout rules, the JSON
+ * string-escaping regression, histogram percentile edge cases, and the
+ * zero-allocation guarantee of the steady-state sampling path. This
+ * binary overrides global operator new/delete to count heap
+ * allocations (same hook as tests/sim_alloc_test.cc).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <string>
 
 #include "api/sweep.hh"
+#include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/time_series.hh"
 
@@ -198,7 +202,7 @@ TEST(ObsJson, SchemaFieldsAndZeroSeriesElision)
 
     const std::string json = sim::renderObsJson(reg, "cell_a", 100);
     EXPECT_NE(json.find("\"bench\": \"obs\""), std::string::npos);
-    EXPECT_NE(json.find("\"schema\": 1"), std::string::npos);
+    EXPECT_NE(json.find("\"schema\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"label\": \"cell_a\""), std::string::npos);
     EXPECT_NE(json.find("\"period_ns\": 100"), std::string::npos);
     // The all-zero series is elided; the live one is kept.
@@ -220,6 +224,87 @@ TEST(JsonEscape, EscapesQuotesBackslashesAndControls)
     EXPECT_EQ(sim::jsonEscape("a\\b"), "a\\\\b");
     EXPECT_EQ(sim::jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
     EXPECT_EQ(sim::jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
+}
+
+// ----------------------------------------------------------- JsonWriter
+
+/** How the writer spells one double. */
+std::string
+numberText(double v)
+{
+    sim::JsonWriter w;
+    w.beginArray().value(v).endArray();
+    const std::string &s = w.str(); // "[\n  <v>\n]\n"
+    return s.substr(4, s.size() - 7);
+}
+
+TEST(JsonWriter, NestingCommasAndLayout)
+{
+    sim::JsonWriter w;
+    w.beginObject().field("a", 1).key("rows").beginArray();
+    w.beginObject().field("x", 1).key("xs").beginArray();
+    w.value(1).value(2).endArray().endObject();
+    w.beginObject().endObject();
+    w.endArray().key("empty").beginArray().endArray().endObject();
+    // The outer two levels break one member per line; deeper stays inline.
+    EXPECT_EQ(w.str(), "{\n"
+                       "  \"a\": 1,\n"
+                       "  \"rows\": [\n"
+                       "    {\"x\": 1, \"xs\": [1, 2]},\n"
+                       "    {}\n"
+                       "  ],\n"
+                       "  \"empty\": []\n"
+                       "}\n");
+}
+
+TEST(JsonWriter, EscapesKeysAndStrings)
+{
+    sim::JsonWriter w;
+    w.beginObject().field("k\"ey", "va\\l\n").endObject();
+    EXPECT_EQ(w.str(), "{\n  \"k\\\"ey\": \"va\\\\l\\n\"\n}\n");
+}
+
+TEST(JsonWriter, ArtifactHeaderCarriesKindAndSchema)
+{
+    sim::JsonWriter w;
+    w.beginArtifact("sweep").endObject();
+    EXPECT_EQ(w.str(), "{\n  \"bench\": \"sweep\",\n  \"schema\": " +
+                           std::to_string(sim::kArtifactSchema) + "\n}\n");
+}
+
+TEST(JsonWriter, IntegralDoublesPrintAsIntegers)
+{
+    EXPECT_EQ(numberText(524288.0), "524288");
+    EXPECT_EQ(numberText(-3.0), "-3");
+    EXPECT_EQ(numberText(0.0), "0");
+    // Below 2^53 every integral double prints as an integer; from 2^53
+    // up the shortest round-trip form applies.
+    EXPECT_EQ(numberText(0x1p53 - 1), "9007199254740991");
+    EXPECT_EQ(numberText(1e20), "1e+20");
+}
+
+TEST(JsonWriter, FractionsRoundTripBitExactly)
+{
+    // 0.1 has no exact binary form; the others are p99-like pooled
+    // latencies and a tiny rate.
+    for (const double v : {0.1, 1536.0000000000002, 3398.3041666666667,
+                           1e-7, 123456.789}) {
+        const std::string text = numberText(v);
+        EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+    }
+    EXPECT_EQ(numberText(0.1), "0.1");
+}
+
+TEST(JsonWriter, IntegersPrintExactly)
+{
+    sim::JsonWriter w;
+    w.beginArray()
+        .value(std::numeric_limits<std::uint64_t>::max())
+        .value(std::numeric_limits<std::int64_t>::min())
+        .value(std::uint32_t{7})
+        .endArray();
+    EXPECT_EQ(w.str(), "[\n  18446744073709551615,\n"
+                       "  -9223372036854775808,\n  7\n]\n");
 }
 
 // ------------------------------------------------- percentile edge cases
@@ -276,12 +361,10 @@ TEST(SweepJson, StringFieldsAreEscaped)
     cell.nodes = 4;
     cell.requestBytes = 64;
     cell.qpDepth = 16;
-    cell.faultScenario = "node-kill@10us\"+100us\\"; // forces degraded()
+    cell.faultScenario = "node-kill@10us\"+100us\\";
     cell.extra.emplace_back("we\"ird\\key", 1.0);
 
-    std::ostringstream os;
-    cell.writeJson(os);
-    const std::string s = os.str();
+    const std::string s = cell.json();
 
     EXPECT_NE(s.find("\"workload\": \"uni\\\"form\\\\x\""),
               std::string::npos)
@@ -310,10 +393,8 @@ smallCellConfig()
 std::string
 jsonSansHostSeconds(const api::SweepCellResult &cell)
 {
-    std::ostringstream os;
-    cell.writeJson(os);
-    const std::string s = os.str();
-    return s.substr(0, s.find(", \"host_seconds\""));
+    const std::string s = cell.json();
+    return s.substr(0, s.find("\"host_seconds\""));
 }
 
 TEST(ObsSampling, SidecarIsDeterministicAcrossSameSeedRuns)
@@ -368,7 +449,7 @@ TEST(ObsSampling, SamplingOffCellMatchesCheckedInExemplar)
     const std::string refStr = ref.str();
 
     EXPECT_EQ(jsonSansHostSeconds(cell),
-              refStr.substr(0, refStr.find(", \"host_seconds\"")))
+              refStr.substr(0, refStr.find("\"host_seconds\"")))
         << "sampling-off cell drifted from " << path;
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <sstream>
 
 #include "api/sweep.hh"
 #include "api/workload.hh"
@@ -122,11 +121,9 @@ TEST(SweepDriverTest, CellMeasuresAndRendersSchemaStableJson)
     EXPECT_GT(cell.simMicros, 0.0);
     EXPECT_EQ(cell.label(), "n4_torus_2x2_rs64_qd16");
 
-    std::ostringstream os;
-    cell.writeJson(os);
-    const std::string json = os.str();
+    const std::string json = cell.json();
     for (const char *key :
-         {"\"bench\": \"sweep\"", "\"schema\": 1", "\"nodes\": 4",
+         {"\"bench\": \"sweep\"", "\"schema\": 2", "\"nodes\": 4",
           "\"topology\": \"torus_2x2\"", "\"request_bytes\": 64",
           "\"qp_depth\": 16", "\"ops\": 64", "\"mops\": ",
           "\"mean_latency_ns\": ", "\"sim_us\": "})
@@ -234,9 +231,7 @@ TEST(SweepDriverTest, PageRankWorkloadCellRunsAndVerifies)
     EXPECT_GT(cell.simMicros, 0.0);
     EXPECT_EQ(cell.label(), "n8_torus_2x4_rs64_qd16_pagerank");
 
-    std::ostringstream os;
-    cell.writeJson(os);
-    const std::string json = os.str();
+    const std::string json = cell.json();
     for (const char *key :
          {"\"workload\": \"pagerank\"", "\"vertices\": 512",
           "\"edges\": 2048", "\"supersteps\": 2",
