@@ -4,9 +4,10 @@
   check_artifacts.py [PATH ...] [--expect GLOB ...] [--obs-period-ns N]
       Check the artifacts a PATH names (a file, or a directory's
       BENCH_*/SWEEP_*/... files and its BENCH_sweep/; default: the repo)
-      against the field table of their "bench" kind and the accounting
-      identities. Each GLOB must match at least one checked file; with
-      --obs-period-ns, every OBS sidecar must have sampled at period N.
+      against the field table of their "bench" kind (every listed field
+      present, no other field) and the accounting identities. Each GLOB
+      must match at least one checked file; with --obs-period-ns, every
+      OBS sidecar must have sampled at period N.
 
   check_artifacts.py --compare OLD NEW
       Value-level diff for a re-baseline: every simulated value must
@@ -23,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-SCHEMA = 2
+SCHEMA = 3
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PREFIXES = ("BENCH_", "SWEEP_", "FIG9_", "DEGRADED_", "OBS_", "TABLE2_")
 HOST_FIELDS = {"host_seconds", "wall_seconds", "peak_rss_bytes",
@@ -42,11 +43,11 @@ KINDS = {
     "sweep": ([
         "workload", "nodes", "topology", "request_bytes", "qp_depth",
         "qp_count", "doorbell_batching", "routing", "fault_scenario",
-        "bg_traffic", "ops", "mops", "gbps", "goodput_mops",
-        "mean_latency_ns", "p50_latency_ns", "p95_latency_ns",
-        "p99_latency_ns", "ok_ops", "aborted_ops", "retried_ops",
-        "failed_ops", "dropped_messages", "retransmits", "dup_suppressed",
-        "unrecoverable", "bg_ops", "sim_us", "host_seconds"], {}),
+        "ops", "mops", "gbps", "goodput_mops", "mean_latency_ns",
+        "p50_latency_ns", "p95_latency_ns", "p99_latency_ns", "ok_ops",
+        "aborted_ops", "retried_ops", "failed_ops", "dropped_messages",
+        "retransmits", "dup_suppressed", "unrecoverable", "sim_us",
+        "host_seconds"], {}),
     "obs": (["label", "period_ns", "series_elided", "series",
              "series_count"],
             {"series": ["name", "unit", "dropped", "samples"]}),
@@ -115,6 +116,13 @@ def identities(name, d, obs_period_ns):
                 yield f"series {s['name']}: timestamps not sorted"
 
 
+def field_errors(where, d, fields):
+    """A stale or hand-edited artifact fails on a missing field and on
+    one its kind does not list."""
+    return ([f"{where}missing field {k}" for k in fields if k not in d] +
+            [f"{where}unexpected field {k}" for k in d if k not in fields])
+
+
 def check_file(f, obs_period_ns):
     try:
         d = json.loads(f.read_text())
@@ -128,13 +136,12 @@ def check_file(f, obs_period_ns):
     fields, rows = KINDS[kind]
     if kind == "sweep" and d.get("workload") == "pagerank":
         fields = fields + PAGERANK_FIELDS
-    errors = [f"missing field {k}" for k in fields if k not in d]
+    errors = field_errors("", d, ["bench", "schema", *fields])
     if rows and not any(d.get(key) for key in rows):
         errors.append(f"no rows in {' or '.join(rows)}")
     for key, row_fields in rows.items():
         for i, row in enumerate(d.get(key, [])):
-            errors += [f"{key}[{i}]: missing field {k}"
-                       for k in row_fields if k not in row]
+            errors += field_errors(f"{key}[{i}]: ", row, row_fields)
     return errors or list(identities(f.name, d, obs_period_ns))
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build Release and run every bench, refreshing the tracked artifacts
-# (schema 2, all rendered by sim::JsonWriter; README.md lists them):
+# (schema 3, all rendered by sim::JsonWriter; README.md lists them):
 #
 #   BENCH_<bench>.json           - engine throughput (sim_core) and the
 #                                  paper tables: fig1, fig7 (+ the .txt

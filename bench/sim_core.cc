@@ -3,11 +3,11 @@
  * Simulation-core microbenchmark: raw event throughput, coroutine switch
  * throughput, and fabric hop throughput, with heap-allocation accounting.
  *
- * Emits BENCH_sim_core.json (schema 2) so the performance trajectory of
+ * Emits BENCH_sim_core.json (schema 3) so the performance trajectory of
  * the engine is tracked PR over PR:
  *
  *   {
- *     "bench": "sim_core", "schema": 2,
+ *     "bench": "sim_core", "schema": 3,
  *     "events_per_sec": ..., "ns_per_event": ...,
  *     "legacy_events_per_sec": ..., "speedup_vs_legacy": ...,
  *     "allocs_per_event_steady_state": ...,

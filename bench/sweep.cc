@@ -20,19 +20,17 @@
  *                   --faults=link-kill@50us
  *   $ ./bench_sweep --nodes=64 --faults=incast --retries=8
  *
- * The whole driver is ClusterSpec + SweepDriver; scaling the study to
- * 512 nodes — or swapping the uniform-read kernel for the Fig. 9
- * PageRank application — is a flag, not a new harness.
+ * The whole driver is app::SweepDriver; scaling the study to 512 nodes
+ * — or swapping the uniform-read kernel for the Fig. 9 PageRank
+ * application — is a flag, not a new harness.
  */
 
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "api/sweep.hh"
-#include "app/pagerank.hh"
+#include "app/sweep.hh"
 #include "bench/common.hh"
-#include "fabric/fault.hh"
 #include "fabric/router.hh"
 
 using namespace sonuma;
@@ -44,23 +42,12 @@ main(int argc, char **argv)
                      {"workload", "nodes", "topologies", "topo", "ndims",
                       "sizes", "depths", "qps", "batching", "ops", "seed",
                       "out-dir", "quick", "pr-vertices", "pr-degree",
-                      "pr-supersteps", "pr-warmup", "pr-verify", "faults",
-                      "routing", "retries", "retry-backoff-us",
-                      "max-attempts", "rnr-backoff-us", "bg-traffic",
-                      "obs-period-ns", "obs-slots"});
+                      "pr-supersteps", "faults", "routing", "retries",
+                      "max-attempts", "obs-period-ns"});
     const bool quick = args.has("quick");
-    app::registerPageRankSweepWorkload();
 
-    api::SweepConfig cfg;
+    app::SweepConfig cfg;
     cfg.workload = args.get("workload", "uniform");
-    if (!api::SweepDriver::workloadRegistered(cfg.workload)) {
-        std::string names;
-        for (const auto &n : api::SweepDriver::registeredWorkloads())
-            names += " " + n;
-        std::fprintf(stderr, "--workload: unknown workload '%s'; valid:%s\n",
-                     cfg.workload.c_str(), names.c_str());
-        return 2;
-    }
     const bool pagerank = cfg.workload == "pagerank";
 
     cfg.nodeCounts =
@@ -75,27 +62,16 @@ main(int argc, char **argv)
     cfg.seed = args.getU64("seed", 1);
     cfg.outDir = args.get("out-dir", "");
     cfg.obsPeriodNs = args.getU64("obs-period-ns", 0);
-    cfg.obsSlots = static_cast<std::size_t>(args.getU64("obs-slots", 1024));
     cfg.torusDims = args.getDims("topo");
     cfg.torusNdims = static_cast<std::uint32_t>(
         args.getU64("ndims", cfg.torusDims.empty() ? 2
                                                    : cfg.torusDims.size()));
 
     // Degraded-mode axis: fault scenario, routing policy, retry budget.
-    // Both parsers fail fast here — a typo'd scenario must not burn a
-    // long sweep before erroring — with did-you-mean hints.
+    // The routing name is checked here; SweepDriver::run checks the
+    // fault plan against every node count before the first cell. Both
+    // errors carry did-you-mean hints.
     cfg.faultSpec = args.get("faults", "none");
-    {
-        fab::FaultPlan probe;
-        std::string error;
-        const std::uint32_t probeNodes =
-            cfg.nodeCounts.empty() ? 2 : cfg.nodeCounts.front();
-        if (!fab::FaultPlan::parse(cfg.faultSpec, probeNodes, &probe,
-                                   &error)) {
-            std::fprintf(stderr, "--faults: %s\n", error.c_str());
-            return 2;
-        }
-    }
     {
         std::string error;
         if (!fab::parseRoutingMode(args.get("routing", "dor"),
@@ -106,35 +82,11 @@ main(int argc, char **argv)
     }
     cfg.maxRetries =
         static_cast<std::uint32_t>(args.getU64("retries", 8));
-    cfg.retryBackoff = sim::usToTicks(
-        static_cast<double>(args.getU64("retry-backoff-us", 5)));
 
-    // RMC-level reliable delivery: per-transfer attempt budget and the
-    // first retransmit backoff (doubles per attempt, capped). Distinct
+    // RMC-level reliable delivery: per-transfer attempt budget. Distinct
     // from --retries, which reposts whole ops in software.
     cfg.rmcParams.maxAttempts = static_cast<std::uint32_t>(args.getU64(
         "max-attempts", cfg.rmcParams.maxAttempts));
-    if (args.has("rnr-backoff-us"))
-        cfg.rmcParams.rnrBackoff = sim::usToTicks(
-            static_cast<double>(args.getU64("rnr-backoff-us", 5)));
-
-    // Background-load axis: a fraction of the foreground window spent
-    // on uniform single-line reads next to the measured workload.
-    if (args.has("bg-traffic")) {
-        const std::string raw = args.get("bg-traffic", "0");
-        try {
-            cfg.bgTraffic = std::stod(raw);
-        } catch (const std::exception &) {
-            cfg.bgTraffic = -1.0; // falls into the range error below
-        }
-        if (cfg.bgTraffic < 0.0 || cfg.bgTraffic > 1.0) {
-            std::fprintf(stderr,
-                         "--bg-traffic: fraction must be in [0, 1] "
-                         "(got '%s')\n",
-                         raw.c_str());
-            return 2;
-        }
-    }
 
     // PageRank axis (paper Fig. 9; see src/app/README.md).
     cfg.pagerank.vertices = static_cast<std::uint32_t>(
@@ -143,9 +95,6 @@ main(int argc, char **argv)
         args.getU64("pr-degree", quick ? 4 : 8));
     cfg.pagerank.supersteps = static_cast<std::uint32_t>(
         args.getU64("pr-supersteps", 1));
-    cfg.pagerank.warmupSupersteps = static_cast<std::uint32_t>(
-        args.getU64("pr-warmup", 0));
-    cfg.pagerank.verifyRanks = args.getU64("pr-verify", 1) != 0;
 
     cfg.topologies.clear();
     const std::string topos = args.get("topologies", "torus");
@@ -188,21 +137,16 @@ main(int argc, char **argv)
                 cfg.opsPerNode,
                 cfg.doorbellBatching ? ", doorbell batching" : "");
     if (cfg.faultSpec != "none" || cfg.routing != fab::RoutingMode::kDor)
-        std::printf("# degraded: faults=%s, routing=%s, retries=%u "
-                    "(backoff %llu ticks, capped doubling)\n",
+        std::printf("# degraded: faults=%s, routing=%s, retries=%u\n",
                     cfg.faultSpec.c_str(),
-                    fab::routingModeName(cfg.routing), cfg.maxRetries,
-                    static_cast<unsigned long long>(cfg.retryBackoff));
+                    fab::routingModeName(cfg.routing), cfg.maxRetries);
     if (pagerank)
-        std::printf("# pagerank: V=%u, degree=%u, supersteps=%u (+%u "
-                    "warm-up), ranks %s\n",
+        std::printf("# pagerank: V=%u, degree=%u, supersteps=%u, ranks "
+                    "verified vs host reference\n",
                     cfg.pagerank.vertices, cfg.pagerank.degree,
-                    cfg.pagerank.supersteps,
-                    cfg.pagerank.warmupSupersteps,
-                    cfg.pagerank.verifyRanks ? "verified vs host reference"
-                                             : "unverified");
+                    cfg.pagerank.supersteps);
 
-    api::SweepDriver driver(cfg);
+    app::SweepDriver driver(cfg);
     try {
         const auto cells = driver.run();
         std::printf("# %zu cells done\n", cells.size());

@@ -14,6 +14,12 @@ namespace sonuma::api {
 
 namespace {
 
+// Software overheads of the inline API functions, in core cycles: per
+// posted op, per reaped completion and per empty poll.
+constexpr std::uint32_t kIssueOverheadCycles = 120;
+constexpr std::uint32_t kCompletionOverheadCycles = 70;
+constexpr std::uint32_t kSyncPollOverheadCycles = 10;
+
 rmc::WqEntry
 makeEntry(rmc::WqOp op, sim::NodeId nid, std::uint64_t offset,
           vm::VAddr buf, std::uint32_t len, std::uint64_t operand1 = 0,
@@ -126,14 +132,6 @@ RmcSession::flush()
     pendingDoorbells_ = 0;
 }
 
-void
-RmcSession::setDoorbellBatching(bool on)
-{
-    if (!on)
-        flush();
-    params_.doorbellBatching = on;
-}
-
 sim::Task
 RmcSession::reapAvailable(std::uint32_t *reaped)
 {
@@ -149,7 +147,7 @@ RmcSession::reapAvailable(std::uint32_t *reaped)
 
             // Timed load of the CQ line + per-completion software cost.
             co_await core_.load(entryVa);
-            co_await core_.compute(params_.completionOverheadCycles);
+            co_await core_.compute(kCompletionOverheadCycles);
 
             const std::uint32_t slot = entry.wqIndex;
             const auto status = static_cast<rmc::CqStatus>(entry.status);
@@ -210,7 +208,7 @@ RmcSession::pollWait()
     // their completions (deadlock otherwise); this is the "automatic at
     // suspension" half of the doorbell-batching contract.
     flush();
-    co_await core_.compute(params_.syncPollOverheadCycles);
+    co_await core_.compute(kSyncPollOverheadCycles);
     // A completion may have landed during the compute charge, with its
     // hook firing while no waiter was registered. Re-check the CQ heads
     // before sleeping: the check and the wait registration execute in
@@ -261,7 +259,7 @@ RmcSession::postOp(rmc::WqEntry entry, bool atomic, std::uint32_t qpHint)
     entry.phase = qp.wq.expectedPhase();
 
     // Inline-function overhead + the producing store (one cache line).
-    co_await core_.compute(params_.issueOverheadCycles);
+    co_await core_.compute(kIssueOverheadCycles);
     if (!closed_) {
         const vm::VAddr entryVa = qp.handle.wqEntryVa(slot);
         co_await core_.store(entryVa);

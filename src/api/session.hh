@@ -125,13 +125,9 @@ class OpHandle
     std::uint64_t token_ = 0;
 };
 
-/** Tunable software overheads of the inline API functions. */
+/** Per-session queue-pair layout and doorbell policy. */
 struct SessionParams
 {
-    std::uint32_t issueOverheadCycles = 120;     //!< per posted op
-    std::uint32_t completionOverheadCycles = 70; //!< per reaped completion
-    std::uint32_t syncPollOverheadCycles = 10;   //!< per empty poll
-
     /**
      * Queue pairs this session registers; 0 means "use the node's
      * RmcParams::qpCount". Software layers that only ever need one QP
@@ -280,9 +276,6 @@ class RmcSession
 
     /** Queue pairs with posts the RMC has not been told about yet. */
     std::uint32_t pendingDoorbells() const { return pendingDoorbells_; }
-
-    /** Toggle doorbell batching at runtime (flushes when disabling). */
-    void setDoorbellBatching(bool on);
 
     bool doorbellBatching() const { return params_.doorbellBatching; }
 

@@ -14,14 +14,10 @@ node::ClusterParams
 ClusterSpec::resolve() const
 {
     node::ClusterParams p = params_;
-    if (physMemBytes_ != 0) {
-        p.node.physMemBytes = physMemBytes_;
-    } else {
-        // Room for the segment, queue pairs, scratch buffers and page
-        // tables; never below the Table 1 default.
-        p.node.physMemBytes = std::max<std::uint64_t>(
-            p.node.physMemBytes, 4 * segBytes_);
-    }
+    // Room for the segment, queue pairs, scratch buffers and page
+    // tables; never below the Table 1 default.
+    p.node.physMemBytes =
+        std::max<std::uint64_t>(p.node.physMemBytes, 4 * segBytes_);
     node::validate(p);
     return p;
 }
@@ -48,7 +44,7 @@ TestBed::TestBed(const ClusterSpec &spec)
     segBases_.resize(nodeCount_);
     for (std::uint32_t i = 0; i < nodeCount_; ++i) {
         auto &nd = cluster_->node(i);
-        procs_[i] = &nd.os().createProcess(spec.uidValue());
+        procs_[i] = &nd.os().createProcess(/*uid=*/0);
         segBases_[i] = procs_[i]->alloc(segBytes_);
         nd.driver().openContext(*procs_[i], ctx_);
         nd.driver().registerSegment(*procs_[i], ctx_, segBases_[i],

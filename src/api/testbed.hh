@@ -120,8 +120,7 @@ class ClusterSpec
 
     /**
      * Bytes of context segment registered on every node (default
-     * 1 MiB). Physical memory is sized automatically unless
-     * physMemPerNode() overrides it.
+     * 1 MiB). Physical memory is sized from it automatically.
      */
     ClusterSpec &
     segmentPerNode(std::uint64_t bytes)
@@ -183,13 +182,6 @@ class ClusterSpec
         return *this;
     }
 
-    ClusterSpec &
-    physMemPerNode(std::uint64_t bytes)
-    {
-        physMemBytes_ = bytes;
-        return *this;
-    }
-
     /**
      * Torus packet-routing policy (default dor). Adaptive detours
      * around failed links; requires a torus topology.
@@ -235,21 +227,12 @@ class ClusterSpec
         return *this;
     }
 
-    /** Uid of the per-node processes (default 0). */
-    ClusterSpec &
-    uid(os::UserId u)
-    {
-        uid_ = u;
-        return *this;
-    }
-
     /** Resolved low-level parameters (validated on access). */
     node::ClusterParams resolve() const;
 
     sim::CtxId ctx() const { return ctx_; }
     std::uint64_t segmentBytes() const { return segBytes_; }
     std::uint64_t seedValue() const { return seed_; }
-    os::UserId uidValue() const { return uid_; }
     bool doorbellBatchingValue() const { return doorbellBatching_; }
     const fab::FaultPlan &faultPlanValue() const { return faultPlan_; }
 
@@ -257,9 +240,7 @@ class ClusterSpec
     node::ClusterParams params_;
     sim::CtxId ctx_ = 1;
     std::uint64_t segBytes_ = 1_MiB;
-    std::uint64_t physMemBytes_ = 0; //!< 0 = size from the segment
     std::uint64_t seed_ = 1;
-    os::UserId uid_ = 0;
     bool doorbellBatching_ = false;
     fab::FaultPlan faultPlan_;
 };

@@ -5,13 +5,12 @@
 
 #include "api/workload.hh"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace sonuma::api {
 
 Workload::Workload(TestBed &bed, std::string scope)
-    : bed_(bed), scope_(std::move(scope)), bgDone_(bed.sim().eq())
+    : bed_(bed), scope_(std::move(scope))
 {
     const std::uint32_t n = bed_.nodes();
     if (bed_.segBytes() < Barrier::regionBytes(n))
@@ -25,8 +24,6 @@ Workload::Workload(TestBed &bed, std::string scope)
         all[i] = static_cast<sim::NodeId>(i);
 
     ctxs_.resize(n);
-    bgStop_.assign(n, 0);
-    bgRunning_.assign(n, 0);
     for (std::uint32_t i = 0; i < n; ++i) {
         ctxs_[i].wl_ = this;
         ctxs_[i].node_ = i;
@@ -82,89 +79,16 @@ Workload::NodeCtx::histogram(const std::string &name)
     return w.histograms_.back();
 }
 
-Workload &
-Workload::setBackground(double fraction)
-{
-    if (fraction < 0.0 || fraction > 1.0)
-        throw std::invalid_argument(
-            "Workload: background fraction must be in [0, 1]");
-    bgFraction_ = fraction;
-    return *this;
-}
-
 sim::Task
 Workload::nodeMain(std::uint32_t i)
 {
     co_await barriers_[i]->arrive();
     if (i == 0)
         start_ = bed_.sim().now();
-    const bool bg = bgFraction_ > 0.0 && bed_.nodes() >= 2;
-    if (bg) {
-        bgStop_[i] = 0;
-        bgRunning_[i] = 1;
-        bed_.spawn(bgMain(i));
-    }
     co_await fn_(ctxs_[i]);
-    if (bg) {
-        // Stop and drain the background stream before arriving at the
-        // finish barrier, so elapsed() never covers bg-only traffic.
-        bgStop_[i] = 1;
-        while (bgRunning_[i])
-            co_await bgDone_.wait();
-    }
     co_await barriers_[i]->arrive();
     if (i == 0)
         end_ = bed_.sim().now();
-}
-
-sim::Task
-Workload::bgMain(std::uint32_t i)
-{
-    SessionParams params;
-    params.qpCount = 1;
-    params.doorbellBatching = false;
-    RmcSession &s = bed_.newSession(i, 0, params);
-
-    const std::uint32_t nodes = bed_.nodes();
-    const std::uint32_t fgDepth = bed_.session(i).queueDepth();
-    std::uint32_t window = static_cast<std::uint32_t>(
-        bgFraction_ * static_cast<double>(fgDepth));
-    window = std::max<std::uint32_t>(window, 1);
-    window = std::min(window, s.queueDepth());
-
-    sim::Counter &done = ctxs_[i].counter("bgOps");
-    // One landing line per WQ slot: nextSlot() walks the whole ring,
-    // not just the bg window.
-    const vm::VAddr buf = s.allocBuffer(std::uint64_t(s.queueDepth()) *
-                                        sim::kCacheLineBytes);
-    // Target the first line past the barrier region: present in every
-    // segment, and reads racing the foreground are harmless.
-    const std::uint64_t off = Barrier::regionBytes(nodes);
-
-    std::deque<OpHandle> inflight;
-    std::uint64_t posted = 0;
-    while (!bgStop_[i] || !inflight.empty()) {
-        if (bgStop_[i] || inflight.size() >= window) {
-            OpHandle h = inflight.front();
-            inflight.pop_front();
-            OpResult r = co_await h;
-            // Under faults a background read may abort; swallow it —
-            // background load must never turn a degraded run fatal.
-            if (r.ok())
-                done.inc();
-            continue;
-        }
-        const auto peer = static_cast<sim::NodeId>(
-            (i + 1 + posted % (nodes - 1)) % nodes);
-        const std::uint32_t slot = s.nextSlot();
-        OpHandle h = co_await s.readAsync(
-            peer, off, buf + std::uint64_t(slot) * sim::kCacheLineBytes,
-            sim::kCacheLineBytes);
-        ++posted;
-        inflight.push_back(h);
-    }
-    bgRunning_[i] = 0;
-    bgDone_.notifyAll();
 }
 
 sim::Tick

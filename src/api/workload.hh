@@ -34,7 +34,6 @@
 #include "api/barrier.hh"
 #include "api/testbed.hh"
 #include "sim/stats.hh"
-#include "sim/sync.hh"
 
 namespace sonuma::api {
 
@@ -130,20 +129,6 @@ class Workload
     }
 
     /**
-     * Run background traffic next to the body: each node spawns a
-     * closed-loop stream of single-line reads round-robin over its
-     * peers on a private one-QP session, windowed at max(1, fraction *
-     * primary queueDepth). The stream starts after the start barrier
-     * and drains before the node arrives at the finish barrier, so
-     * elapsed() still brackets the foreground region. Completed reads
-     * count in "<scope>.node<i>.bgOps"; failures under faults are
-     * tolerated silently (background load must not turn a degraded
-     * cell fatal). 0 disables (the default — no extra sessions, no
-     * timing impact).
-     */
-    Workload &setBackground(double fraction);
-
-    /**
      * Spawn one coroutine per node (bracketed by start/finish barriers)
      * and run the simulation to quiescence. Throws if the simulation
      * quiesces with node coroutines still suspended (a permanent fault
@@ -169,16 +154,7 @@ class Workload
     sim::Tick start_ = 0;
     sim::Tick end_ = 0;
 
-    // Background traffic (see setBackground). std::uint8_t, not bool:
-    // these are per-node flags mutated across coroutines and
-    // vector<bool>'s proxy references make that needlessly subtle.
-    double bgFraction_ = 0.0;
-    std::vector<std::uint8_t> bgStop_;
-    std::vector<std::uint8_t> bgRunning_;
-    sim::Condition bgDone_;
-
     sim::Task nodeMain(std::uint32_t i);
-    sim::Task bgMain(std::uint32_t i);
 };
 
 } // namespace sonuma::api

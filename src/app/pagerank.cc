@@ -5,8 +5,8 @@
  * The soNUMA sides run on the API-v2 Workload runtime: one coroutine
  * per node on a declaratively-built TestBed, §5.3 barrier alignment
  * via Workload's NodeCtx, per-node stats under the workload scope.
- * PageRankFineWorkload is the shared core the SweepDriver "pagerank"
- * workload drives at 64-512 nodes (FIG9 artifacts).
+ * PageRankFineWorkload is the shared core the sweep's "pagerank"
+ * workload (app/sweep.cc) drives at 64-512 nodes (FIG9 artifacts).
  */
 
 #include "app/pagerank.hh"
@@ -20,7 +20,6 @@
 
 #include "api/barrier.hh"
 #include "api/session.hh"
-#include "api/sweep.hh"
 #include "api/workload.hh"
 #include "node/cluster.hh"
 #include "sim/simulation.hh"
@@ -632,130 +631,6 @@ runPageRankBulk(const Graph &g, const Partition &part,
         bed, g, part, vtxOff,
         static_cast<int>((cfg.warmupSupersteps + cfg.supersteps) % 2));
     return run;
-}
-
-//
-// --------------------- SweepDriver "pagerank" workload -----------------
-//
-
-namespace {
-
-/**
- * The Fig. 9 application as a sweepable workload: graph + partition
- * built per cell from SweepConfig::pagerank, the fine-grain runner
- * installed on the driver's TestBed/Workload, ranks verified against
- * the host reference, FIG9_<label>.json artifacts.
- */
-class PageRankSweepWorkload : public api::SweepWorkload
-{
-  public:
-    void
-    configure(api::ClusterSpec &spec, const api::SweepCellResult &cell,
-              const api::SweepConfig &cfg) override
-    {
-        const auto &axis = cfg.pagerank;
-        if (cell.requestBytes != sizeof(VertexData))
-            throw std::invalid_argument(
-                "pagerank sweep: request size is fixed at " +
-                std::to_string(sizeof(VertexData)) +
-                " bytes (one vertex record per remote read); got " +
-                std::to_string(cell.requestBytes) +
-                " — run with --sizes=64");
-        if (axis.vertices < cell.nodes)
-            throw std::invalid_argument(
-                "pagerank sweep: " + std::to_string(axis.vertices) +
-                " vertices cannot be partitioned over " +
-                std::to_string(cell.nodes) + " nodes");
-        sim::Rng grng(axis.graphSeed);
-        g_ = generatePowerLaw(grng, axis.vertices, axis.degree);
-        sim::Rng prng(axis.graphSeed + cell.nodes);
-        part_ = randomPartition(prng, g_.numVertices, cell.nodes);
-
-        prCfg_.supersteps = axis.supersteps;
-        prCfg_.warmupSupersteps = axis.warmupSupersteps;
-        prCfg_.seed = cfg.seed;
-        if (axis.l2PerNodeBytes != 0) {
-            prCfg_.l2PerUnitBytes = axis.l2PerNodeBytes;
-            spec.l2PerNode(axis.l2PerNodeBytes);
-        }
-
-        fine_ = std::make_unique<PageRankFineWorkload>(g_, part_, prCfg_);
-        spec.segmentPerNode(fine_->segmentBytesNeeded());
-    }
-
-    void
-    install(api::TestBed &bed, api::Workload &wl,
-            const api::SweepCellResult &cell,
-            const api::SweepConfig &cfg) override
-    {
-        (void)cell;
-        (void)cfg;
-        fine_->install(bed, wl);
-    }
-
-    Outcome
-    finish(api::TestBed &bed, const api::SweepCellResult &cell,
-           const api::SweepConfig &cfg) override
-    {
-        run_ = fine_->collect(bed);
-        if (run_.aborts != 0 || run_.errors != 0)
-            sim::fatal("pagerank sweep cell " + cell.label() + ": " +
-                       std::to_string(run_.aborts) + " aborts, " +
-                       std::to_string(run_.errors) + " RMC errors");
-        if (cfg.pagerank.verifyRanks) {
-            const auto ref = referencePageRank(
-                g_, prCfg_.warmupSupersteps + prCfg_.supersteps,
-                prCfg_.damping);
-            double maxDiff = 0;
-            for (std::size_t v = 0; v < ref.size(); ++v)
-                maxDiff = std::max(maxDiff,
-                                   std::abs(run_.ranks[v] - ref[v]));
-            if (maxDiff > 1e-9)
-                sim::fatal("pagerank sweep cell " + cell.label() +
-                           ": ranks diverge from the host reference "
-                           "(max |diff| = " + std::to_string(maxDiff) +
-                           ")");
-        }
-        // Ops and time base must cover the same region: warm-up
-        // supersteps are excluded from both.
-        return Outcome{run_.measuredRemoteOps, run_.elapsed};
-    }
-
-    void
-    annotate(api::SweepCellResult &cell) const override
-    {
-        cell.extra.emplace_back("vertices",
-                                static_cast<double>(g_.numVertices));
-        cell.extra.emplace_back("edges",
-                                static_cast<double>(g_.numEdges()));
-        cell.extra.emplace_back("supersteps",
-                                static_cast<double>(prCfg_.supersteps));
-        cell.extra.emplace_back("cross_edge_fraction",
-                                part_.crossEdgeFraction(g_));
-    }
-
-    const char *
-    artifactPrefix() const override
-    {
-        return "FIG9_";
-    }
-
-  private:
-    Graph g_;
-    Partition part_;
-    PageRankConfig prCfg_;
-    std::unique_ptr<PageRankFineWorkload> fine_;
-    PageRankRun run_;
-};
-
-} // namespace
-
-void
-registerPageRankSweepWorkload()
-{
-    api::SweepDriver::registerWorkload("pagerank", [] {
-        return std::make_unique<PageRankSweepWorkload>();
-    });
 }
 
 } // namespace sonuma::app

@@ -105,7 +105,7 @@ PageRankRun runPageRankFine(const Graph &g, const Partition &partition,
 
 /**
  * Fine-grain PageRank as a Workload body on a caller-owned TestBed —
- * the piece the soNUMA runners and the SweepDriver "pagerank" workload
+ * the piece the soNUMA runners and the sweep's "pagerank" workload
  * share. One coroutine per node (api::Workload), barrier-aligned BSP
  * supersteps (§5.3), one rmc_read_async per cross-partition edge
  * (Fig. 4), per-node stats under "<scope>.node<i>.ops" /
@@ -144,15 +144,6 @@ class PageRankFineWorkload
     struct State;
     std::unique_ptr<State> st_;
 };
-
-/**
- * Register the "pagerank" workload with api::SweepDriver (idempotent):
- * one PageRankFineWorkload per cell, graph/partition built from
- * SweepConfig::pagerank, artifacts FIG9_<label>.json, ranks verified
- * against the host reference when verifyRanks is set. Call once from
- * bench/test main()s that want `--workload pagerank`.
- */
-void registerPageRankSweepWorkload();
 
 } // namespace sonuma::app
 

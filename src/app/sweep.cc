@@ -1,23 +1,27 @@
 /**
  * @file
- * SweepDriver implementation plus the built-in "uniform" workload.
+ * SweepDriver implementation plus its two workload bodies.
  */
 
-#include "api/sweep.hh"
+#include "app/sweep.hh"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <deque>
 #include <iostream>
-#include <map>
+#include <memory>
 #include <stdexcept>
 
+#include "api/barrier.hh"
+#include "api/workload.hh"
+#include "app/graph.hh"
+#include "app/pagerank.hh"
 #include "sim/json.hh"
 #include "sim/log.hh"
 #include "sim/time_series.hh"
 
-namespace sonuma::api {
+namespace sonuma::app {
 
 std::string
 SweepCellResult::topologyName() const
@@ -50,9 +54,6 @@ SweepCellResult::label() const
         out += "_adaptive";
     if (faultScenario != "none")
         out += "_" + fab::FaultPlan::scenarioOf(faultScenario);
-    if (bgTraffic > 0)
-        out += "_bg" + std::to_string(static_cast<int>(
-                           std::lround(bgTraffic * 100)));
     return out;
 }
 
@@ -70,7 +71,6 @@ SweepCellResult::json() const
         .field("doorbell_batching", doorbellBatching ? 1 : 0)
         .field("routing", fab::routingModeName(routing))
         .field("fault_scenario", faultScenario)
-        .field("bg_traffic", bgTraffic)
         .field("ops", ops)
         .field("mops", mops)
         .field("gbps", gbps)
@@ -86,8 +86,7 @@ SweepCellResult::json() const
         .field("dropped_messages", droppedMessages)
         .field("retransmits", retransmits)
         .field("dup_suppressed", dupSuppressed)
-        .field("unrecoverable", unrecoverable)
-        .field("bg_ops", bgOps);
+        .field("unrecoverable", unrecoverable);
     for (const auto &[key, value] : extra)
         w.field(key, value);
     w.field("sim_us", simMicros).field("host_seconds", hostSeconds);
@@ -96,25 +95,59 @@ SweepCellResult::json() const
 }
 
 //
-// ------------------------- workload registry ---------------------------
+// --------------------------- workload bodies ----------------------------
 //
 
 namespace {
 
 /**
- * The built-in uniform remote-read kernel: node i streams a
- * full-window pipeline of requestBytes reads round-robin over its
- * peers, sampling per-op latency as handles complete (fig9's
- * fine-grain access pattern reduced to its fabric-facing core).
+ * One sweep workload, instantiated per cell. The driver calls, in
+ * order: configure (adjust the cell's ClusterSpec — segment sizing,
+ * L2, ...), install (set the Workload body), run, finish (report ops +
+ * the measured region), annotate (extra JSON fields).
  */
-class UniformReadWorkload : public SweepWorkload
+class SweepWorkload
+{
+  public:
+    virtual ~SweepWorkload() = default;
+
+    /** Adjust the cell's ClusterSpec before the TestBed is built. */
+    virtual void configure(api::ClusterSpec &spec,
+                           const SweepCellResult &cell,
+                           const SweepConfig &cfg) = 0;
+
+    /** Install the per-node body (and any functional pre-run state). */
+    virtual void install(api::TestBed &bed, api::Workload &wl,
+                         const SweepCellResult &cell,
+                         const SweepConfig &cfg) = 0;
+
+    struct Outcome
+    {
+        std::uint64_t ops = 0;    //!< total remote ops issued
+        sim::Tick measured = 0;   //!< measured region; 0 = wl.elapsed()
+    };
+
+    /** Called after the workload ran; verify and report. */
+    virtual Outcome finish(api::TestBed &bed, const SweepCellResult &cell,
+                           const SweepConfig &cfg) = 0;
+
+    /** Append workload-specific JSON fields to the cell. */
+    virtual void
+    annotate(SweepCellResult &cell) const
+    {
+        (void)cell;
+    }
+};
+
+class UniformReadWorkload final : public SweepWorkload
 {
   public:
     void
-    configure(ClusterSpec &spec, const SweepCellResult &cell,
+    configure(api::ClusterSpec &spec, const SweepCellResult &cell,
               const SweepConfig &cfg) override
     {
-        const std::uint64_t dataOff = Barrier::regionBytes(cell.nodes);
+        const std::uint64_t dataOff =
+            api::Barrier::regionBytes(cell.nodes);
         if (cfg.segmentBytes < dataOff + 2ull * cell.requestBytes)
             throw std::invalid_argument(
                 "SweepDriver: segmentBytes " +
@@ -126,8 +159,8 @@ class UniformReadWorkload : public SweepWorkload
     }
 
     void
-    install(TestBed &bed, Workload &wl, const SweepCellResult &cell,
-            const SweepConfig &cfg) override
+    install(api::TestBed &bed, api::Workload &wl,
+            const SweepCellResult &cell, const SweepConfig &cfg) override
     {
         (void)bed;
         const std::uint32_t ops = cfg.opsPerNode;
@@ -140,7 +173,7 @@ class UniformReadWorkload : public SweepWorkload
         ops_ = std::uint64_t(nodes) * ops;
 
         wl.onEachNode([ops, requestBytes, segBytes, nodes, faulted,
-                       incast](Workload::NodeCtx &ctx) -> sim::Task {
+                       incast](api::Workload::NodeCtx &ctx) -> sim::Task {
             auto &s = ctx.session();
             auto &issued = ctx.counter("ops");
             auto &lat = ctx.histogram("opLatencyNs");
@@ -148,7 +181,7 @@ class UniformReadWorkload : public SweepWorkload
             auto &aborted = ctx.counter("abortedOps");
             auto &retried = ctx.counter("retriedOps");
             auto &failed = ctx.counter("failedOps");
-            const RetryPolicy &retry = ctx.retry();
+            const api::RetryPolicy &retry = ctx.retry();
 
             const std::uint32_t depth = s.queueDepth();
             const vm::VAddr buf =
@@ -160,7 +193,7 @@ class UniformReadWorkload : public SweepWorkload
             /** One outstanding read plus what a repost would need. */
             struct Pending
             {
-                OpHandle h;
+                api::OpHandle h;
                 sim::NodeId peer;
                 std::uint64_t off;
                 std::uint32_t attempt;
@@ -169,7 +202,7 @@ class UniformReadWorkload : public SweepWorkload
             auto retireFront = [&]() -> sim::Task {
                 Pending p = window.front();
                 window.pop_front();
-                OpResult r = co_await p.h;
+                api::OpResult r = co_await p.h;
                 if (r.ok()) {
                     ok.inc();
                     lat.sample(sim::ticksToNs(r.latency));
@@ -188,7 +221,7 @@ class UniformReadWorkload : public SweepWorkload
                 co_await sim::Delay(ctx.sim().eq(),
                                     retry.delayFor(p.attempt + 1));
                 const std::uint32_t slot = s.nextSlot();
-                OpHandle h = co_await s.readAsync(
+                api::OpHandle h = co_await s.readAsync(
                     p.peer, p.off,
                     buf + std::uint64_t(slot) * requestBytes,
                     requestBytes);
@@ -215,7 +248,7 @@ class UniformReadWorkload : public SweepWorkload
                 while (window.size() >= depth)
                     co_await retireFront();
                 const std::uint32_t slot = s.nextSlot();
-                OpHandle h = co_await s.readAsync(
+                api::OpHandle h = co_await s.readAsync(
                     peer, off, buf + std::uint64_t(slot) * requestBytes,
                     requestBytes);
                 issued.inc();
@@ -230,7 +263,7 @@ class UniformReadWorkload : public SweepWorkload
     }
 
     Outcome
-    finish(TestBed &bed, const SweepCellResult &cell,
+    finish(api::TestBed &bed, const SweepCellResult &cell,
            const SweepConfig &cfg) override
     {
         (void)bed;
@@ -243,40 +276,118 @@ class UniformReadWorkload : public SweepWorkload
     std::uint64_t ops_ = 0;
 };
 
-using Registry = std::map<std::string, SweepDriver::WorkloadFactory>;
-
-Registry &
-registry()
+/**
+ * The Fig. 9 application as a sweep workload: graph + partition built
+ * per cell from SweepConfig::pagerank, the fine-grain runner installed
+ * on the driver's TestBed/Workload, ranks verified against the host
+ * reference, FIG9_<label>.json artifacts.
+ */
+class PageRankSweepWorkload final : public SweepWorkload
 {
-    static Registry r = {
-        {"uniform", [] { return std::make_unique<UniformReadWorkload>(); }},
-    };
-    return r;
+  public:
+    void
+    configure(api::ClusterSpec &spec, const SweepCellResult &cell,
+              const SweepConfig &cfg) override
+    {
+        // Graph seed of every checked-in FIG9 cell.
+        constexpr std::uint64_t kGraphSeed = 7;
+        // LLC per node, scaled down with the scaled-down graph so the
+        // cache-to-dataset ratio matches the paper's (see
+        // bench/fig9_pagerank.cc).
+        constexpr std::uint64_t kL2PerNodeBytes = 256 * 1024;
+
+        const auto &axis = cfg.pagerank;
+        if (cell.requestBytes != sizeof(VertexData))
+            throw std::invalid_argument(
+                "pagerank sweep: request size is fixed at " +
+                std::to_string(sizeof(VertexData)) +
+                " bytes (one vertex record per remote read); got " +
+                std::to_string(cell.requestBytes) +
+                " — run with --sizes=64");
+        if (axis.vertices < cell.nodes)
+            throw std::invalid_argument(
+                "pagerank sweep: " + std::to_string(axis.vertices) +
+                " vertices cannot be partitioned over " +
+                std::to_string(cell.nodes) + " nodes");
+        sim::Rng grng(kGraphSeed);
+        g_ = generatePowerLaw(grng, axis.vertices, axis.degree);
+        sim::Rng prng(kGraphSeed + cell.nodes);
+        part_ = randomPartition(prng, g_.numVertices, cell.nodes);
+
+        prCfg_.supersteps = axis.supersteps;
+        prCfg_.seed = cfg.seed;
+        prCfg_.l2PerUnitBytes = kL2PerNodeBytes;
+        spec.l2PerNode(kL2PerNodeBytes);
+
+        fine_ = std::make_unique<PageRankFineWorkload>(g_, part_, prCfg_);
+        spec.segmentPerNode(fine_->segmentBytesNeeded());
+    }
+
+    void
+    install(api::TestBed &bed, api::Workload &wl,
+            const SweepCellResult &cell, const SweepConfig &cfg) override
+    {
+        (void)cell;
+        (void)cfg;
+        fine_->install(bed, wl);
+    }
+
+    Outcome
+    finish(api::TestBed &bed, const SweepCellResult &cell,
+           const SweepConfig &cfg) override
+    {
+        (void)cfg;
+        run_ = fine_->collect(bed);
+        if (run_.aborts != 0 || run_.errors != 0)
+            sim::fatal("pagerank sweep cell " + cell.label() + ": " +
+                       std::to_string(run_.aborts) + " aborts, " +
+                       std::to_string(run_.errors) + " RMC errors");
+        const auto ref =
+            referencePageRank(g_, prCfg_.supersteps, prCfg_.damping);
+        double maxDiff = 0;
+        for (std::size_t v = 0; v < ref.size(); ++v)
+            maxDiff = std::max(maxDiff, std::abs(run_.ranks[v] - ref[v]));
+        if (maxDiff > 1e-9)
+            sim::fatal("pagerank sweep cell " + cell.label() +
+                       ": ranks diverge from the host reference "
+                       "(max |diff| = " + std::to_string(maxDiff) + ")");
+        return Outcome{run_.measuredRemoteOps, run_.elapsed};
+    }
+
+    void
+    annotate(SweepCellResult &cell) const override
+    {
+        cell.extra.emplace_back("vertices",
+                                static_cast<double>(g_.numVertices));
+        cell.extra.emplace_back("edges",
+                                static_cast<double>(g_.numEdges()));
+        cell.extra.emplace_back("supersteps",
+                                static_cast<double>(prCfg_.supersteps));
+        cell.extra.emplace_back("cross_edge_fraction",
+                                part_.crossEdgeFraction(g_));
+    }
+
+  private:
+    Graph g_;
+    Partition part_;
+    PageRankConfig prCfg_;
+    std::unique_ptr<PageRankFineWorkload> fine_;
+    PageRankRun run_;
+};
+
+/** The body named by SweepConfig::workload. */
+std::unique_ptr<SweepWorkload>
+makeWorkload(const std::string &name)
+{
+    if (name == "uniform")
+        return std::make_unique<UniformReadWorkload>();
+    if (name == "pagerank")
+        return std::make_unique<PageRankSweepWorkload>();
+    throw std::invalid_argument("SweepDriver: unknown workload '" + name +
+                                "' (valid: uniform, pagerank)");
 }
 
 } // namespace
-
-void
-SweepDriver::registerWorkload(const std::string &name,
-                              WorkloadFactory factory)
-{
-    registry()[name] = std::move(factory);
-}
-
-bool
-SweepDriver::workloadRegistered(const std::string &name)
-{
-    return registry().count(name) != 0;
-}
-
-std::vector<std::string>
-SweepDriver::registeredWorkloads()
-{
-    std::vector<std::string> names;
-    for (const auto &[name, factory] : registry())
-        names.push_back(name);
-    return names;
-}
 
 //
 // ------------------------- torus factorization -------------------------
@@ -317,6 +428,17 @@ SweepDriver::torusDimsFor(std::uint32_t nodes, std::uint32_t ndims)
 // ----------------------------- cell runs -------------------------------
 //
 
+fab::FaultPlan
+SweepDriver::faultPlan(std::uint32_t nodes) const
+{
+    fab::FaultPlan plan;
+    std::string error;
+    if (!fab::FaultPlan::parse(cfg_.faultSpec, nodes, &plan, &error))
+        throw std::invalid_argument("SweepDriver: " + error);
+    plan.validate(nodes);
+    return plan;
+}
+
 SweepCellResult
 SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
                      std::uint32_t requestBytes, std::uint32_t qpDepth,
@@ -332,21 +454,8 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
             std::to_string(sim::kCacheLineBytes) + " bytes (got " +
             std::to_string(requestBytes) + ")");
 
-    const auto it = registry().find(cfg_.workload);
-    if (it == registry().end()) {
-        std::string names;
-        for (const auto &n : registeredWorkloads())
-            names += " " + n;
-        throw std::invalid_argument("SweepDriver: unknown workload '" +
-                                    cfg_.workload + "'; registered:" +
-                                    names);
-    }
-    std::unique_ptr<SweepWorkload> body = it->second();
-
-    fab::FaultPlan plan;
-    std::string planError;
-    if (!fab::FaultPlan::parse(cfg_.faultSpec, nodes, &plan, &planError))
-        throw std::invalid_argument("SweepDriver: " + planError);
+    const std::unique_ptr<SweepWorkload> body = makeWorkload(cfg_.workload);
+    const fab::FaultPlan plan = faultPlan(nodes);
 
     SweepCellResult cell;
     cell.workload = cfg_.workload;
@@ -358,18 +467,13 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     cell.doorbellBatching = cfg_.doorbellBatching;
     cell.faultScenario = cfg_.faultSpec;
     cell.routing = cfg_.routing;
-    if (cfg_.bgTraffic < 0.0 || cfg_.bgTraffic > 1.0)
-        throw std::invalid_argument(
-            "SweepDriver: bgTraffic must be in [0, 1] (got " +
-            std::to_string(cfg_.bgTraffic) + ")");
-    cell.bgTraffic = cfg_.bgTraffic;
     if (topo == node::Topology::kTorus) {
         cell.torusDims = cfg_.torusDims.empty()
                              ? torusDimsFor(nodes, cfg_.torusNdims)
                              : cfg_.torusDims;
     }
 
-    ClusterSpec spec;
+    api::ClusterSpec spec;
     spec.nodes(nodes)
         .context(1)
         .segmentPerNode(cfg_.segmentBytes)
@@ -380,7 +484,7 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
         .routing(cfg_.routing)
         .seed(cfg_.seed);
     if (cfg_.obsPeriodNs > 0)
-        spec.observability(cfg_.obsPeriodNs, cfg_.obsSlots);
+        spec.observability(cfg_.obsPeriodNs);
     if (topo == node::Topology::kTorus)
         spec.torus(cell.torusDims);
     if (!plan.empty())
@@ -388,16 +492,13 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     body->configure(spec, cell, cfg_);
 
     const auto t0 = std::chrono::steady_clock::now();
-    TestBed bed(spec);
-    Workload wl(bed, "sweep");
+    api::TestBed bed(spec);
+    api::Workload wl(bed, "sweep");
     if (cfg_.faultSpec != "none") {
-        RetryPolicy rp;
+        api::RetryPolicy rp;
         rp.maxRetries = cfg_.maxRetries;
-        rp.backoff = cfg_.retryBackoff;
         wl.setRetryPolicy(rp);
     }
-    if (cfg_.bgTraffic > 0)
-        wl.setBackground(cfg_.bgTraffic);
     body->install(bed, wl, cell, cfg_);
     wl.run();
 
@@ -454,7 +555,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     cell.abortedOps = sumCounters("abortedOps");
     cell.retriedOps = sumCounters("retriedOps");
     cell.failedOps = sumCounters("failedOps");
-    cell.bgOps = sumCounters("bgOps");
     cell.droppedMessages = bed.cluster().fabric().droppedMessages();
     cell.goodputMops = static_cast<double>(cell.okOps) / secs / 1e6;
 
@@ -477,7 +577,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     // unrecoverable — anything else means a completion was lost or
     // double-delivered.
     if (cell.workload == "uniform" && cfg_.maxRetries == 0 &&
-        cfg_.bgTraffic == 0.0 &&
         fab::FaultPlan::scenarioOf(cell.faultScenario) == "drop" &&
         cell.okOps + cell.unrecoverable != cell.ops)
         sim::fatal("sweep: drop cell accounting broke: ok_ops " +
@@ -514,12 +613,12 @@ SweepDriver::emit(const SweepCellResult &cell,
 std::vector<SweepCellResult>
 SweepDriver::run()
 {
-    // The artifact prefix is a property of the (sweep-wide) workload;
-    // ask a fresh instance rather than carrying state out of runCell.
-    std::string prefix = "SWEEP_";
-    if (const auto it = registry().find(cfg_.workload);
-        it != registry().end())
-        prefix = it->second()->artifactPrefix();
+    // A plan naming a node that only some cell counts have must fail
+    // here, before any cell is printed or written.
+    for (const auto nodes : cfg_.nodeCounts)
+        faultPlan(nodes);
+    const std::string prefix =
+        cfg_.workload == "pagerank" ? "FIG9_" : "SWEEP_";
     std::vector<SweepCellResult> results;
     for (const auto nodes : cfg_.nodeCounts)
         for (const auto topo : cfg_.topologies)
@@ -537,4 +636,4 @@ SweepDriver::run()
     return results;
 }
 
-} // namespace sonuma::api
+} // namespace sonuma::app

@@ -1,58 +1,51 @@
 /**
  * @file
- * Parameter-matrix sweep driver with pluggable workloads.
+ * Parameter-matrix sweep driver for the paper's two scale studies.
  *
- * Runs a registered workload over the full cross product of request
- * size x QP depth x QP count x node count x topology, one freshly-built
+ * Runs one workload over the full cross product of request size x QP
+ * depth x QP count x node count x topology, one freshly-built
  * TestBed + Workload per cell, and emits one flat JSON object per cell.
- * Schema 2 carries every field in every cell; a healthy cell has
+ * Schema 3 carries every field in every cell; a healthy cell has
  * routing "dor", fault_scenario "none" and zero fault counters:
  *
- *   {"bench": "sweep", "schema": 2, "workload": "uniform", "nodes": 64,
+ *   {"bench": "sweep", "schema": 3, "workload": "uniform", "nodes": 64,
  *    "topology": "torus_8x8", "request_bytes": 64, "qp_depth": 64, ...,
  *    "ops": 8192, "mops": ..., "p99_latency_ns": ..., "ok_ops": 8192,
- *    ..., <workload extras>, "sim_us": ..., "host_seconds": ...}
+ *    ..., <pagerank extras>, "sim_us": ..., "host_seconds": ...}
  *
  * bench/check_artifacts.py holds the full field list and identities.
  *
- * Two workloads ship registered:
+ * The workload is one of two:
  *
- *  - "uniform" (built in): the fig9-style uniform remote-read kernel,
- *    every node streaming a full-window pipeline of reads round-robin
- *    over its peers. Artifacts are SWEEP_<label>.json.
- *  - "pagerank" (src/app/pagerank.cc, enabled by calling
- *    app::registerPageRankSweepWorkload()): the paper's Fig. 9
- *    application itself — fine-grain BSP PageRank, one remote read per
- *    cross-partition edge. Artifacts are FIG9_<label>.json.
+ *  - "uniform": the fig9-style uniform remote-read kernel, every node
+ *    streaming a full-window pipeline of reads round-robin over its
+ *    peers. Artifacts are SWEEP_<label>.json.
+ *  - "pagerank": the paper's Fig. 9 application itself — fine-grain
+ *    BSP PageRank (PageRankFineWorkload), one remote read per
+ *    cross-partition edge, ranks verified against the host reference
+ *    in every cell. Artifacts are FIG9_<label>.json.
  *
- * New workloads implement SweepWorkload and register a factory; the
- * driver owns cell construction, metric pooling and JSON rendering, so
- * a 64-512 node scaling study of any workload is a SweepConfig
- * literal, not a new harness. Bodies sample per-op latency into the
- * standard per-node histogram "sweep.node<i>.opLatencyNs" (pooled
- * cluster-wide into mean/p99) and keep a per-node "sweep.node<i>.ops"
- * counter for the stats dump; the cell's total ops (the mops
- * numerator) comes from SweepWorkload::finish so it always covers
+ * Both sample per-op latency into the per-node histogram
+ * "sweep.node<i>.opLatencyNs" (pooled cluster-wide into mean and
+ * percentiles); the cell's total ops (the mops numerator) covers
  * exactly the measured region.
  */
 
-#ifndef SONUMA_API_SWEEP_HH
-#define SONUMA_API_SWEEP_HH
+#ifndef SONUMA_APP_SWEEP_HH
+#define SONUMA_APP_SWEEP_HH
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/testbed.hh"
-#include "api/workload.hh"
+#include "fabric/fault.hh"
 #include "fabric/router.hh"
 #include "node/cluster.hh"
 #include "rmc/params.hh"
 
-namespace sonuma::api {
+namespace sonuma::app {
 
 /** The sweep matrix plus per-cell workload intensity. */
 struct SweepConfig
@@ -63,7 +56,7 @@ struct SweepConfig
     std::vector<std::uint32_t> nodeCounts{4};
     std::vector<node::Topology> topologies{node::Topology::kCrossbar};
 
-    /** Registered workload driven in every cell. */
+    /** "uniform" or "pagerank"; anything else throws. */
     std::string workload = "uniform";
 
     /**
@@ -76,7 +69,7 @@ struct SweepConfig
     std::uint32_t torusNdims = 2;
 
     std::uint32_t opsPerNode = 128;   //!< async reads issued per node
-    std::uint64_t segmentBytes = 1_MiB;
+    std::uint64_t segmentBytes = 1ull << 20; //!< 1 MiB per node
     std::uint64_t seed = 1;
     bool doorbellBatching = false;    //!< batch WQ doorbells per QP
     rmc::RmcParams rmcParams = rmc::RmcParams::simulatedHardware();
@@ -95,21 +88,12 @@ struct SweepConfig
 
     /**
      * Retry budget per op for degraded cells (faultSpec != "none"):
-     * aborted ops are reposted with capped exponential backoff up to
-     * maxRetries times, then counted failed. Healthy cells ignore
-     * these and keep their fail-fast behavior.
+     * aborted ops are reposted with the default RetryPolicy backoff
+     * (capped exponential) up to maxRetries times, then counted
+     * failed. Healthy cells ignore it and keep their fail-fast
+     * behavior.
      */
     std::uint32_t maxRetries = 8;
-    sim::Tick retryBackoff = sim::usToTicks(5);
-
-    /**
-     * Background traffic: every node additionally runs a closed-loop
-     * stream of single-line uniform reads over a private one-QP
-     * session, with a window of max(1, bgTraffic * qpDepth) — a
-     * fraction of the foreground intensity. 0 disables it. Cells with
-     * background load get a "_bg<pct>" label suffix.
-     */
-    double bgTraffic = 0.0;
 
     /** PageRank workload axis (used when workload == "pagerank"). */
     struct PageRankAxis
@@ -117,16 +101,6 @@ struct SweepConfig
         std::uint32_t vertices = 16384; //!< fixed graph: strong scaling
         std::uint32_t degree = 8;       //!< average in-degree
         std::uint32_t supersteps = 1;   //!< measured BSP supersteps
-        std::uint32_t warmupSupersteps = 0; //!< untimed warm-up
-        std::uint64_t graphSeed = 7;
-        bool verifyRanks = true; //!< check vs host reference, fatal on drift
-
-        /**
-         * LLC per node, scaled down with the scaled-down graph so the
-         * cache-to-dataset ratio matches the paper's (see
-         * bench/fig9_pagerank.cc); 0 keeps the Table 1 default.
-         */
-        std::uint64_t l2PerNodeBytes = 256 * 1024;
     };
     PageRankAxis pagerank;
 
@@ -138,7 +112,6 @@ struct SweepConfig
      * outDir is set; docs/observability.md).
      */
     std::uint64_t obsPeriodNs = 0;
-    std::size_t obsSlots = 1024; //!< fixed ring slots per series
 
     std::string outDir;   //!< write one <prefix><label>.json per cell
     bool echo = true;     //!< print each cell's JSON to stdout
@@ -162,7 +135,6 @@ struct SweepCellResult
     // and artifact family).
     std::string faultScenario = "none";
     fab::RoutingMode routing = fab::RoutingMode::kDor;
-    double bgTraffic = 0.0;         //!< background-load fraction (0 = off)
 
     // Measurements.
     std::uint64_t ops = 0;          //!< total remote ops issued
@@ -189,7 +161,6 @@ struct SweepCellResult
     std::uint64_t retransmits = 0;  //!< timed-out transfers re-sent
     std::uint64_t dupSuppressed = 0; //!< replays answered from dedup
     std::uint64_t unrecoverable = 0; //!< transfers given up for good
-    std::uint64_t bgOps = 0;        //!< background reads completed ok
     double goodputMops = 0;         //!< successful ops per simulated second
     double p50LatencyNs = 0;
     double p95LatencyNs = 0;
@@ -214,83 +185,32 @@ struct SweepCellResult
 
     /**
      * Stable identifier, e.g. "n64_torus_8x8_rs64_qd64"; multi-QP
-     * cells append "_qp<N>", batched cells "_db", non-uniform
-     * workloads "_<workload>", adaptively-routed cells "_adaptive",
-     * faulted cells "_<scenario>" and background-loaded cells
-     * "_bg<pct>" (single-QP uniform dor-routed
-     * healthy labels keep their original spelling so existing
-     * artifacts stay diffable).
+     * cells append "_qp<N>", batched cells "_db", pagerank cells
+     * "_pagerank", adaptively-routed cells "_adaptive" and faulted
+     * cells "_<scenario>" (single-QP uniform dor-routed healthy labels
+     * keep their original spelling so existing artifacts stay
+     * diffable).
      */
     std::string label() const;
 
     /** Human-readable topology, e.g. "torus_8x8x8" or "crossbar". */
     std::string topologyName() const;
 
-    /** The cell's schema-2 JSON artifact. */
+    /** The cell's schema-3 JSON artifact. */
     std::string json() const;
-};
-
-/**
- * One registered sweep workload, instantiated per cell. The driver
- * calls, in order: configure (adjust the cell's ClusterSpec — segment
- * sizing, L2, ...), install (set the Workload body), run, finish
- * (report ops + the measured region), annotate (extra JSON fields).
- */
-class SweepWorkload
-{
-  public:
-    virtual ~SweepWorkload() = default;
-
-    /** Adjust the cell's ClusterSpec before the TestBed is built. */
-    virtual void
-    configure(ClusterSpec &spec, const SweepCellResult &cell,
-              const SweepConfig &cfg)
-    {
-        (void)spec;
-        (void)cell;
-        (void)cfg;
-    }
-
-    /** Install the per-node body (and any functional pre-run state). */
-    virtual void install(TestBed &bed, Workload &wl,
-                         const SweepCellResult &cell,
-                         const SweepConfig &cfg) = 0;
-
-    struct Outcome
-    {
-        std::uint64_t ops = 0;    //!< total remote ops issued
-        sim::Tick measured = 0;   //!< measured region; 0 = wl.elapsed()
-    };
-
-    /** Called after the workload ran; verify and report. */
-    virtual Outcome finish(TestBed &bed, const SweepCellResult &cell,
-                           const SweepConfig &cfg) = 0;
-
-    /** Append workload-specific JSON fields to the cell. */
-    virtual void
-    annotate(SweepCellResult &cell) const
-    {
-        (void)cell;
-    }
-
-    /** Artifact file prefix ("SWEEP_", or "FIG9_" for pagerank). */
-    virtual const char *
-    artifactPrefix() const
-    {
-        return "SWEEP_";
-    }
 };
 
 class SweepDriver
 {
   public:
-    using WorkloadFactory = std::function<std::unique_ptr<SweepWorkload>()>;
-
     explicit SweepDriver(SweepConfig cfg) : cfg_(std::move(cfg)) {}
 
     /**
      * Run every cell of the matrix. Each cell gets its own Simulation
      * seeded from cfg.seed, so cells are independent and reproducible.
+     * The fault plan is checked against every node count before the
+     * first cell runs, so a bad plan throws std::invalid_argument
+     * without printing or writing any cell.
      */
     std::vector<SweepCellResult> run();
 
@@ -299,19 +219,6 @@ class SweepDriver
                             std::uint32_t requestBytes,
                             std::uint32_t qpDepth,
                             std::uint32_t qpCount = 1);
-
-    /**
-     * Register (or replace) a workload under @p name. "uniform" is
-     * pre-registered; app::registerPageRankSweepWorkload() adds
-     * "pagerank".
-     */
-    static void registerWorkload(const std::string &name,
-                                 WorkloadFactory factory);
-
-    static bool workloadRegistered(const std::string &name);
-
-    /** Registered names, sorted (for error messages / --help). */
-    static std::vector<std::string> registeredWorkloads();
 
     /**
      * Near-square 2D torus factorization for @p nodes, e.g. 64 ->
@@ -329,10 +236,13 @@ class SweepDriver
   private:
     SweepConfig cfg_;
 
+    /** cfg.faultSpec parsed and range-checked for @p nodes. */
+    fab::FaultPlan faultPlan(std::uint32_t nodes) const;
+
     void emit(const SweepCellResult &cell,
               const std::string &prefix) const;
 };
 
-} // namespace sonuma::api
+} // namespace sonuma::app
 
-#endif // SONUMA_API_SWEEP_HH
+#endif // SONUMA_APP_SWEEP_HH

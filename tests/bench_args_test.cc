@@ -76,8 +76,8 @@ TEST(BenchArgs, DegradedModeFlagsValidate)
     std::string err;
     EXPECT_TRUE(Args::validate(
         {"--faults=node-kill@50us+100us", "--routing=adaptive",
-         "--retries=4", "--retry-backoff-us=10"},
-        {"faults", "routing", "retries", "retry-backoff-us"}, &err))
+         "--retries=4", "--max-attempts=6"},
+        {"faults", "routing", "retries", "max-attempts"}, &err))
         << err;
 }
 
@@ -85,7 +85,7 @@ TEST(BenchArgs, TypodDegradedFlagsGetDidYouMean)
 {
     const std::vector<std::string> known = {"faults", "routing",
                                            "retries",
-                                           "retry-backoff-us"};
+                                           "max-attempts"};
     std::string err;
     EXPECT_FALSE(Args::validate({"--fault=node-kill@50us"}, known, &err));
     EXPECT_NE(err.find("did you mean --faults"), std::string::npos)

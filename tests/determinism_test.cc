@@ -12,9 +12,9 @@
 #include <sstream>
 #include <string>
 
-#include "api/sweep.hh"
 #include "api/workload.hh"
 #include "app/pagerank.hh"
+#include "app/sweep.hh"
 #include "bench/common.hh"
 
 namespace {
@@ -167,7 +167,7 @@ TEST(Determinism, MultiQpBatchedStatsDumpIsReproducible)
 std::string
 runFig9PageRankStats(std::uint64_t seed)
 {
-    api::SweepConfig cfg;
+    app::SweepConfig cfg;
     cfg.workload = "pagerank";
     cfg.pagerank.vertices = 256;
     cfg.pagerank.degree = 4;
@@ -178,8 +178,7 @@ runFig9PageRankStats(std::uint64_t seed)
     // Drive through the SweepDriver so the whole artifact path is under
     // test, then dump the cell's JSON (the stats registry dies with the
     // cell's TestBed; its JSON projection is what regressions diff).
-    sonuma::app::registerPageRankSweepWorkload();
-    const auto cell = api::SweepDriver(cfg).runCell(
+    const auto cell = app::SweepDriver(cfg).runCell(
         8, sonuma::node::Topology::kTorus, 64, 16);
     return cell.json();
 }

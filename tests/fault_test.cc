@@ -10,12 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "api/sweep.hh"
+#include "app/sweep.hh"
 #include "fabric/crossbar.hh"
 #include "fabric/fault.hh"
 #include "fabric/router.hh"
@@ -303,10 +304,10 @@ TEST_F(Torus444, FailureNotificationsCarryReasons)
 // --------------------- end-to-end degraded runs -------------------------
 //
 
-api::SweepConfig
+app::SweepConfig
 degradedConfig(const std::string &faultSpec)
 {
-    api::SweepConfig cfg;
+    app::SweepConfig cfg;
     cfg.opsPerNode = 24;
     cfg.faultSpec = faultSpec;
     cfg.echo = false;
@@ -315,7 +316,7 @@ degradedConfig(const std::string &faultSpec)
 
 /** A cell's JSON with the host_seconds wall-clock field stripped. */
 std::string
-jsonSansHostSeconds(const api::SweepCellResult &cell)
+jsonSansHostSeconds(const app::SweepCellResult &cell)
 {
     const std::string s = cell.json();
     return s.substr(0, s.find("\"host_seconds\""));
@@ -331,7 +332,7 @@ TEST(DegradedRun, NodeKillRecoverCompletesWithExactAccounting)
     // covered by the drop-window tests.)
     auto cfg = degradedConfig("node-kill@20us+40us");
     cfg.rmcParams.maxAttempts = 1;
-    api::SweepDriver driver(cfg);
+    app::SweepDriver driver(cfg);
     const auto cell =
         driver.runCell(16, node::Topology::kTorus, 64, 16);
 
@@ -358,7 +359,7 @@ TEST(DegradedRun, DropWindowRecoversAllOpsViaRetransmission)
     // closes.
     auto cfg = degradedConfig("drop@10us+60us");
     cfg.maxRetries = 0;
-    api::SweepDriver driver(cfg);
+    app::SweepDriver driver(cfg);
     const auto cell =
         driver.runCell(16, node::Topology::kTorus, 64, 16);
     EXPECT_GT(cell.droppedMessages, 0u) << "the drop window must bite";
@@ -373,8 +374,8 @@ TEST(DegradedRun, DropWindowRecoversAllOpsViaRetransmission)
 TEST(DegradedRun, SameSeedIsByteIdentical)
 {
     const std::string spec = "link-flap@10us~20usx3:0-1";
-    api::SweepDriver a(degradedConfig(spec));
-    api::SweepDriver b(degradedConfig(spec));
+    app::SweepDriver a(degradedConfig(spec));
+    app::SweepDriver b(degradedConfig(spec));
     const auto ca = a.runCell(16, node::Topology::kTorus, 64, 16);
     const auto cb = b.runCell(16, node::Topology::kTorus, 64, 16);
     EXPECT_EQ(jsonSansHostSeconds(ca), jsonSansHostSeconds(cb))
@@ -387,7 +388,7 @@ TEST(DegradedRun, AdaptiveRoutingRidesOutLinkKillWithoutRetries)
 {
     auto cfg = degradedConfig("link-kill@10us");
     cfg.routing = RoutingMode::kAdaptive;
-    api::SweepDriver driver(cfg);
+    app::SweepDriver driver(cfg);
     const auto cell =
         driver.runCell(16, node::Topology::kTorus, 64, 16);
     EXPECT_EQ(cell.okOps, cell.ops);
@@ -406,37 +407,56 @@ TEST(DegradedRun, PermanentNodeKillSurfacesStallDiagnostic)
     auto cfg = degradedConfig("node-kill@20us");
     cfg.opsPerNode = 8;
     cfg.maxRetries = 2;
-    api::SweepDriver driver(cfg);
+    app::SweepDriver driver(cfg);
     EXPECT_THROW(driver.runCell(4, node::Topology::kTorus, 64, 16),
                  std::runtime_error);
+}
+
+TEST(DegradedRun, FaultPlanIsCheckedForEveryNodeCountBeforeAnyCell)
+{
+    // Node 8 exists in the 16-node cell but not in the 4-node one: the
+    // driver must reject the plan before it runs, prints or writes the
+    // 16-node cell.
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "sonuma_fault_plan_node_counts";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    auto cfg = degradedConfig("node-kill@10us+20us:8");
+    cfg.nodeCounts = {16, 4};
+    cfg.opsPerNode = 8;
+    cfg.outDir = dir.string();
+    app::SweepDriver driver(cfg);
+    EXPECT_THROW(driver.run(), std::invalid_argument);
+    EXPECT_TRUE(fs::is_empty(dir)) << "a cell ran before the plan check";
+    fs::remove_all(dir);
 }
 
 TEST(DegradedRun, AdaptiveOnCrossbarIsRejected)
 {
     auto cfg = degradedConfig("none");
     cfg.routing = RoutingMode::kAdaptive;
-    api::SweepDriver driver(cfg);
+    app::SweepDriver driver(cfg);
     EXPECT_THROW(driver.runCell(4, node::Topology::kCrossbar, 64, 16),
                  std::invalid_argument);
 }
 
 TEST(DegradedRun, HealthyCellJsonCarriesHealthyDefaults)
 {
-    api::SweepDriver driver(degradedConfig("none"));
+    app::SweepDriver driver(degradedConfig("none"));
     const auto cell =
         driver.runCell(4, node::Topology::kCrossbar, 64, 16);
     EXPECT_FALSE(cell.degraded());
     EXPECT_EQ(cell.okOps, cell.ops);
-    // Schema 2: a healthy cell carries every degraded field at its
-    // healthy default.
+    // Every schema since 2: a healthy cell carries every degraded field
+    // at its healthy default.
     const std::string json = cell.json();
     for (const char *field :
          {"\"fault_scenario\": \"none\"", "\"routing\": \"dor\"",
-          "\"bg_traffic\": 0,", "\"aborted_ops\": 0,",
-          "\"retried_ops\": 0,", "\"failed_ops\": 0,",
-          "\"dropped_messages\": 0,", "\"retransmits\": 0,",
-          "\"dup_suppressed\": 0,", "\"unrecoverable\": 0,",
-          "\"bg_ops\": 0,"})
+          "\"aborted_ops\": 0,", "\"retried_ops\": 0,",
+          "\"failed_ops\": 0,", "\"dropped_messages\": 0,",
+          "\"retransmits\": 0,", "\"dup_suppressed\": 0,",
+          "\"unrecoverable\": 0,"})
         EXPECT_NE(json.find(field), std::string::npos) << field << "\n"
                                                        << json;
     EXPECT_NE(json.find("\"ok_ops\": " + std::to_string(cell.ops) + ","),

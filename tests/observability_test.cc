@@ -20,7 +20,7 @@
 #include <sstream>
 #include <string>
 
-#include "api/sweep.hh"
+#include "app/sweep.hh"
 #include "sim/json.hh"
 #include "sim/stats.hh"
 #include "sim/time_series.hh"
@@ -202,7 +202,9 @@ TEST(ObsJson, SchemaFieldsAndZeroSeriesElision)
 
     const std::string json = sim::renderObsJson(reg, "cell_a", 100);
     EXPECT_NE(json.find("\"bench\": \"obs\""), std::string::npos);
-    EXPECT_NE(json.find("\"schema\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"schema\": " +
+                        std::to_string(sim::kArtifactSchema) + ","),
+              std::string::npos);
     EXPECT_NE(json.find("\"label\": \"cell_a\""), std::string::npos);
     EXPECT_NE(json.find("\"period_ns\": 100"), std::string::npos);
     // The all-zero series is elided; the live one is kept.
@@ -356,7 +358,7 @@ TEST(HistogramPercentile, PooledMatchesInstanceAcrossP)
 
 TEST(SweepJson, StringFieldsAreEscaped)
 {
-    api::SweepCellResult cell;
+    app::SweepCellResult cell;
     cell.workload = "uni\"form\\x";
     cell.nodes = 4;
     cell.requestBytes = 64;
@@ -380,10 +382,10 @@ TEST(SweepJson, StringFieldsAreEscaped)
 
 // --------------------------------------------------- sweep-cell sampling
 
-api::SweepConfig
+app::SweepConfig
 smallCellConfig()
 {
-    api::SweepConfig cfg;
+    app::SweepConfig cfg;
     cfg.opsPerNode = 24;
     cfg.echo = false;
     return cfg;
@@ -391,7 +393,7 @@ smallCellConfig()
 
 /** A cell's JSON with the host_seconds wall-clock field stripped. */
 std::string
-jsonSansHostSeconds(const api::SweepCellResult &cell)
+jsonSansHostSeconds(const app::SweepCellResult &cell)
 {
     const std::string s = cell.json();
     return s.substr(0, s.find("\"host_seconds\""));
@@ -401,8 +403,8 @@ TEST(ObsSampling, SidecarIsDeterministicAcrossSameSeedRuns)
 {
     auto cfg = smallCellConfig();
     cfg.obsPeriodNs = 200;
-    api::SweepDriver d1(cfg);
-    api::SweepDriver d2(cfg);
+    app::SweepDriver d1(cfg);
+    app::SweepDriver d2(cfg);
     const auto a = d1.runCell(8, node::Topology::kTorus, 64, 16);
     const auto b = d2.runCell(8, node::Topology::kTorus, 64, 16);
 
@@ -420,9 +422,9 @@ TEST(ObsSampling, SamplingDoesNotPerturbTheCellArtifact)
     auto on = smallCellConfig();
     on.obsPeriodNs = 200;
     const auto cellOff =
-        api::SweepDriver(off).runCell(8, node::Topology::kTorus, 64, 16);
+        app::SweepDriver(off).runCell(8, node::Topology::kTorus, 64, 16);
     const auto cellOn =
-        api::SweepDriver(on).runCell(8, node::Topology::kTorus, 64, 16);
+        app::SweepDriver(on).runCell(8, node::Topology::kTorus, 64, 16);
 
     EXPECT_TRUE(cellOff.obsJson.empty());
     EXPECT_EQ(jsonSansHostSeconds(cellOff), jsonSansHostSeconds(cellOn))
@@ -434,10 +436,10 @@ TEST(ObsSampling, SamplingOffCellMatchesCheckedInExemplar)
     // Same cell the full bench_sweep run produces (defaults: 128
     // ops/node, seed 1), byte-compared against the checked-in artifact
     // modulo the host_seconds wall-clock tail.
-    api::SweepConfig cfg;
+    app::SweepConfig cfg;
     cfg.echo = false;
     const auto cell =
-        api::SweepDriver(cfg).runCell(8, node::Topology::kTorus, 64, 16);
+        app::SweepDriver(cfg).runCell(8, node::Topology::kTorus, 64, 16);
 
     const std::string path = std::string(SONUMA_REPO_ROOT) +
                              "/BENCH_sweep/SWEEP_" + cell.label() +

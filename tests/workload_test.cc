@@ -9,20 +9,20 @@
 
 #include <cstdio>
 
-#include "api/sweep.hh"
 #include "api/workload.hh"
-#include "app/pagerank.hh"
+#include "app/sweep.hh"
+#include "sim/json.hh"
 #include "sim/simulation.hh"
 
 namespace {
 
 using namespace sonuma;
 using api::ClusterSpec;
-using api::SweepConfig;
-using api::SweepDriver;
 using api::TestBed;
 using api::Workload;
 using api::operator""_KiB;
+using app::SweepConfig;
+using app::SweepDriver;
 
 TEST(WorkloadTest, RunsBodyOnEveryNodeWithBarrierAlignment)
 {
@@ -122,8 +122,12 @@ TEST(SweepDriverTest, CellMeasuresAndRendersSchemaStableJson)
     EXPECT_EQ(cell.label(), "n4_torus_2x2_rs64_qd16");
 
     const std::string json = cell.json();
+    EXPECT_NE(json.find("\"schema\": " +
+                        std::to_string(sim::kArtifactSchema) + ","),
+              std::string::npos)
+        << json;
     for (const char *key :
-         {"\"bench\": \"sweep\"", "\"schema\": 2", "\"nodes\": 4",
+         {"\"bench\": \"sweep\"", "\"nodes\": 4",
           "\"topology\": \"torus_2x2\"", "\"request_bytes\": 64",
           "\"qp_depth\": 16", "\"ops\": 64", "\"mops\": ",
           "\"mean_latency_ns\": ", "\"sim_us\": "})
@@ -204,14 +208,14 @@ TEST(SweepDriverTest, UnknownWorkloadListsRegisteredNames)
         EXPECT_NE(std::string(e.what()).find("uniform"),
                   std::string::npos)
             << e.what();
+        EXPECT_NE(std::string(e.what()).find("pagerank"),
+                  std::string::npos)
+            << e.what();
     }
 }
 
 TEST(SweepDriverTest, PageRankWorkloadCellRunsAndVerifies)
 {
-    app::registerPageRankSweepWorkload();
-    ASSERT_TRUE(SweepDriver::workloadRegistered("pagerank"));
-
     SweepConfig cfg;
     cfg.workload = "pagerank";
     cfg.pagerank.vertices = 512;
@@ -242,7 +246,6 @@ TEST(SweepDriverTest, PageRankWorkloadCellRunsAndVerifies)
 
 TEST(SweepDriverTest, PageRankCellHonorsQpCountAxis)
 {
-    app::registerPageRankSweepWorkload();
     SweepConfig cfg;
     cfg.workload = "pagerank";
     cfg.pagerank.vertices = 256;
