@@ -16,8 +16,8 @@
  * The rack-scale study (64-512 nodes on 3D tori) is the "pagerank"
  * workload of bench_sweep.
  *
- * Workload substitution (DESIGN.md): deterministic power-law graph in
- * place of the paper's Twitter subset. --vertices/--degree override the
+ * Workload substitution (src/app/README.md, app/graph.hh): deterministic
+ * power-law graph in place of the paper's Twitter subset. --vertices/--degree override the
  * scale; --quick shrinks it for smoke runs. --out=PATH also writes the
  * tables as JSON, one row per node count and platform.
  */
@@ -115,7 +115,7 @@ main(int argc, char **argv)
     std::printf("# Fig. 9: PageRank speedup over 1 thread "
                 "(power-law graph, random partition)\n");
 
-    // Cache-to-dataset scaling (DESIGN.md): the paper's Twitter subset
+    // Cache-to-dataset scaling: the paper's Twitter subset
     // dwarfed every cache configuration, so vertex loads are memory
     // bound. With the graph scaled down ~50x, scale the LLC with it to
     // stay in the same regime. One untimed warm-up superstep removes

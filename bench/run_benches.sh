@@ -119,9 +119,13 @@ echo "== fig9 PageRank scale study (64/256/512 nodes, 3D tori) =="
     --out-dir="$REPO_ROOT/BENCH_sweep"
 
 echo "== degraded-mode study (node kill, link kill + adaptive, incast) =="
-# The kill lands mid-flight (in-flight ops to the victim peak in the
-# first ~15 simulated us) so the abort/retry accounting is exercised,
-# not just the recovery.
+# The node kill lands mid-run with the RMC's default retransmission
+# budget, which rides out the 100 us down window: every packet the
+# fabric drops is recovered by an RMC retransmit, and no op aborts to
+# the workload (aborted_ops and retried_ops stay 0; the cell reads the
+# same with --retries=0). The software retry ladder (abort, back off,
+# repost) is tested by NodeKillRecoverCompletesWithExactAccounting in
+# tests/fault_test.cc, which pins the fail-fast RMC.
 # The node-kill cell also carries the observability exemplar: sampling
 # every 10 simulated us writes an OBS_*_node-kill.json sidecar next to
 # the (unchanged) DEGRADED artifact.

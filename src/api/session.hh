@@ -315,13 +315,6 @@ class RmcSession
     rmc::Rmc &rmc() { return driver_.rmc(); }
     sim::CtxId ctx() const { return ctx_; }
 
-    /**
-     * Reason behind the most recent fabric failure seen by this node's
-     * RMC (which peer, node- vs link-scoped), for software deciding
-     * whether a kFabricError op is worth retrying.
-     */
-    const fab::FailureInfo &lastFailure() { return rmc().lastFailure(); }
-
     /** Scratch buffer allocator in the session's process. */
     vm::VAddr
     allocBuffer(std::uint64_t bytes)

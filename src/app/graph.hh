@@ -43,8 +43,11 @@ struct Graph
 
 /**
  * Synthetic power-law graph (preferential attachment), the substitute
- * for the paper's Twitter subset [29] (see DESIGN.md §1). Determinism:
- * same rng seed => same graph.
+ * for the paper's Twitter subset [29], which this repository does not
+ * ship: preferential attachment gives the same skewed in-degree
+ * distribution, which drives partition imbalance and cross-partition
+ * reads.
+ * Determinism: same rng seed => same graph.
  *
  * @param vertices number of vertices
  * @param avgDegree average in-degree (edges = vertices * avgDegree)

@@ -65,7 +65,8 @@ struct PageRankConfig
      * LLC capacity per core (SHM) / per node (soNUMA). Table 1's value
      * is 4 MB; the fig9 bench scales it down with the scaled-down graph
      * so the cache-to-dataset ratio matches the paper's (the Twitter
-     * subset dwarfed every cache configuration; see DESIGN.md).
+     * subset dwarfed every cache configuration, so vertex loads were
+     * memory bound).
      */
     std::uint64_t l2PerUnitBytes = 4ull * 1024 * 1024;
 };

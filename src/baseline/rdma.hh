@@ -4,8 +4,8 @@
  * system (Mellanox ConnectX-3 on PCIe Gen3 + 56 Gbps InfiniBand,
  * back-to-back hosts; §7.4, Table 2).
  *
- * This is a *substitute* for hardware we do not have (DESIGN.md §1).
- * The model charges the mechanism the paper identifies as the gap
+ * This is a *substitute* for the paper's ConnectX-3 testbed, which a
+ * simulator cannot run. The model charges the mechanism the paper identifies as the gap
  * soNUMA closes: every operation crosses the PCIe bus multiple times
  * (doorbell, DMA of payload and CQE), and all processing runs in the
  * adapter rather than in the node's coherence hierarchy. Defaults are

@@ -6,35 +6,22 @@
 #include "fabric/crossbar.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <string>
-
-#include "sim/log.hh"
 
 namespace sonuma::fab {
 
 CrossbarFabric::CrossbarFabric(sim::EventQueue &eq,
                                sim::StatRegistry &stats,
                                const CrossbarParams &params)
-    : eq_(eq), stats_(stats), params_(params),
-      delivered_(stats, "fabric.delivered", "messages delivered"),
-      dropped_(stats, "fabric.dropped", "messages dropped (failures)"),
-      parkedCount_(stats, "fabric.parked",
-                   "deliveries parked on full eject queues")
+    : Fabric(eq, stats, "fabric", params.creditsPerLane), params_(params)
 {
 }
 
 void
-CrossbarFabric::attach(sim::NodeId id, NetworkInterface *ni)
+CrossbarFabric::attached(sim::NodeId id)
 {
-    if (endpoints_.size() <= id)
-        endpoints_.resize(id + 1);
-    Endpoint &ep = endpoints_[id];
-    assert(!ep.ni && "node id attached twice");
-    ep.ni = ni;
-    for (std::size_t l = 0; l < kNumLanes; ++l)
-        ep.credits[l] = params_.creditsPerLane;
+    egress_.resize(nodeCount());
 
     if (!stats_.samplingEnabled())
         return;
@@ -46,8 +33,8 @@ CrossbarFabric::attach(sim::NodeId id, NetworkInterface *ni)
         "egress pipe serialization utilization",
         sim::TimeSeries::Kind::kRate, [this, id] {
             sim::Tick busy = 0;
-            for (std::size_t l = 0; l < kNumLanes; ++l)
-                busy += endpoints_[id].egress[l].busyThrough(eq_.now());
+            for (const auto &link : egress_[id])
+                busy += link.busyThrough(eq_.now());
             return static_cast<double>(busy);
         }));
     probes_.push_back(std::make_unique<sim::TimeSeries>(
@@ -55,46 +42,29 @@ CrossbarFabric::attach(sim::NodeId id, NetworkInterface *ni)
         "packets serialized or in flight from this node",
         sim::TimeSeries::Kind::kGauge, [this, id] {
             std::size_t depth = 0;
-            for (std::size_t l = 0; l < kNumLanes; ++l)
-                depth += endpoints_[id].egress[l].queued();
+            for (const auto &link : egress_[id])
+                depth += link.queued();
             return static_cast<double>(depth);
         }));
 }
 
-bool
-CrossbarFabric::tryInject(const Message &msg)
+void
+CrossbarFabric::launch(const Message &msg)
 {
-    assert(msg.srcNid < endpoints_.size() && endpoints_[msg.srcNid].ni);
-    Endpoint &src = endpoints_[msg.srcNid];
-    const Lane lane = msg.lane();
-
-    if (src.failed || msg.dstNid >= endpoints_.size() ||
-        !endpoints_[msg.dstNid].ni) {
-        dropped_.inc();
-        return true; // swallowed: reliable delivery not possible
-    }
-    if (endpoints_[msg.dstNid].failed) {
-        dropped_.inc();
-        return true;
-    }
-    if (src.credits[li(lane)] == 0)
-        return false;
-    --src.credits[li(lane)];
-
     // Serialize on the per-lane egress pipe, then propagate (flat).
     const sim::Tick ser = static_cast<sim::Tick>(
         static_cast<double>(msg.wireBytes()) / params_.linkBandwidth * 1e12);
     const sim::NodeId srcId = msg.srcNid;
-    auto &link = src.egress[li(lane)];
+    const Lane lane = msg.lane();
+    auto &link = egress_[srcId][li(lane)];
     link.push(eq_.now(), ser, params_.linkLatency, msg);
     link.arm(eq_, [this, srcId, lane] { drain(srcId, lane); });
-    return true;
 }
 
 void
 CrossbarFabric::drain(sim::NodeId srcId, Lane lane)
 {
-    endpoints_[srcId].egress[li(lane)].drain(
+    egress_[srcId][li(lane)].drain(
         eq_, [this](const Message &m) { arrive(m); },
         [this, srcId, lane] { drain(srcId, lane); });
 }
@@ -102,85 +72,14 @@ CrossbarFabric::drain(sim::NodeId srcId, Lane lane)
 void
 CrossbarFabric::arrive(const Message &msg)
 {
-    Endpoint &dst = endpoints_[msg.dstNid];
-    const Lane lane = msg.lane();
-    if (dst.failed) {
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
-        return;
-    }
     // Link faults are checked at arrival so packets already serialized
     // when the link died are lost too, matching a real cable pull.
-    if ((!failedLinks_.empty() &&
-         contains(failedLinks_, msg.srcNid, msg.dstNid)) ||
-        (!lossyLinks_.empty() &&
-         contains(lossyLinks_, msg.srcNid, msg.dstNid))) {
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
+    if (failed(msg.dstNid) || contains(failedLinks_, msg.srcNid, msg.dstNid) ||
+        contains(lossyLinks_, msg.srcNid, msg.dstNid)) {
+        drop(msg);
         return;
     }
-    if (dst.ni->deliver(msg)) {
-        delivered_.inc();
-        returnCredit(msg.srcNid, lane);
-    } else {
-        // Receiver eject queue full: park the packet, keep the credit.
-        parkedCount_.inc();
-        dst.parked[li(lane)].push(msg);
-    }
-}
-
-void
-CrossbarFabric::ejectSpaceFreed(sim::NodeId id, Lane lane)
-{
-    Endpoint &dst = endpoints_[id];
-    if (dst.failed) {
-        // A failed node must not receive parked traffic; drop it so the
-        // senders' credits come back (unified with the torus).
-        flushParked(dst);
-        return;
-    }
-    auto &q = dst.parked[li(lane)];
-    while (!q.empty()) {
-        if (!dst.ni->deliver(q.front()))
-            break;
-        delivered_.inc();
-        returnCredit(q.front().srcNid, lane);
-        q.pop();
-    }
-}
-
-void
-CrossbarFabric::returnCredit(sim::NodeId srcId, Lane lane)
-{
-    Endpoint &src = endpoints_[srcId];
-    ++src.credits[li(lane)];
-    assert(src.credits[li(lane)] <= params_.creditsPerLane);
-    if (src.ni)
-        src.ni->injectSpaceFreed(lane);
-}
-
-void
-CrossbarFabric::flushParked(Endpoint &ep)
-{
-    for (std::size_t l = 0; l < kNumLanes; ++l) {
-        auto &q = ep.parked[l];
-        while (!q.empty()) {
-            dropped_.inc();
-            returnCredit(q.front().srcNid, static_cast<Lane>(l));
-            q.pop();
-        }
-    }
-}
-
-void
-CrossbarFabric::notifyAll(const FailureInfo &info)
-{
-    // Notify every attached NI (the paper's driver is told of fabric
-    // failures and may reset RMC state, §5.1).
-    for (auto &ep : endpoints_) {
-        if (ep.ni)
-            ep.ni->notifyFailure(info);
-    }
+    deliverOrPark(msg, 1);
 }
 
 bool
@@ -192,75 +91,45 @@ CrossbarFabric::contains(
                      std::make_pair(from, to)) != links.end();
 }
 
-void
-CrossbarFabric::failNode(sim::NodeId id)
+bool
+CrossbarFabric::setMember(
+    std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
+    sim::NodeId from, sim::NodeId to, bool member)
 {
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (ep.failed)
-        return;
-    ep.failed = true;
-    flushParked(ep);
-    notifyAll({FailureKind::kNodeDown, id, id});
-}
-
-void
-CrossbarFabric::recoverNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (!ep.failed)
-        return;
-    ep.failed = false;
-    notifyAll({FailureKind::kNodeUp, id, id});
+    auto it = std::find(links.begin(), links.end(), std::make_pair(from, to));
+    if (member == (it != links.end()))
+        return false;
+    if (member)
+        links.emplace_back(from, to);
+    else
+        links.erase(it);
+    return true;
 }
 
 void
 CrossbarFabric::validateLink(sim::NodeId from, sim::NodeId to) const
 {
-    if (from >= endpoints_.size() || to >= endpoints_.size())
+    if (from >= nodeCount() || to >= nodeCount())
         throw std::invalid_argument(
             "crossbar link " + std::to_string(from) + "->" +
             std::to_string(to) + ": node id out of range (crossbar has " +
-            std::to_string(endpoints_.size()) + " nodes)");
+            std::to_string(nodeCount()) + " nodes)");
     if (from == to)
         throw std::invalid_argument(
             "crossbar link " + std::to_string(from) + "->" +
             std::to_string(to) + ": a node has no link to itself");
 }
 
-void
-CrossbarFabric::failLink(sim::NodeId from, sim::NodeId to)
+bool
+CrossbarFabric::setLinkUp(sim::NodeId from, sim::NodeId to, bool up)
 {
-    validateLink(from, to);
-    if (contains(failedLinks_, from, to))
-        return;
-    failedLinks_.emplace_back(from, to);
-    notifyAll({FailureKind::kLinkDown, from, to});
+    return setMember(failedLinks_, from, to, !up);
 }
 
 void
-CrossbarFabric::recoverLink(sim::NodeId from, sim::NodeId to)
+CrossbarFabric::setLossy(sim::NodeId from, sim::NodeId to, bool lossy)
 {
-    validateLink(from, to);
-    auto it = std::find(failedLinks_.begin(), failedLinks_.end(),
-                        std::make_pair(from, to));
-    if (it == failedLinks_.end())
-        return;
-    failedLinks_.erase(it);
-    notifyAll({FailureKind::kLinkUp, from, to});
-}
-
-void
-CrossbarFabric::setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy)
-{
-    validateLink(from, to);
-    auto it = std::find(lossyLinks_.begin(), lossyLinks_.end(),
-                        std::make_pair(from, to));
-    if (lossy && it == lossyLinks_.end())
-        lossyLinks_.emplace_back(from, to);
-    else if (!lossy && it != lossyLinks_.end())
-        lossyLinks_.erase(it);
+    setMember(lossyLinks_, from, to, lossy);
 }
 
 } // namespace sonuma::fab

@@ -5,10 +5,9 @@
  * 50 ns", §7.1).
  *
  * Each node has one egress serialization pipe per virtual lane; packets
- * then experience a flat propagation delay to any destination. Credits
- * are per (source, lane): a packet holds a credit from injection until
- * the destination NI accepts it, so receiver backpressure propagates to
- * senders losslessly.
+ * then experience a flat propagation delay to any destination. Credits,
+ * parking and node faults live in the Fabric base; this class holds only
+ * the egress pipes, the directed link faults and the egress probes.
  *
  * Zero-allocation data path: in-flight packets sit in per-(source, lane)
  * ring buffers with precomputed arrival ticks (FIFO serialization makes
@@ -20,12 +19,12 @@
 #ifndef SONUMA_FABRIC_CROSSBAR_HH
 #define SONUMA_FABRIC_CROSSBAR_HH
 
+#include <array>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "fabric/fabric.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/serialized_link.hh"
 #include "sim/time_series.hh"
 
@@ -45,50 +44,20 @@ class CrossbarFabric : public Fabric
     CrossbarFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
                    const CrossbarParams &params = {});
 
-    void attach(sim::NodeId id, NetworkInterface *ni) override;
-    bool tryInject(const Message &msg) override;
-    void ejectSpaceFreed(sim::NodeId id, Lane lane) override;
-    void failNode(sim::NodeId id) override;
-    void recoverNode(sim::NodeId id) override;
-    void failLink(sim::NodeId from, sim::NodeId to) override;
-    void recoverLink(sim::NodeId from, sim::NodeId to) override;
-    void setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
     void validateLink(sim::NodeId from, sim::NodeId to) const override;
-    std::size_t nodeCount() const override { return endpoints_.size(); }
 
     const CrossbarParams &params() const { return params_; }
 
-    /** Messages dropped due to failed nodes/links (test observability). */
-    std::uint64_t droppedMessages() const override
-    {
-        return dropped_.value();
-    }
-
   private:
-    struct Endpoint
-    {
-        Endpoint() = default;
-        Endpoint(const Endpoint &) = delete;
-        Endpoint &operator=(const Endpoint &) = delete;
-        Endpoint(Endpoint &&) noexcept = default;
-        Endpoint &operator=(Endpoint &&) noexcept = default;
+    /** Per-lane egress serialization pipes of one node. */
+    using Egress = std::array<sim::SerializedLink<Message>, kNumLanes>;
 
-        NetworkInterface *ni = nullptr;
-        bool failed = false;
-        // Per-lane egress serialization pipe (one drain event per pipe).
-        sim::SerializedLink<Message> egress[kNumLanes];
-        std::uint32_t credits[kNumLanes] = {0, 0};
-        // Packets that arrived at a full eject queue, per lane.
-        sim::RingBuffer<Message> parked[kNumLanes];
-    };
-
-    sim::EventQueue &eq_;
-    sim::StatRegistry &stats_;
     CrossbarParams params_;
-    std::vector<Endpoint> endpoints_;
+    // Indexed by node id, grown at attach() like the base's endpoints.
+    std::vector<Egress> egress_;
     // Per-node egress probes (utilization + queue depth), created at
-    // attach() time. endpoints_ grows with attach(), so probe closures
-    // index endpoints_[id] at sample time instead of caching addresses.
+    // attach() time. egress_ grows with attach(), so probe closures
+    // index egress_[id] at sample time instead of caching addresses.
     std::vector<std::unique_ptr<sim::TimeSeries>> probes_;
     // Directed point-to-point link faults. Rack-scale crossbars have a few
     // faulted pairs at most, so a scanned vector keeps the healthy path
@@ -96,20 +65,19 @@ class CrossbarFabric : public Fabric
     std::vector<std::pair<sim::NodeId, sim::NodeId>> failedLinks_;
     std::vector<std::pair<sim::NodeId, sim::NodeId>> lossyLinks_;
 
-    sim::Counter delivered_;
-    sim::Counter dropped_;
-    sim::Counter parkedCount_;
+    void launch(const Message &msg) override;
+    void attached(sim::NodeId id) override;
+    bool setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
+    void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
 
     void drain(sim::NodeId src, Lane lane);
     void arrive(const Message &msg);
-    void returnCredit(sim::NodeId src, Lane lane);
-    void flushParked(Endpoint &ep);
-    void notifyAll(const FailureInfo &info);
+    static bool setMember(
+        std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
+        sim::NodeId from, sim::NodeId to, bool member);
     static bool contains(
         const std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
         sim::NodeId from, sim::NodeId to);
-
-    std::size_t li(Lane l) const { return static_cast<std::size_t>(l); }
 };
 
 } // namespace sonuma::fab

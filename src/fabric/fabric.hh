@@ -1,6 +1,7 @@
 /**
  * @file
- * Abstract fabric interface plus the per-node network interface (NI).
+ * The fabric core shared by every topology plus the per-node network
+ * interface (NI).
  *
  * The NI owns per-lane inject/eject queues connecting the RMC pipelines
  * to the fabric (paper Fig. 3a). Link-level flow control is credit based:
@@ -49,51 +50,60 @@ struct FailureInfo
     sim::NodeId b = 0;  //!< link destination (== @c a for node events)
 };
 
-/** Topology-independent fabric interface. */
+/**
+ * The fabric core every topology shares: endpoints, per-(source, lane)
+ * credits, deliver-or-park at the destination, and node faults (see
+ * README.md). A topology adds only its path model through the private
+ * hooks. Callbacks fire inline, a packet's credit returning right after
+ * its delivery or drop, so the simulated event order is fixed.
+ */
 class Fabric
 {
   public:
     virtual ~Fabric() = default;
+    // NIs and scheduled events hold the fabric's address.
+    Fabric(const Fabric &) = delete;
+    Fabric &operator=(const Fabric &) = delete;
 
     /** Attach a node's NI. Must be called once per node id. */
-    virtual void attach(sim::NodeId id, NetworkInterface *ni) = 0;
+    void attach(sim::NodeId id, NetworkInterface *ni);
 
     /**
      * Try to inject a message at its source node. Returns false when the
      * source has no credit on the message's lane; the fabric will invoke
-     * the NI's retry hook when a credit frees.
+     * the NI's retry hook when a credit frees. A dead source, an unknown
+     * destination or a dead destination swallows the packet as dropped.
      */
-    virtual bool tryInject(const Message &msg) = 0;
+    bool tryInject(const Message &msg);
 
     /** Called by the destination NI when it frees eject-queue space. */
-    virtual void ejectSpaceFreed(sim::NodeId id, Lane lane) = 0;
+    void ejectSpaceFreed(sim::NodeId id, Lane lane);
 
     /**
      * Fail the node: packets to/from it (including any parked at its
      * eject queue) are dropped and attached NIs are notified.
      */
-    virtual void failNode(sim::NodeId id) = 0;
+    void failNode(sim::NodeId id);
 
     /** Bring a failed node back; attached NIs see a kNodeUp notification. */
-    virtual void recoverNode(sim::NodeId id) = 0;
+    void recoverNode(sim::NodeId id);
 
     /**
      * Fail the directed link @p from -> @p to: packets routed over it are
      * dropped (dor) or detoured (adaptive). NIs see kLinkDown.
      * @throws std::invalid_argument if the link does not exist.
      */
-    virtual void failLink(sim::NodeId from, sim::NodeId to) = 0;
+    void failLink(sim::NodeId from, sim::NodeId to);
 
     /** Restore a failed link; attached NIs see kLinkUp. */
-    virtual void recoverLink(sim::NodeId from, sim::NodeId to) = 0;
+    void recoverLink(sim::NodeId from, sim::NodeId to);
 
     /**
      * Mark the directed link @p from -> @p to lossy (transient drop
      * window): packets crossing it are silently dropped and counted, with
      * no failure notification. Routing still treats the link as up.
      */
-    virtual void setLinkLossy(sim::NodeId from, sim::NodeId to,
-                              bool lossy) = 0;
+    void setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy);
 
     /**
      * Check that @p from -> @p to names a link of this fabric.
@@ -101,8 +111,8 @@ class Fabric
      */
     virtual void validateLink(sim::NodeId from, sim::NodeId to) const = 0;
 
-    /** Number of attached nodes. */
-    virtual std::size_t nodeCount() const = 0;
+    /** Number of attached nodes (the torus has all of its nodes). */
+    std::size_t nodeCount() const { return endpoints_.size(); }
 
     /**
      * Messages dropped by faults, unified across topologies: dead-node
@@ -110,7 +120,87 @@ class Fabric
      * flushed by failNode, and (torus, adaptive) hop-cap victims all
      * land in this one counter.
      */
-    virtual std::uint64_t droppedMessages() const = 0;
+    std::uint64_t droppedMessages() const { return dropped_.value(); }
+
+    /** Mean hops of delivered messages (a crossbar crossing is one). */
+    double
+    meanHops() const
+    {
+        return delivered_.value() == 0
+                   ? 0.0
+                   : static_cast<double>(totalHops_.value()) /
+                         static_cast<double>(delivered_.value());
+    }
+
+  protected:
+    /**
+     * @param prefix stat name prefix (\c fabric or \c torus)
+     * @param nodes  endpoints that exist before any attach()
+     */
+    Fabric(sim::EventQueue &eq, sim::StatRegistry &stats,
+           const std::string &prefix, std::uint32_t creditsPerLane,
+           std::size_t nodes = 0);
+
+    /** True if node @p id has failed. */
+    bool failed(sim::NodeId id) const { return endpoints_[id].failed; }
+
+    /**
+     * The packet reached its live destination after @p hops link
+     * crossings: hand it to the NI, or park it with its credit while the
+     * eject queue is full.
+     */
+    void deliverOrPark(const Message &msg, std::uint32_t hops);
+
+    /** Drop an in-flight packet (fault) and return its credit. */
+    void drop(const Message &msg);
+
+    static std::size_t li(Lane l) { return static_cast<std::size_t>(l); }
+
+    sim::EventQueue &eq_;
+    sim::StatRegistry &stats_;
+
+  private:
+    /** A packet waiting at a full eject queue, with its hop count. */
+    struct Parked
+    {
+        Message msg;
+        std::uint32_t hops = 0;
+    };
+
+    struct Endpoint
+    {
+        NetworkInterface *ni = nullptr;
+        bool failed = false;
+        std::uint32_t credits[kNumLanes] = {0, 0};
+        sim::RingBuffer<Parked> parked[kNumLanes];
+    };
+
+    std::uint32_t creditsPerLane_;
+    std::vector<Endpoint> endpoints_;
+
+    sim::Counter delivered_;
+    sim::Counter dropped_;
+    sim::Counter parkedCount_;
+    sim::Counter totalHops_;
+
+    /** A credited packet leaves its source toward @c msg.dstNid. */
+    virtual void launch(const Message &msg) = 0;
+
+    /** Node @p id attached: create its probes when sampling is on. */
+    virtual void attached(sim::NodeId id) = 0;
+
+    /**
+     * Set the validated link @p from -> @p to up or down.
+     * @retval true if its state changed.
+     */
+    virtual bool setLinkUp(sim::NodeId from, sim::NodeId to, bool up) = 0;
+
+    /** Set or clear the validated link's drop window. */
+    virtual void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) = 0;
+
+    void returnCredit(sim::NodeId src, Lane lane);
+    void flushParked(Endpoint &ep);
+    void notifyAll(const FailureInfo &info);
 };
 
 /**

@@ -5,7 +5,6 @@
 
 #include "fabric/torus.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -14,16 +13,15 @@ namespace sonuma::fab {
 
 TorusFabric::TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
                          const TorusParams &params)
-    : eq_(eq), stats_(stats), params_(params), routing_(params.dims),
-      delivered_(stats, "torus.delivered", "messages delivered"),
-      dropped_(stats, "torus.dropped", "messages dropped (failures)"),
-      totalHops_(stats, "torus.totalHops", "sum of per-message hop counts")
+    : Fabric(eq, stats, "torus", params.creditsPerLane,
+             TorusRouting(params.dims).nodeCount()),
+      params_(params), routing_(params.dims)
 {
-    endpoints_.resize(routing_.nodeCount());
-    for (auto &ep : endpoints_) {
-        ep.ports.resize(routing_.portCount() * kNumLanes);
-        ep.linkUp.assign(routing_.portCount(), true);
-        ep.lossy.assign(routing_.portCount(), false);
+    routers_.resize(routing_.nodeCount());
+    for (auto &r : routers_) {
+        r.ports.resize(routing_.portCount() * kNumLanes);
+        r.linkUp.assign(routing_.portCount(), true);
+        r.lossy.assign(routing_.portCount(), false);
     }
     // Misrouting around failures must terminate: a packet that crossed
     // far more links than any minimal-plus-detour path could need is
@@ -35,20 +33,16 @@ TorusFabric::TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
 }
 
 void
-TorusFabric::attach(sim::NodeId id, NetworkInterface *ni)
+TorusFabric::attached(sim::NodeId id)
 {
-    assert(id < endpoints_.size() && "node id exceeds torus size");
-    assert(!endpoints_[id].ni && "node id attached twice");
-    endpoints_[id].ni = ni;
-    for (std::size_t l = 0; l < kNumLanes; ++l)
-        endpoints_[id].credits[l] = params_.creditsPerLane;
+    assert(id < routers_.size() && "node id exceeds torus size");
 
     if (!stats_.samplingEnabled())
         return;
     // One utilization + one queue-depth series per outgoing direction
     // (lanes share the physical link, so their busy time is summed).
-    // endpoints_ is sized once in the constructor, so capturing the
-    // Endpoint's port vector through `this` + indices is stable.
+    // routers_ is sized once in the constructor, so capturing the
+    // Router's port vector through `this` + indices is stable.
     for (std::uint32_t dir = 0; dir < routing_.portCount(); ++dir) {
         const std::string base = "torus.node" + std::to_string(id) +
                                  ".link" + std::to_string(dir);
@@ -58,7 +52,7 @@ TorusFabric::attach(sim::NodeId id, NetworkInterface *ni)
             sim::TimeSeries::Kind::kRate, [this, id, dir] {
                 sim::Tick busy = 0;
                 for (std::size_t l = 0; l < kNumLanes; ++l)
-                    busy += endpoints_[id]
+                    busy += routers_[id]
                                 .ports[dir * kNumLanes + l]
                                 .busyThrough(eq_.now());
                 return static_cast<double>(busy);
@@ -69,7 +63,7 @@ TorusFabric::attach(sim::NodeId id, NetworkInterface *ni)
             sim::TimeSeries::Kind::kGauge, [this, id, dir] {
                 std::size_t depth = 0;
                 for (std::size_t l = 0; l < kNumLanes; ++l)
-                    depth += endpoints_[id]
+                    depth += routers_[id]
                                  .ports[dir * kNumLanes + l]
                                  .queued();
                 return static_cast<double>(depth);
@@ -77,74 +71,40 @@ TorusFabric::attach(sim::NodeId id, NetworkInterface *ni)
     }
 }
 
-bool
-TorusFabric::tryInject(const Message &msg)
+void
+TorusFabric::launch(const Message &msg)
 {
-    Endpoint &src = endpoints_[msg.srcNid];
-    const Lane lane = msg.lane();
-
-    if (src.failed || msg.dstNid >= endpoints_.size() ||
-        !endpoints_[msg.dstNid].ni || endpoints_[msg.dstNid].failed) {
-        dropped_.inc();
-        return true;
-    }
-    if (src.credits[li(lane)] == 0)
-        return false;
-    --src.credits[li(lane)];
     forward(msg.srcNid, msg, 0);
-    return true;
 }
 
 void
 TorusFabric::forward(sim::NodeId here, const Message &msg,
                      std::uint32_t hops)
 {
-    Endpoint &ep = endpoints_[here];
-    const Lane lane = msg.lane();
-
-    if (ep.failed) {
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
+    if (failed(here)) {
+        drop(msg);
         return;
     }
-
     if (msg.dstNid == here) {
-        if (ep.ni->deliver(msg)) {
-            delivered_.inc();
-            totalHops_.inc(hops);
-            returnCredit(msg.srcNid, lane);
-        } else {
-            ep.parked[li(lane)].push(msg);
-        }
+        deliverOrPark(msg, hops);
         return;
     }
 
-    std::uint32_t dir;
+    Router &r = routers_[here];
+    std::uint32_t dir = kNoDir;
     if (params_.routing == RoutingMode::kAdaptive) {
-        if (hops >= hopCap_) {
-            dropped_.inc();
-            returnCredit(msg.srcNid, lane);
-            return;
-        }
-        dir = adaptiveDir(ep, here, msg);
-        if (dir == kNoDir) {
-            dropped_.inc();
-            returnCredit(msg.srcNid, lane);
-            return;
-        }
+        if (hops < hopCap_)
+            dir = adaptiveDir(r, here, msg);
     } else {
-        dir = routing_.nextDir(here, msg.dstNid);
-        if (!ep.linkUp[dir]) {
-            dropped_.inc();
-            returnCredit(msg.srcNid, lane);
-            return;
-        }
+        const std::uint32_t d = routing_.nextDir(here, msg.dstNid);
+        if (r.linkUp[d])
+            dir = d;
     }
-    if (ep.lossy[dir]) {
-        // Transient drop window: the link looks up to routing but loses
-        // the packet. No notification; the sender's timeout recovers.
-        dropped_.inc();
-        returnCredit(msg.srcNid, lane);
+    // No usable link (dead dor link, adaptive hop cap or dead end), or
+    // a transient drop window: the link looks up to routing but loses
+    // the packet, with no notification; the sender's timeout recovers.
+    if (dir == kNoDir || r.lossy[dir]) {
+        drop(msg);
         return;
     }
     const sim::NodeId next = routing_.neighbor(here, dir);
@@ -152,8 +112,8 @@ TorusFabric::forward(sim::NodeId here, const Message &msg,
         static_cast<double>(msg.wireBytes()) / params_.linkBandwidth * 1e12);
     const std::uint32_t portIdx =
         dir * static_cast<std::uint32_t>(kNumLanes) +
-        static_cast<std::uint32_t>(li(lane));
-    auto &link = ep.ports[portIdx];
+        static_cast<std::uint32_t>(msg.lane());
+    auto &link = r.ports[portIdx];
     InFlight f{next, hops + 1, msg};
     f.msg.lastDir = static_cast<std::uint8_t>(dir);
     link.push(eq_.now(), ser, params_.hopLatency, std::move(f));
@@ -161,7 +121,7 @@ TorusFabric::forward(sim::NodeId here, const Message &msg,
 }
 
 std::uint32_t
-TorusFabric::adaptiveDir(const Endpoint &ep, sim::NodeId here,
+TorusFabric::adaptiveDir(const Router &r, sim::NodeId here,
                          const Message &msg) const
 {
     // Deterministic minimal-detour selection: prefer the lowest-numbered
@@ -171,15 +131,15 @@ TorusFabric::adaptiveDir(const Endpoint &ep, sim::NodeId here,
     const std::uint32_t avoid =
         msg.lastDir == kNoDir ? kNoDir : (msg.lastDir ^ 1u);
     for (std::uint32_t dir = 0; dir < ports; ++dir) {
-        if (ep.linkUp[dir] && dir != avoid &&
+        if (r.linkUp[dir] && dir != avoid &&
             routing_.productive(here, msg.dstNid, dir))
             return dir;
     }
     for (std::uint32_t dir = 0; dir < ports; ++dir) {
-        if (ep.linkUp[dir] && dir != avoid)
+        if (r.linkUp[dir] && dir != avoid)
             return dir;
     }
-    if (avoid != kNoDir && ep.linkUp[avoid])
+    if (avoid != kNoDir && r.linkUp[avoid])
         return avoid;
     return kNoDir;
 }
@@ -187,95 +147,20 @@ TorusFabric::adaptiveDir(const Endpoint &ep, sim::NodeId here,
 void
 TorusFabric::drain(sim::NodeId node, std::uint32_t portIdx)
 {
-    endpoints_[node].ports[portIdx].drain(
+    routers_[node].ports[portIdx].drain(
         eq_,
         [this](const InFlight &f) { forward(f.next, f.msg, f.hops); },
         [this, node, portIdx] { drain(node, portIdx); });
 }
 
-void
-TorusFabric::ejectSpaceFreed(sim::NodeId id, Lane lane)
-{
-    Endpoint &ep = endpoints_[id];
-    if (ep.failed) {
-        // A failed node must not receive parked traffic; drop it so the
-        // senders' credits come back (unified with the crossbar).
-        flushParked(ep);
-        return;
-    }
-    auto &q = ep.parked[li(lane)];
-    while (!q.empty()) {
-        if (!ep.ni->deliver(q.front()))
-            break;
-        delivered_.inc();
-        returnCredit(q.front().srcNid, lane);
-        q.pop();
-    }
-}
-
-void
-TorusFabric::returnCredit(sim::NodeId srcId, Lane lane)
-{
-    Endpoint &src = endpoints_[srcId];
-    ++src.credits[li(lane)];
-    assert(src.credits[li(lane)] <= params_.creditsPerLane);
-    if (src.ni)
-        src.ni->injectSpaceFreed(lane);
-}
-
-void
-TorusFabric::flushParked(Endpoint &ep)
-{
-    for (std::size_t l = 0; l < kNumLanes; ++l) {
-        auto &q = ep.parked[l];
-        while (!q.empty()) {
-            dropped_.inc();
-            returnCredit(q.front().srcNid, static_cast<Lane>(l));
-            q.pop();
-        }
-    }
-}
-
-void
-TorusFabric::notifyAll(const FailureInfo &info)
-{
-    for (auto &ep : endpoints_) {
-        if (ep.ni)
-            ep.ni->notifyFailure(info);
-    }
-}
-
-void
-TorusFabric::failNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (ep.failed)
-        return;
-    ep.failed = true;
-    flushParked(ep);
-    notifyAll({FailureKind::kNodeDown, id, id});
-}
-
-void
-TorusFabric::recoverNode(sim::NodeId id)
-{
-    assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (!ep.failed)
-        return;
-    ep.failed = false;
-    notifyAll({FailureKind::kNodeUp, id, id});
-}
-
 std::uint32_t
 TorusFabric::dirTo(sim::NodeId from, sim::NodeId to) const
 {
-    if (from >= endpoints_.size() || to >= endpoints_.size())
+    if (from >= routers_.size() || to >= routers_.size())
         throw std::invalid_argument(
             "torus link " + std::to_string(from) + "->" + std::to_string(to) +
             ": node id out of range (torus has " +
-            std::to_string(endpoints_.size()) + " nodes)");
+            std::to_string(routers_.size()) + " nodes)");
     if (from == to)
         throw std::invalid_argument(
             "torus link " + std::to_string(from) + "->" + std::to_string(to) +
@@ -295,32 +180,20 @@ TorusFabric::validateLink(sim::NodeId from, sim::NodeId to) const
     (void)dirTo(from, to);
 }
 
-void
-TorusFabric::failLink(sim::NodeId from, sim::NodeId to)
+bool
+TorusFabric::setLinkUp(sim::NodeId from, sim::NodeId to, bool up)
 {
-    const std::uint32_t dir = dirTo(from, to);
-    Endpoint &ep = endpoints_[from];
-    if (!ep.linkUp[dir])
-        return;
-    ep.linkUp[dir] = false;
-    notifyAll({FailureKind::kLinkDown, from, to});
+    auto &&state = routers_[from].linkUp[dirTo(from, to)];
+    if (state == up)
+        return false;
+    state = up;
+    return true;
 }
 
 void
-TorusFabric::recoverLink(sim::NodeId from, sim::NodeId to)
+TorusFabric::setLossy(sim::NodeId from, sim::NodeId to, bool lossy)
 {
-    const std::uint32_t dir = dirTo(from, to);
-    Endpoint &ep = endpoints_[from];
-    if (ep.linkUp[dir])
-        return;
-    ep.linkUp[dir] = true;
-    notifyAll({FailureKind::kLinkUp, from, to});
-}
-
-void
-TorusFabric::setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy)
-{
-    endpoints_[from].lossy[dirTo(from, to)] = lossy;
+    routers_[from].lossy[dirTo(from, to)] = lossy;
 }
 
 } // namespace sonuma::fab

@@ -7,8 +7,11 @@
  * end-to-end credit based per (source, lane): hop-by-hop VC buffer
  * occupancy is abstracted away, which preserves the latency/bandwidth
  * behaviour at the paper's load levels while guaranteeing deadlock
- * freedom by construction (every in-network packet drains through
- * work-conserving servers; see DESIGN.md).
+ * freedom by construction: no packet ever waits for a buffer inside the
+ * network, because every output port is a work-conserving FIFO server
+ * that always drains, and a packet that finds its eject queue full parks
+ * at the destination holding only its end-to-end credit. Credits,
+ * parking and node faults live in the Fabric base.
  *
  * Zero-allocation data path: each output port is a ring of in-flight
  * packets with precomputed hop-completion ticks and one drain event, the
@@ -23,7 +26,6 @@
 
 #include "fabric/fabric.hh"
 #include "fabric/router.hh"
-#include "sim/ring_buffer.hh"
 #include "sim/serialized_link.hh"
 #include "sim/time_series.hh"
 
@@ -45,33 +47,10 @@ class TorusFabric : public Fabric
     TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
                 const TorusParams &params = {});
 
-    void attach(sim::NodeId id, NetworkInterface *ni) override;
-    bool tryInject(const Message &msg) override;
-    void ejectSpaceFreed(sim::NodeId id, Lane lane) override;
-    void failNode(sim::NodeId id) override;
-    void recoverNode(sim::NodeId id) override;
-    void failLink(sim::NodeId from, sim::NodeId to) override;
-    void recoverLink(sim::NodeId from, sim::NodeId to) override;
-    void setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
     void validateLink(sim::NodeId from, sim::NodeId to) const override;
-    std::size_t nodeCount() const override { return endpoints_.size(); }
 
     const TorusRouting &routing() const { return routing_; }
     const TorusParams &params() const { return params_; }
-    std::uint64_t droppedMessages() const override
-    {
-        return dropped_.value();
-    }
-
-    /** Mean hops of delivered messages (for topology ablation). */
-    double
-    meanHops() const
-    {
-        return delivered_.value() == 0
-                   ? 0.0
-                   : static_cast<double>(totalHops_.value()) /
-                         static_cast<double>(delivered_.value());
-    }
 
   private:
     /** One packet traversing a link toward its next router. */
@@ -82,21 +61,14 @@ class TorusFabric : public Fabric
         Message msg;
     };
 
-    struct Endpoint
+    /** One node's router: its output ports and their link state. */
+    struct Router
     {
-        Endpoint() = default;
-        Endpoint(const Endpoint &) = delete;
-        Endpoint &operator=(const Endpoint &) = delete;
-        Endpoint(Endpoint &&) noexcept = default;
-        Endpoint &operator=(Endpoint &&) noexcept = default;
-
-        NetworkInterface *ni = nullptr;
-        bool failed = false;
-        std::uint32_t credits[kNumLanes] = {0, 0};
-        sim::RingBuffer<Message> parked[kNumLanes];
         // One serializing link per outgoing port per lane.
         std::vector<sim::SerializedLink<InFlight>> ports;
-        // Physical link state per outgoing direction (lanes share a link).
+        // Physical link state per outgoing port (lanes share a link). On
+        // a radix-2 dimension two ports reach the same neighbour, so the
+        // state is per port, not per (from, to) pair.
         std::vector<bool> linkUp;
         std::vector<bool> lossy;
     };
@@ -104,31 +76,25 @@ class TorusFabric : public Fabric
     /** Sentinel "no usable direction" value (also Message::lastDir unset). */
     static constexpr std::uint32_t kNoDir = 0xff;
 
-    sim::EventQueue &eq_;
-    sim::StatRegistry &stats_;
     TorusParams params_;
     TorusRouting routing_;
-    std::vector<Endpoint> endpoints_;
+    std::vector<Router> routers_;
     std::uint32_t hopCap_; //!< adaptive-misroute livelock backstop
-
-    sim::Counter delivered_;
-    sim::Counter dropped_;
-    sim::Counter totalHops_;
 
     // Per-(node, direction) link probes (utilization + queue depth),
     // created at attach() time; see docs/observability.md.
     std::vector<std::unique_ptr<sim::TimeSeries>> probes_;
 
+    void launch(const Message &msg) override;
+    void attached(sim::NodeId id) override;
+    bool setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
+    void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
+
     void forward(sim::NodeId here, const Message &msg, std::uint32_t hops);
     void drain(sim::NodeId node, std::uint32_t portIdx);
-    void returnCredit(sim::NodeId src, Lane lane);
-    void flushParked(Endpoint &ep);
-    void notifyAll(const FailureInfo &info);
     std::uint32_t dirTo(sim::NodeId from, sim::NodeId to) const;
-    std::uint32_t adaptiveDir(const Endpoint &ep, sim::NodeId here,
+    std::uint32_t adaptiveDir(const Router &r, sim::NodeId here,
                               const Message &msg) const;
-
-    std::size_t li(Lane l) const { return static_cast<std::size_t>(l); }
 };
 
 } // namespace sonuma::fab

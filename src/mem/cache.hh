@@ -9,8 +9,8 @@
  * the protocol race-free while preserving the latency behaviour that
  * matters (cache-to-cache transfers for queue-pair polling).
  *
- * Functional data lives in PhysMem (see DESIGN.md); these classes model
- * timing only.
+ * Functional data lives in PhysMem (the functional/timing split is
+ * explained in mem/phys_mem.hh); these classes model timing only.
  */
 
 #ifndef SONUMA_MEM_CACHE_HH

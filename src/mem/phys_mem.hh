@@ -2,8 +2,9 @@
  * @file
  * Functional physical memory with sparse backing storage.
  *
- * The simulator follows a functional/timing split (DESIGN.md §5.2): payload
- * bytes live here; caches and DRAM only model *when* accesses complete.
+ * The simulator follows a functional/timing split: payload bytes live
+ * here; caches and DRAM only model *when* accesses complete. Keeping the
+ * bytes in one place means the caches need no data arrays.
  * Backing store is chunked so simulating nodes with multi-GB address
  * spaces does not reserve host memory up front.
  */

@@ -9,7 +9,9 @@
  * used entries so steady-state request processing avoids the memory
  * round-trip. Entry *contents* are mirrored in host structures for
  * implementation simplicity — their memory traffic (timing) is still
- * charged through the MAQ at the correct addresses (see DESIGN.md).
+ * charged through the MAQ at the correct addresses. Timing depends only
+ * on which lines are touched, never on their bytes, so the mirror keeps
+ * CT and CT$ miss costs exact.
  */
 
 #ifndef SONUMA_RMC_CONTEXT_TABLE_HH

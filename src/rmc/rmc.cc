@@ -280,7 +280,9 @@ Rmc::fenceQueuePair(sim::CtxId ctx, std::uint32_t qpIndex)
 void
 Rmc::handleFabricFailure()
 {
+    // The fabric names the kind in every notification it sends.
     const fab::FailureInfo &f = ni_.lastFailure();
+    assert(f.kind != fab::FailureKind::kNone);
     switch (f.kind) {
       case fab::FailureKind::kNodeDown:
         if (f.a == nid_) {
@@ -297,13 +299,10 @@ Rmc::handleFabricFailure()
       case fab::FailureKind::kNodeUp:
       case fab::FailureKind::kLinkDown:
       case fab::FailureKind::kLinkUp:
+      case fab::FailureKind::kNone: // asserted above
         // Link faults lose packets, not endpoints: in-flight transfers
         // over the dead link surface through the transfer timeout (or
         // complete via a detour under adaptive routing).
-        return;
-      case fab::FailureKind::kNone:
-        // Legacy bare notification (no info recorded): conservative reset.
-        reset();
         return;
     }
 }

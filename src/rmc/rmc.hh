@@ -150,12 +150,6 @@ class Rmc
     void reset();
 
     /**
-     * The most recent fabric failure notification, for software that
-     * wants the reason (which peer, node-vs-link) behind aborted ops.
-     */
-    const fab::FailureInfo &lastFailure() const { return ni_.lastFailure(); }
-
-    /**
      * Drain one queue pair after the driver invalidated its descriptor
      * (QP destroy / context unregister with ops in flight, §5.1). Every
      * op the application posted gets exactly one completion: transfers

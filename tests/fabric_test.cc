@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "fabric/crossbar.hh"
@@ -114,59 +116,147 @@ TEST_F(XbarFixture, LanesAreIndependent)
     EXPECT_TRUE(ni1.hasMessage(Lane::kReply));
 }
 
-TEST_F(XbarFixture, EjectBackpressureParksThenDrains)
+/**
+ * The fabric core behind both topologies: a 2-node crossbar sending
+ * 0 -> 1 (one crossing) and a 4-node ring torus sending 0 -> 2 (two
+ * hops), so parking and faults are checked across forwarding routers.
+ */
+enum class Topology
+{
+    kCrossbar,
+    kTorus,
+};
+
+class FabricCore : public ::testing::TestWithParam<Topology>
+{
+  protected:
+    EventQueue eq;
+    StatRegistry stats;
+    std::unique_ptr<Fabric> fabric;
+    std::vector<std::unique_ptr<NetworkInterface>> nis;
+    sim::NodeId dst = 1;
+    double hops = 1.0;
+    std::string prefix = "fabric";
+
+    void
+    SetUp() override
+    {
+        std::size_t nodes = 2;
+        if (GetParam() == Topology::kTorus) {
+            TorusParams p;
+            p.dims = {4};
+            fabric = std::make_unique<TorusFabric>(eq, stats, p);
+            nodes = 4;
+            dst = 2;
+            hops = 2.0;
+            prefix = "torus";
+        } else {
+            fabric = std::make_unique<CrossbarFabric>(eq, stats);
+        }
+        for (sim::NodeId i = 0; i < nodes; ++i)
+            nis.push_back(std::make_unique<NetworkInterface>(
+                eq, stats, "ni" + std::to_string(i), i, *fabric));
+    }
+
+    NetworkInterface &src() { return *nis[0]; }
+    NetworkInterface &sink() { return *nis[dst]; }
+    std::uint64_t
+    stat(const char *name)
+    {
+        return stats.counter(prefix + "." + name)->value();
+    }
+};
+
+TEST_P(FabricCore, EjectBackpressureParksThenDrains)
 {
     // Default eject queue depth is 16; send 40 without popping.
     for (int i = 0; i < 40; ++i)
-        ni0.trySend(mkMsg(0, 1, Op::kReadReq, static_cast<std::uint32_t>(i)));
+        src().trySend(
+            mkMsg(0, dst, Op::kReadReq, static_cast<std::uint32_t>(i)));
     eq.run();
-    EXPECT_EQ(ni1.ejectDepth(Lane::kRequest), 16u);
-    EXPECT_GT(stats.counter("fabric.parked")->value(), 0u);
+    EXPECT_EQ(sink().ejectDepth(Lane::kRequest), 16u);
+    EXPECT_EQ(stat("parked"), 24u);
     // Draining the eject queue pulls parked packets through in order.
     std::vector<std::uint32_t> seen;
-    while (ni1.hasMessage(Lane::kRequest)) {
-        seen.push_back(ni1.pop(Lane::kRequest).tid);
+    while (sink().hasMessage(Lane::kRequest)) {
+        seen.push_back(sink().pop(Lane::kRequest).tid);
         eq.run();
     }
     ASSERT_EQ(seen.size(), 40u);
     for (std::uint32_t i = 0; i < 40; ++i)
         EXPECT_EQ(seen[i], i);
+    // Parked packets keep the hops they crossed.
+    EXPECT_EQ(stat("delivered"), 40u);
+    EXPECT_DOUBLE_EQ(fabric->meanHops(), hops);
 }
 
-TEST_F(XbarFixture, CreditsExhaustionBlocksInjectionThenRecovers)
+TEST_P(FabricCore, CreditsExhaustionBlocksInjectionThenRecovers)
 {
     // Default credits 64 per lane; inject queue 16. With nobody popping,
     // in-flight = credits + parked; eventually trySend fails.
     int accepted = 0;
-    while (ni0.trySend(mkMsg(0, 1)) && accepted < 1000)
+    while (src().trySend(mkMsg(0, dst)) && accepted < 1000)
         ++accepted;
     EXPECT_LT(accepted, 1000);
     eq.run();
     // Drain everything at the receiver; sender queue must fully flush.
     int received = 0;
     while (true) {
-        while (ni1.hasMessage(Lane::kRequest)) {
-            ni1.pop(Lane::kRequest);
+        while (sink().hasMessage(Lane::kRequest)) {
+            sink().pop(Lane::kRequest);
             ++received;
         }
-        if (eq.empty() && !ni1.hasMessage(Lane::kRequest))
+        if (eq.empty() && !sink().hasMessage(Lane::kRequest))
             break;
         eq.run();
     }
     EXPECT_EQ(received, accepted);
 }
 
-TEST_F(XbarFixture, FailedNodeDropsTraffic)
+TEST_P(FabricCore, FailedNodeDropsTraffic)
 {
     bool notified = false;
-    ni0.onFabricFailure([&] { notified = true; });
-    xbar.failNode(1);
+    src().onFabricFailure([&] { notified = true; });
+    fabric->failNode(dst);
     EXPECT_TRUE(notified);
-    ni0.trySend(mkMsg(0, 1));
+    src().trySend(mkMsg(0, dst));
     eq.run();
-    EXPECT_FALSE(ni1.hasMessage(Lane::kRequest));
-    EXPECT_GT(xbar.droppedMessages(), 0u);
+    EXPECT_FALSE(sink().hasMessage(Lane::kRequest));
+    EXPECT_GT(fabric->droppedMessages(), 0u);
 }
+
+TEST_P(FabricCore, FailingADestinationDropsItsParkedPacketsAndFreesCredits)
+{
+    // 16 packets fill the eject queue, 24 park holding their credits.
+    for (int i = 0; i < 40; ++i)
+        ASSERT_TRUE(src().trySend(mkMsg(0, dst)));
+    eq.run();
+    ASSERT_EQ(stat("parked"), 24u);
+    ASSERT_EQ(fabric->droppedMessages(), 0u);
+
+    fabric->failNode(dst);
+    EXPECT_EQ(fabric->droppedMessages(), 24u);
+    EXPECT_EQ(stat("delivered"), 16u);
+
+    // Every credit came back: after recovery the sender injects a full
+    // window of creditsPerLane packets straight into the fabric, and
+    // only the next one waits in its inject queue.
+    fabric->recoverNode(dst);
+    const std::uint32_t credits = CrossbarParams{}.creditsPerLane;
+    ASSERT_EQ(credits, TorusParams{}.creditsPerLane);
+    for (std::uint32_t i = 0; i < credits; ++i)
+        ASSERT_TRUE(src().trySend(mkMsg(0, dst)));
+    EXPECT_EQ(src().injectDepth(Lane::kRequest), 0u);
+    ASSERT_TRUE(src().trySend(mkMsg(0, dst)));
+    EXPECT_EQ(src().injectDepth(Lane::kRequest), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Topologies, FabricCore,
+    ::testing::Values(Topology::kCrossbar, Topology::kTorus),
+    [](const ::testing::TestParamInfo<Topology> &info) {
+        return info.param == Topology::kTorus ? "Torus4Ring" : "Crossbar2";
+    });
 
 TEST(TorusRouting, CoordsRoundTrip)
 {

@@ -10,10 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "fabric/crossbar.hh"
 #include "fabric/fabric.hh"
+#include "fabric/torus.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
@@ -195,18 +199,24 @@ TEST(AllocCounting, SteadyStateL1HitPathIsAllocationFree)
     EXPECT_EQ(done, 5'004u);
 }
 
-TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
+/**
+ * Stream 5'000 warmed packets 0 -> @p dst through @p fabric and expect
+ * no allocation on the send, forward and deliver path.
+ */
+void
+expectAllocationFreeFabricPath(sim::EventQueue &eq, fab::Fabric &fabric,
+                               sim::StatRegistry &stats, sim::NodeId dst)
 {
-    sim::EventQueue eq;
-    sim::StatRegistry stats;
-    fab::CrossbarFabric xbar(eq, stats);
-    fab::NetworkInterface ni0(eq, stats, "ni0", 0, xbar);
-    fab::NetworkInterface ni1(eq, stats, "ni1", 1, xbar);
+    std::vector<std::unique_ptr<fab::NetworkInterface>> nis;
+    for (sim::NodeId i = 0; i <= dst; ++i)
+        nis.push_back(std::make_unique<fab::NetworkInterface>(
+            eq, stats, "ni" + std::to_string(i), i, fabric));
+    fab::NetworkInterface &sink = *nis[dst];
 
     std::uint64_t received = 0;
-    ni1.onArrival(fab::Lane::kRequest, [&ni1, &received] {
-        while (ni1.hasMessage(fab::Lane::kRequest)) {
-            ni1.pop(fab::Lane::kRequest);
+    sink.onArrival(fab::Lane::kRequest, [&sink, &received] {
+        while (sink.hasMessage(fab::Lane::kRequest)) {
+            sink.pop(fab::Lane::kRequest);
             ++received;
         }
     });
@@ -214,7 +224,7 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
     fab::Message msg;
     msg.op = fab::Op::kReadReq;
     msg.srcNid = 0;
-    msg.dstNid = 1;
+    msg.dstNid = dst;
 
     struct Producer
     {
@@ -231,9 +241,9 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
             if (toSend > 0)
                 eq.scheduleAfter(100, [this] { pump(); });
         }
-    } producer{eq, ni0, msg};
+    } producer{eq, *nis[0], msg};
 
-    // Warm-up: sizes the NI rings, egress rings, and event storage.
+    // Warm-up: sizes the NI rings, link rings, and event storage.
     producer.toSend = 512;
     producer.pump();
     eq.run();
@@ -246,6 +256,23 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
     EXPECT_EQ(g_allocCount - a0, 0u)
         << "warmed fabric send/deliver path must not allocate";
     EXPECT_EQ(received, 5'000u);
+}
+
+TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
+{
+    {
+        sim::EventQueue eq;
+        sim::StatRegistry stats;
+        fab::CrossbarFabric xbar(eq, stats);
+        expectAllocationFreeFabricPath(eq, xbar, stats, 1);
+    }
+    // Two torus hops: the packet is forwarded through node 1's router.
+    sim::EventQueue eq;
+    sim::StatRegistry stats;
+    fab::TorusParams ring;
+    ring.dims = {4};
+    fab::TorusFabric torus(eq, stats, ring);
+    expectAllocationFreeFabricPath(eq, torus, stats, 2);
 }
 
 } // namespace
