@@ -11,8 +11,9 @@
  * 2x single-sided; development platform ~1.5 us base latency growing
  * with request size.
  *
- * --out=PATH also writes the tables as JSON: one row per size and
- * platform, plus the local DRAM yardstick.
+ * --platform=hw or --platform=emu runs one side only; any other value
+ * exits 2. --out=PATH also writes the tables as JSON: one row per size
+ * and platform, plus the local DRAM yardstick.
  */
 
 #include <string>
@@ -165,8 +166,15 @@ int
 main(int argc, char **argv)
 {
     bench::Args args(argc, argv, {"platform", "out"});
-    const bool emuOnly = args.get("platform", "") == "emu";
-    const bool hwOnly = args.get("platform", "") == "hw";
+    const std::string platform = args.get("platform", "");
+    if (!platform.empty() && platform != "hw" && platform != "emu") {
+        std::fprintf(stderr,
+                     "--platform: unknown platform '%s' (valid: hw, emu)\n",
+                     platform.c_str());
+        return 2;
+    }
+    const bool emuOnly = platform == "emu";
+    const bool hwOnly = platform == "hw";
     const std::string out = args.get("out", "");
     const double localNs = bench::measureLocalDramNs();
     sim::JsonWriter w;

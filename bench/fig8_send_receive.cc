@@ -170,29 +170,22 @@ runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv, {"platform", "out"});
-    const bool emuOnly = args.get("platform", "") == "emu";
-    const bool hwOnly = args.get("platform", "") == "hw";
+    bench::Args args(argc, argv, {"out"});
     const std::string out = args.get("out", "");
     sim::JsonWriter w;
     w.beginArtifact("fig8_send_receive");
     w.key("hw").beginArray();
+    auto hw = rmc::RmcParams::simulatedHardware();
+    bench::printConfigHeader("Fig. 8a/8b: send/receive, simulated hardware",
+                             hw);
+    runPlatform(hw, /*tunedThreshold=*/256, /*bandwidth_too=*/true, w);
+    std::printf("\n");
 
-    if (!emuOnly) {
-        auto hw = rmc::RmcParams::simulatedHardware();
-        bench::printConfigHeader(
-            "Fig. 8a/8b: send/receive, simulated hardware", hw);
-        runPlatform(hw, /*tunedThreshold=*/256, /*bandwidth_too=*/true, w);
-        std::printf("\n");
-    }
     w.endArray().key("emu").beginArray();
-    if (!hwOnly) {
-        auto emu = rmc::RmcParams::emulationPlatform();
-        bench::printConfigHeader(
-            "Fig. 8c: send/receive, development platform", emu);
-        runPlatform(emu, /*tunedThreshold=*/1024, /*bandwidth_too=*/false,
-                    w);
-    }
+    auto emu = rmc::RmcParams::emulationPlatform();
+    bench::printConfigHeader("Fig. 8c: send/receive, development platform",
+                             emu);
+    runPlatform(emu, /*tunedThreshold=*/1024, /*bandwidth_too=*/false, w);
     w.endArray().endObject();
     if (!out.empty())
         sim::writeFile(out, w.str());

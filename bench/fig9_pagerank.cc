@@ -17,9 +17,8 @@
  * workload of bench_sweep.
  *
  * Workload substitution (src/app/README.md, app/graph.hh): deterministic
- * power-law graph in place of the paper's Twitter subset. --vertices/--degree override the
- * scale; --quick shrinks it for smoke runs. --out=PATH also writes the
- * tables as JSON, one row per node count and platform.
+ * power-law graph in place of the paper's Twitter subset. --out=PATH
+ * also writes the tables as JSON, one row per node count and platform.
  */
 
 #include <cinttypes>
@@ -80,24 +79,15 @@ runSide(const char *title, const Graph &g, const PageRankConfig &cfg,
 int
 main(int argc, char **argv)
 {
-    bench::Args args(argc, argv,
-                     {"quick", "platform", "vertices", "degree",
-                      "emu-vertices", "emu-degree", "l2kb", "out"});
-    const bool quick = args.has("quick");
+    bench::Args args(argc, argv, {"out"});
     const std::string out = args.get("out", "");
-    const bool emuOnly = args.get("platform", "") == "emu";
-    const bool hwOnly = args.get("platform", "") == "hw";
 
-    // Default scale keeps the vertex data (V x 64 B) well above the
-    // largest aggregate LLC in the sweep, as in the paper (no speedup
-    // attributable to cache capacity).
-    const auto vertices = static_cast<std::uint32_t>(
-        args.getU64("vertices", quick ? 16384 : 32768));
-    const auto degree =
-        static_cast<std::uint32_t>(args.getU64("degree", 16));
-
+    // The vertex data (V x 64 B) stays well above the largest aggregate
+    // LLC in the sweep, as in the paper (no speedup attributable to
+    // cache capacity).
     sim::Rng grng(7);
-    const Graph g = generatePowerLaw(grng, vertices, degree);
+    const Graph g = generatePowerLaw(grng, /*vertices=*/32768,
+                                     /*avgDegree=*/16);
 
     // The development platform's software RMC moves data ~40x slower
     // than the simulated hardware while cores run at native speed, so
@@ -106,37 +96,32 @@ main(int argc, char **argv)
     // caveat applies: "the higher latency and lower bandwidth of the
     // development platform limit performance" relative to SHM.
     sim::Rng erng(8);
-    const Graph gEmu = generatePowerLaw(
-        erng,
-        static_cast<std::uint32_t>(args.getU64("emu-vertices",
-                                               quick ? 8192 : 16384)),
-        static_cast<std::uint32_t>(args.getU64("emu-degree", 16)));
+    const Graph gEmu = generatePowerLaw(erng, /*vertices=*/16384,
+                                        /*avgDegree=*/16);
 
     std::printf("# Fig. 9: PageRank speedup over 1 thread "
                 "(power-law graph, random partition)\n");
 
-    // Cache-to-dataset scaling: the paper's Twitter subset
-    // dwarfed every cache configuration, so vertex loads are memory
-    // bound. With the graph scaled down ~50x, scale the LLC with it to
-    // stay in the same regime. One untimed warm-up superstep removes
-    // cold-start artifacts the paper's long runs amortized.
-    const std::uint64_t l2PerUnit =
-        args.getU64("l2kb", quick ? 32 : 128) * 1024;
-
     sim::JsonWriter w;
     w.beginArtifact("fig9_pagerank");
     w.key("hw").beginArray();
-    if (!emuOnly) {
+    {
         PageRankConfig cfg;
         cfg.supersteps = 1; // as the paper ran on the simulated hardware
+        // One untimed warm-up superstep removes cold-start artifacts the
+        // paper's long runs amortized.
         cfg.warmupSupersteps = 1;
-        cfg.l2PerUnitBytes = l2PerUnit;
+        // Cache-to-dataset scaling: the paper's Twitter subset dwarfed
+        // every cache configuration, so vertex loads are memory bound.
+        // With the graph scaled down ~50x, the LLC scales with it to
+        // stay in the same regime.
+        cfg.l2PerUnitBytes = 128 * 1024;
         cfg.seed = 11;
         runSide("left: simulated hardware", g, cfg, {2, 4, 8},
                 rmc::RmcParams::simulatedHardware(), w);
     }
     w.endArray().key("emu").beginArray();
-    if (!hwOnly) {
+    {
         PageRankConfig cfg;
         // The paper ran 30 supersteps at wall-clock speed; our dev
         // platform is itself simulated, so we run one measured

@@ -34,7 +34,7 @@ fi
 BUILD_DIR="${1:-$REPO_ROOT/build-release}"
 
 cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DCMAKE_BUILD_TYPE=Release \
-      -DSONUMA_BUILD_TESTS=OFF -DSONUMA_BUILD_EXAMPLES=OFF >/dev/null
+      -DSONUMA_BUILD_TESTS=OFF >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" >/dev/null
 CHECK="$REPO_ROOT/bench/check_artifacts.py"
 
@@ -94,9 +94,8 @@ echo "== sim_core =="
 
 echo "== sweep (64-node torus fig9-style matrix) =="
 mkdir -p "$REPO_ROOT/BENCH_sweep"
-"$BUILD_DIR/bench_sweep" --nodes=64 --topologies=torus \
-    --sizes=64,512 --depths=16,64 --ops=64 \
-    --out-dir="$REPO_ROOT/BENCH_sweep"
+"$BUILD_DIR/bench_sweep" --nodes=64 --sizes=64,512 --depths=16,64 \
+    --ops=64 --out-dir="$REPO_ROOT/BENCH_sweep"
 
 echo "== sweep exemplar (8-node cell byte-compared by observability_test) =="
 "$BUILD_DIR/bench_sweep" --nodes=8 --sizes=64 --depths=16 \

@@ -2,12 +2,12 @@
  * @file
  * Parameter-matrix sweep (ROADMAP "workload sweeps" / paper §7.6 scale
  * projection): workload x request size x QP depth x QP count x node
- * count x topology, one JSON blob per cell on stdout (and per-cell
+ * count on the torus, one JSON blob per cell on stdout (and per-cell
  * SWEEP_*.json / FIG9_*.json files with --out-dir=...).
  *
  *   $ ./bench_sweep                         # 64-node torus fig9-style
- *   $ ./bench_sweep --nodes=4,16,64 --topologies=crossbar,torus \
- *                   --sizes=64,512,4096 --depths=16,64 --ops=256
+ *   $ ./bench_sweep --nodes=4,16,64 --sizes=64,512,4096 --depths=16,64 \
+ *                   --ops=256
  *   $ ./bench_sweep --workload=pagerank --nodes=64,256,512 --ndims=3
  *   $ ./bench_sweep --workload=pagerank --nodes=512 --topo=8x8x8
  *   $ ./bench_sweep --quick                 # smoke-sized matrix
@@ -39,11 +39,11 @@ int
 main(int argc, char **argv)
 {
     bench::Args args(argc, argv,
-                     {"workload", "nodes", "topologies", "topo", "ndims",
-                      "sizes", "depths", "qps", "batching", "ops", "seed",
-                      "out-dir", "quick", "pr-vertices", "pr-degree",
-                      "pr-supersteps", "faults", "routing", "retries",
-                      "max-attempts", "obs-period-ns"});
+                     {"workload", "nodes", "topo", "ndims", "sizes",
+                      "depths", "qps", "batching", "ops", "out-dir",
+                      "quick", "pr-vertices", "pr-degree", "faults",
+                      "routing", "retries", "max-attempts",
+                      "obs-period-ns"});
     const bool quick = args.has("quick");
 
     app::SweepConfig cfg;
@@ -59,7 +59,6 @@ main(int argc, char **argv)
     cfg.doorbellBatching = args.getU64("batching", 0) != 0;
     cfg.opsPerNode = static_cast<std::uint32_t>(
         args.getU64("ops", quick ? 32 : 128));
-    cfg.seed = args.getU64("seed", 1);
     cfg.outDir = args.get("out-dir", "");
     cfg.obsPeriodNs = args.getU64("obs-period-ns", 0);
     cfg.torusDims = args.getDims("topo");
@@ -93,38 +92,10 @@ main(int argc, char **argv)
         args.getU64("pr-vertices", quick ? 1024 : 16384));
     cfg.pagerank.degree = static_cast<std::uint32_t>(
         args.getU64("pr-degree", quick ? 4 : 8));
-    cfg.pagerank.supersteps = static_cast<std::uint32_t>(
-        args.getU64("pr-supersteps", 1));
 
-    cfg.topologies.clear();
-    const std::string topos = args.get("topologies", "torus");
-    std::size_t pos = 0;
-    while (pos <= topos.size()) {
-        const std::size_t comma = topos.find(',', pos);
-        const std::string tok =
-            topos.substr(pos, comma == std::string::npos
-                                  ? std::string::npos
-                                  : comma - pos);
-        if (tok == "crossbar") {
-            cfg.topologies.push_back(node::Topology::kCrossbar);
-        } else if (tok == "torus") {
-            cfg.topologies.push_back(node::Topology::kTorus);
-        } else if (!tok.empty()) {
-            std::fprintf(stderr,
-                         "--topologies: unknown topology '%s' (valid: "
-                         "crossbar, torus)\n",
-                         tok.c_str());
-            return 2;
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    if (cfg.topologies.empty()) {
-        std::fprintf(stderr,
-                     "--topologies must name crossbar and/or torus\n");
-        return 2;
-    }
+    // The sweep studies the rack-scale torus; the crossbar's paper
+    // tables are the fig benches.
+    cfg.topologies = {node::Topology::kTorus};
 
     std::printf("# sweep: workload=%s, %zu nodes x %zu topologies x %zu "
                 "sizes x %zu depths x %zu qps = %zu cells (ops/node=%u%s)\n",

@@ -175,7 +175,6 @@ MsgEndpoint::send(const void *data, std::uint32_t len)
         co_await sendPush(data, len, kData, 0);
     else
         co_await sendPull(data, len);
-    ++sent_;
 }
 
 sim::Task
@@ -268,7 +267,6 @@ MsgEndpoint::receive(std::vector<std::uint8_t> *out)
     }
 
     co_await returnCreditsIfDue();
-    ++received_;
 }
 
 } // namespace sonuma::api

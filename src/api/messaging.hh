@@ -89,9 +89,6 @@ class MsgEndpoint
     /** Bytes of payload a single push slot carries. */
     static constexpr std::uint32_t kSlotPayload = 48;
 
-    std::uint64_t messagesSent() const { return sent_; }
-    std::uint64_t messagesReceived() const { return received_; }
-
   private:
     /** One cache-line ring slot. */
     struct Slot
@@ -132,7 +129,6 @@ class MsgEndpoint
     std::uint64_t slotsSent_ = 0;
     std::uint64_t stagedBytes_ = 0;   //!< cumulative bytes staged
     vm::VAddr stagingLines_;          //!< local copies for in-flight writes
-    std::uint64_t sent_ = 0;
 
     // Receive state.
     rmc::RingCursor recvCursor_;
@@ -142,7 +138,6 @@ class MsgEndpoint
     vm::VAddr pullLanding_;           //!< buffer for pull reads
     vm::VAddr creditLine_;            //!< staging for credit returns
     vm::VAddr ackLine_;               //!< staging for pull acks
-    std::uint64_t received_ = 0;
 
     sim::Task sendPush(const void *data, std::uint32_t len,
                        SlotKind kind, std::uint64_t stagingOff);

@@ -32,13 +32,6 @@ struct Graph
     {
         return inNeighbor.size();
     }
-
-    /** In-degree of @p v. */
-    std::uint32_t
-    inDegree(std::uint32_t v) const
-    {
-        return rowPtr[v + 1] - rowPtr[v];
-    }
 };
 
 /**

@@ -70,7 +70,6 @@ class RdmaPair
     [[nodiscard]] sim::Task stream(std::uint32_t len, std::uint64_t count);
 
     const RdmaParams &params() const { return params_; }
-    std::uint64_t completedOps() const { return ops_.value(); }
 
   private:
     sim::EventQueue &eq_;

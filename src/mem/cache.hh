@@ -256,9 +256,6 @@ class L2Cache
     /** L1 write-back of a modified line (PutM). */
     void putback(int requester, PAddr line);
 
-    /** Total directory-tracked lines (for tests). */
-    std::size_t trackedLines() const { return lines_.size(); }
-
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
     std::uint64_t cacheToCacheTransfers() const { return c2c_.value(); }

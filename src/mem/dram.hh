@@ -62,8 +62,6 @@ class DramChannel
     /** True if a new request would be rejected. */
     bool full() const { return queue_.size() >= params_.queueDepth; }
 
-    std::size_t queuedRequests() const { return queue_.size(); }
-
     const DramParams &params() const { return params_; }
 
     /** Fraction of elapsed time the data bus was busy. */

@@ -72,13 +72,6 @@ class Core
         return exec_.use(clock_.cycles(cyc));
     }
 
-    /** Charge raw ticks of compute (for ns-denominated costs). */
-    auto
-    computeTicks(sim::Tick t)
-    {
-        return exec_.use(t);
-    }
-
     struct MemAwaiter
     {
         Core &core;

@@ -49,7 +49,6 @@ class Node
 
     sim::NodeId nodeId() const { return nid_; }
     Core &core(std::size_t i) { return *cores_.at(i); }
-    std::size_t coreCount() const { return cores_.size(); }
     rmc::Rmc &rmc() { return *rmc_; }
     os::NodeOs &os() { return *os_; }
     os::RmcDriver &driver() { return *driver_; }

@@ -33,17 +33,6 @@ ContextRegistry::grant(sim::CtxId ctx, UserId uid)
     it->second.acl.insert(uid);
 }
 
-void
-ContextRegistry::revoke(sim::CtxId ctx, UserId uid)
-{
-    auto it = contexts_.find(ctx);
-    if (it == contexts_.end())
-        sim::fatal("revoke on unknown ctx_id " + std::to_string(ctx));
-    if (uid == it->second.owner)
-        sim::fatal("cannot revoke the owner's access");
-    it->second.acl.erase(uid);
-}
-
 bool
 ContextRegistry::exists(sim::CtxId ctx) const
 {

@@ -38,9 +38,6 @@ class ContextRegistry
     /** Grant @p uid permission to open @p ctx. */
     void grant(sim::CtxId ctx, UserId uid);
 
-    /** Revoke @p uid's permission. */
-    void revoke(sim::CtxId ctx, UserId uid);
-
     bool exists(sim::CtxId ctx) const;
 
     /** @retval true when @p uid may open @p ctx. */

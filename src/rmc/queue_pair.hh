@@ -111,8 +111,8 @@ phaseForLap(std::uint64_t lap)
 // Global slot numbering for multi-QP sessions: a session owning N queue
 // pairs of E entries each addresses its per-slot state (records, busy
 // bits, landing buffers) with one flat index `qp * E + idx`. The CQ
-// wire format still carries the per-QP wqIndex; these helpers are the
-// session-side (de)multiplexing arithmetic.
+// wire format still carries the per-QP wqIndex; globalSlot is the
+// session-side multiplexing arithmetic.
 //
 
 /** Flat slot index for entry @p idx of queue pair @p qp. */
@@ -120,20 +120,6 @@ constexpr std::uint32_t
 globalSlot(std::uint32_t qp, std::uint32_t idx, std::uint32_t entries)
 {
     return qp * entries + idx;
-}
-
-/** Queue pair owning flat slot @p g. */
-constexpr std::uint32_t
-slotQp(std::uint32_t g, std::uint32_t entries)
-{
-    return g / entries;
-}
-
-/** Per-QP ring index of flat slot @p g. */
-constexpr std::uint32_t
-slotIndex(std::uint32_t g, std::uint32_t entries)
-{
-    return g % entries;
 }
 
 /**

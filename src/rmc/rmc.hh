@@ -176,14 +176,6 @@ class Rmc
      *  gauge honest on the consumer side. */
     void noteCqConsumed(sim::CtxId ctx, std::uint32_t qpIndex);
 
-    /** Live occupancy of one queue pair (tests + probes). */
-    const QpOccupancy &
-    qpOccupancy(sim::CtxId ctx, std::uint32_t qpIndex) const
-    {
-        return qpOcc_[ctx][qpIndex];
-    }
-
-    std::uint32_t activeTransfers() const { return activeTids_; }
     Tlb &tlb() { return tlb_; }
     Maq &maq() { return maq_; }
     const RmcParams &params() const { return params_; }

@@ -75,9 +75,6 @@ class ServiceResource
         return UseAwaiter{*this, serviceTime};
     }
 
-    /** The earliest tick at which a new job could start. */
-    Tick busyUntil() const { return busyUntil_; }
-
     /** Aggregate busy time (for utilization stats). */
     Tick totalBusy() const { return totalBusy_; }
 

@@ -101,7 +101,8 @@ class Histogram
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-    std::vector<std::uint64_t> buckets_; // bucket i: [2^i, 2^(i+1))
+    // bucket 0: v < 1; bucket i >= 1: [2^(i-1), 2^i)
+    std::vector<std::uint64_t> buckets_;
 };
 
 /**
@@ -143,7 +144,6 @@ class StatRegistry
     void enableSampling(std::size_t slots);
 
     bool samplingEnabled() const { return samplingSlots_ > 0; }
-    std::size_t samplingSlots() const { return samplingSlots_; }
 
     /** Find a time series by exact name; nullptr if absent. */
     const TimeSeries *timeSeries(const std::string &name) const;

@@ -42,8 +42,6 @@ class OneShotEvent
         waiters_.clear();
     }
 
-    bool isSet() const { return set_; }
-
     struct Awaiter
     {
         OneShotEvent &ev;

@@ -64,9 +64,6 @@ class AddressSpace
     const PageTable &pageTable() const { return pt_; }
     mem::PhysMem &phys() { return mem_; }
 
-    /** Total bytes allocated through alloc(). */
-    std::uint64_t allocatedBytes() const { return nextVa_ - kVaBase; }
-
   private:
     // Start user allocations away from 0 so that null-ish VAs fault.
     static constexpr VAddr kVaBase = 1ull << 20;

@@ -65,7 +65,6 @@ class FrameAllocator
     void free(mem::PAddr frame);
 
     std::uint64_t allocated() const { return allocated_; }
-    std::uint64_t capacityFrames() const { return totalFrames_; }
 
   private:
     mem::PAddr base_;

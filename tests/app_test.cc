@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the application suite: graph generation/partitioning, the
- * three PageRank implementations against the host reference, and the
- * one-sided key-value store.
+ * Tests for the application suite: graph generation/partitioning and the
+ * three PageRank implementations against the host reference.
  */
 
 #include <gtest/gtest.h>
@@ -10,12 +9,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "api/testbed.hh"
 #include "app/graph.hh"
-#include "app/kv_store.hh"
 #include "app/pagerank.hh"
-#include "node/cluster.hh"
-#include "sim/simulation.hh"
 
 namespace {
 
@@ -173,112 +168,6 @@ TEST_F(PageRankFixture, FineGrainSlowerThanBulk)
     const auto fine = runPageRankFine(g, part, cfg).elapsed;
     // Paper Fig. 9: fine-grain has noticeably greater overheads.
     EXPECT_GT(fine, bulk);
-}
-
-struct KvFixture : public ::testing::Test
-{
-    std::unique_ptr<api::TestBed> bed;
-    std::unique_ptr<KvServer> server;
-    std::unique_ptr<KvClient> client;
-    sim::Simulation *simp = nullptr;
-    static constexpr std::uint32_t kBuckets = 1024;
-
-    void
-    SetUp() override
-    {
-        bed = std::make_unique<api::TestBed>(
-            api::ClusterSpec{}
-                .nodes(2)
-                .context(1)
-                .segmentPerNode(KvServer::tableBytes(kBuckets))
-                .seed(5));
-        simp = &bed->sim();
-        server = std::make_unique<KvServer>(bed->session(0),
-                                            bed->segBase(0), 0, kBuckets);
-        client = std::make_unique<KvClient>(bed->session(1), 0, 0,
-                                            kBuckets);
-    }
-
-    sim::Simulation &sim() { return *simp; }
-};
-
-TEST_F(KvFixture, PutThenRemoteGet)
-{
-    sim().spawn([](KvFixture *f) -> sim::Task {
-        const char val[] = "hello sonuma kv";
-        EXPECT_TRUE(co_await f->server->put(1234, val, sizeof(val)));
-        char got[kKvValueBytes] = {};
-        EXPECT_TRUE(co_await f->client->get(1234, got));
-        EXPECT_STREQ(got, "hello sonuma kv");
-    }(this));
-    sim().run();
-}
-
-TEST_F(KvFixture, MissingKeyNotFound)
-{
-    sim().spawn([](KvFixture *f) -> sim::Task {
-        char got[kKvValueBytes];
-        EXPECT_FALSE(co_await f->client->get(999, got));
-    }(this));
-    sim().run();
-}
-
-TEST_F(KvFixture, ManyKeysSurviveProbing)
-{
-    sim().spawn([](KvFixture *f) -> sim::Task {
-        const int kKeys = 400; // ~40% load factor
-        for (int k = 0; k < kKeys; ++k) {
-            std::uint64_t v = static_cast<std::uint64_t>(k) * 31 + 7;
-            EXPECT_TRUE(co_await f->server->put(
-                static_cast<std::uint64_t>(k), &v, sizeof(v)));
-        }
-        for (int k = 0; k < kKeys; ++k) {
-            std::uint8_t got[kKvValueBytes];
-            EXPECT_TRUE(co_await f->client->get(
-                static_cast<std::uint64_t>(k), got))
-                << k;
-            std::uint64_t v;
-            std::memcpy(&v, got, sizeof(v));
-            EXPECT_EQ(v, static_cast<std::uint64_t>(k) * 31 + 7);
-        }
-    }(this));
-    sim().run();
-}
-
-TEST_F(KvFixture, UpdateIsVisibleAndErasable)
-{
-    sim().spawn([](KvFixture *f) -> sim::Task {
-        std::uint64_t v1 = 111, v2 = 222;
-        EXPECT_TRUE(co_await f->server->put(5, &v1, sizeof(v1)));
-        EXPECT_TRUE(co_await f->server->put(5, &v2, sizeof(v2)));
-        std::uint8_t got[kKvValueBytes];
-        EXPECT_TRUE(co_await f->client->get(5, got));
-        std::uint64_t v;
-        std::memcpy(&v, got, sizeof(v));
-        EXPECT_EQ(v, 222u);
-        EXPECT_TRUE(co_await f->server->erase(5));
-        EXPECT_FALSE(co_await f->client->get(5, got));
-    }(this));
-    sim().run();
-}
-
-TEST_F(KvFixture, GetLatencyIsAFewRemoteReads)
-{
-    sim().spawn([](KvFixture *f) -> sim::Task {
-        std::uint64_t v = 42;
-        EXPECT_TRUE(co_await f->server->put(77, &v, sizeof(v)));
-        std::uint8_t got[kKvValueBytes];
-        // Warm up, then time one GET.
-        co_await f->client->get(77, got);
-        const sim::Tick t0 = f->sim().now();
-        const bool found = co_await f->client->get(77, got);
-        const double ns = sim::ticksToNs(f->sim().now() - t0);
-        EXPECT_TRUE(found);
-        // One or two ~300 ns remote reads — far below the ~5 us the
-        // paper quotes for RDMA-based KV stores (§2.1).
-        EXPECT_LT(ns, 1500.0);
-    }(this));
-    sim().run();
 }
 
 } // namespace
