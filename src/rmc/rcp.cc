@@ -36,38 +36,38 @@ Rmc::rcpLoop()
 sim::FireAndForget
 Rmc::processReply(fab::Message msg)
 {
+    co_await absorbReply(msg);
+    rcpSlots_.release();
+}
+
+sim::Task
+Rmc::absorbReply(const fab::Message &msg)
+{
     const std::uint16_t ep = static_cast<std::uint16_t>(msg.tid >> 16);
     const std::uint32_t tidIndex = msg.tid & 0xffff;
 
-    if (tidIndex >= itt_.size() || !itt_[tidIndex].active ||
-        itt_[tidIndex].epoch != ep ||
-        itt_[tidIndex].attempt != msg.attempt) {
-        // Stale reply — from before an RMC reset (epoch) or from a
-        // superseded attempt of a retransmitted transfer: drop it. The
-        // retransmit already re-counts every line of the new attempt.
-        rcpSlots_.release();
+    // Stale reply — from before an RMC reset (epoch) or from a
+    // superseded attempt of a retransmitted transfer: drop it. The
+    // retransmit already re-counts every line of the new attempt.
+    if (tidIndex >= itt_.size() || !itt_[tidIndex].owns(ep, msg.attempt))
         co_return;
-    }
     IttEntry &itt = itt_[tidIndex];
     repliesProcessed_.inc();
 
     if (params_.emulation())
         co_await sim::Delay(eq_, params_.emuPollDelay);
 
-    co_await chargeFrontend(params_.cycles(params_.rcpStageCycles),
-                            params_.emuPerReply);
+    co_await charge(emuFrontend_.get(),
+                    params_.cycles(params_.rcpStageCycles),
+                    params_.emuPerReply);
 
     // The charges above suspend; a reset() may have aborted this
     // transfer and freed (epoch-bumped) its tid meanwhile — or the
     // timeout sweep may have bumped the attempt, superseding this
     // reply. Re-check before reading buffer coordinates out of the
     // entry — the slot may already belong to a new transfer/attempt.
-    if (!itt.active || itt.epoch != ep || itt.attempt != msg.attempt) {
-        rcpSlots_.release();
+    if (!itt.owns(ep, msg.attempt))
         co_return;
-    }
-
-    const CtEntry *ce = ct_.entry(itt.ctx);
 
     if (msg.op == fab::Op::kErrorReply || !msg.payloadLenValid()) {
         // Error replies and replies carrying an impossible payload
@@ -79,15 +79,13 @@ Rmc::processReply(fab::Message msg)
         // buffer base plus the line offset echoed in the reply (§4.2).
         const vm::VAddr dst = itt.bufVa + (msg.offset - itt.baseOffset);
         std::optional<mem::PAddr> pa;
-        co_await translate(itt.ctx, dst, ce->ptRoot, &pa);
+        co_await walker_.translate(itt.ctx, dst, ct_.entry(itt.ctx)->ptRoot,
+                                   &pa);
         // Translation suspends too: re-check before writing the error
         // flag (or payload bookkeeping) into an entry a reset may have
         // handed to a new transfer (or a sweep to a new attempt).
-        if (!itt.active || itt.epoch != ep ||
-            itt.attempt != msg.attempt) {
-            rcpSlots_.release();
+        if (!itt.owns(ep, msg.attempt))
             co_return;
-        }
         if (!pa) {
             itt.error = true; // local buffer unmapped (app bug)
         } else if (msg.op == fab::Op::kReadReply) {
@@ -106,10 +104,8 @@ Rmc::processReply(fab::Message msg)
     // as above. Decrementing a freed entry would post a duplicate
     // completion for whatever transfer reuses the slot; decrementing a
     // re-attempted one would double-count this line.
-    if (!itt.active || itt.epoch != ep || itt.attempt != msg.attempt) {
-        rcpSlots_.release();
+    if (!itt.owns(ep, msg.attempt))
         co_return;
-    }
     // Always-on invariant (NDEBUG builds keep the net): a reply for a
     // live transfer with no lines outstanding means a stale reply
     // slipped the epoch check — the double-completion precursor.
@@ -121,16 +117,13 @@ Rmc::processReply(fab::Message msg)
 
     if (itt.remaining == 0)
         co_await postCompletion(itt, tidIndex);
-
-    rcpSlots_.release();
 }
 
 sim::Task
 Rmc::postCompletion(IttEntry &itt, std::uint32_t tidIndex)
 {
-    const CtEntry *ce = ct_.entry(itt.ctx);
-    if (!ce || itt.qpIndex >= ce->qps.size() ||
-        !ce->qps[itt.qpIndex].valid) {
+    const CtEntry *ce = liveQp(itt.ctx, itt.qpIndex);
+    if (!ce) {
         freeTid(tidIndex);
         co_return;
     }
@@ -161,7 +154,7 @@ Rmc::postCompletion(IttEntry &itt, std::uint32_t tidIndex)
     freeTid(tidIndex);
 
     std::optional<mem::PAddr> pa;
-    co_await translate(ctx, cqVa, ptRoot, &pa);
+    co_await walker_.translate(ctx, cqVa, ptRoot, &pa);
     if (pa) {
         co_await maq_.write(*pa);
         phys_.write(*pa, &cq, sizeof(cq));

@@ -31,8 +31,8 @@ Rmc::rgpLoop()
 sim::Task
 Rmc::processWq(sim::CtxId ctx, std::uint32_t qpIndex)
 {
-    const CtEntry *ce = ct_.entry(ctx); // re-fetched after suspensions
-    if (!ce || qpIndex >= ce->qps.size() || !ce->qps[qpIndex].valid)
+    const CtEntry *ce = liveQp(ctx, qpIndex); // re-fetched after suspensions
+    if (!ce)
         co_return; // QP vanished (context teardown)
     const QpDescriptor qp = ce->qps[qpIndex];
     RingCursor &cursor = wqCursor_[ctx][qpIndex];
@@ -49,19 +49,19 @@ Rmc::processWq(sim::CtxId ctx, std::uint32_t qpIndex)
         // store this misses in the RMC L1 and transfers cache-to-cache.
         const vm::VAddr entryVa = qp.wqEntryVa(cursor.index());
         std::optional<mem::PAddr> pa;
-        co_await translate(ctx, entryVa, ce->ptRoot, &pa);
+        co_await walker_.translate(ctx, entryVa, ce->ptRoot, &pa);
         // Re-validate after every suspension: a teardown fence may have
         // run while this coroutine slept, flush-completing the very
         // entry under the cursor. Touching the cursor after that would
         // double-complete it.
-        ce = ct_.entry(ctx);
-        if (!ce || qpIndex >= ce->qps.size() || !ce->qps[qpIndex].valid)
+        ce = liveQp(ctx, qpIndex);
+        if (!ce)
             co_return; // QP fenced during the translation
         if (!pa)
             co_return; // unmapped WQ (teardown)
         co_await maq_.read(*pa);
-        ce = ct_.entry(ctx);
-        if (!ce || qpIndex >= ce->qps.size() || !ce->qps[qpIndex].valid)
+        ce = liveQp(ctx, qpIndex);
+        if (!ce)
             co_return; // QP fenced during the WQ read
 
         WqEntry entry;
@@ -84,7 +84,6 @@ sim::Task
 Rmc::generateRequests(sim::CtxId ctx, std::uint32_t qpIndex,
                       std::uint32_t wqIndex, const WqEntry &entry)
 {
-    const CtEntry *ce = ct_.entry(ctx);
     const WqOp op = static_cast<WqOp>(entry.op);
     const bool isAtomic = op == WqOp::kCas || op == WqOp::kFetchAdd;
     const std::uint32_t numLines =
@@ -122,126 +121,57 @@ Rmc::generateRequests(sim::CtxId ctx, std::uint32_t qpIndex,
     // while this coroutine waited for a tid the op was invisible to a
     // fence (already consumed from the WQ, not yet in the ITT). If the
     // QP died meanwhile, self-flush — exactly one completion either way.
-    ce = ct_.entry(ctx);
-    if (!ce || qpIndex >= ce->qps.size() || !ce->qps[qpIndex].valid) {
+    if (!liveQp(ctx, qpIndex)) {
         abortTransfer(tidIndex, CqStatus::kFlushed);
         co_return;
     }
     co_await maq_.write(ittAddr(tidIndex));
 
     // Per-WQ-entry front-end cost (parse/schedule).
-    co_await chargeFrontend(params_.cycles(params_.rgpStageCycles),
-                            params_.emuPerWqEntry);
+    co_await charge(emuFrontend_.get(),
+                    params_.cycles(params_.rgpStageCycles),
+                    params_.emuPerWqEntry);
 
-    for (std::uint32_t i = 0; i < numLines; ++i) {
-        // Every iteration suspends (charges, MAQ reads, NI back-
-        // pressure); a reset() in one of those windows aborts this
-        // transfer and frees its tid. Stop unrolling: the remaining
-        // lines belong to a transfer that no longer exists, and the
-        // slot may already carry a new one.
-        if (!itt.active || itt.epoch != myEpoch)
-            co_return;
-        fab::Message msg;
-        msg.srcNid = nid_;
-        msg.dstNid = entry.dstNid;
-        msg.ctxId = ctx;
-        msg.tid = tidOf(itt.epoch, tidIndex);
-        msg.attempt = itt.attempt;
-        msg.offset = entry.offset + std::uint64_t(i) * sim::kCacheLineBytes;
-
-        switch (op) {
-          case WqOp::kRead:
-            msg.op = fab::Op::kReadReq;
-            break;
-          case WqOp::kWrite: {
-            msg.op = fab::Op::kWriteReq;
-            // Fetch the local payload line through the MAQ.
-            const vm::VAddr lineVa =
-                entry.bufVa + std::uint64_t(i) * sim::kCacheLineBytes;
-            std::optional<mem::PAddr> pa;
-            co_await translate(ctx, lineVa, ce->ptRoot, &pa);
-            if (!itt.active || itt.epoch != myEpoch)
-                co_return; // aborted during the translation
-            if (!pa) {
-                // Unmapped local buffer: stop unrolling and complete the
-                // WQ entry with an error. Lines already injected will
-                // still reply, so the tid stays live until they drain
-                // (tid reuse before that would mis-route their replies).
-                // remaining currently counts numLines minus replies that
-                // already arrived; cancel the never-sent lines.
-                itt.error = true;
-                itt.remaining -= numLines - i;
-                itt.total = i;
-                // The transfer is fully unrolled as far as it ever will
-                // be; without this the timeout sweep would skip it
-                // forever if its in-flight replies get dropped.
-                itt.unrolled = true;
-                if (itt.remaining == 0)
-                    co_await postCompletion(itt, tidIndex);
-                co_return;
-            }
-            co_await maq_.read(*pa);
-            std::uint8_t line[sim::kCacheLineBytes];
-            phys_.read(*pa, line, sizeof(line));
-            msg.setPayload(line, sim::kCacheLineBytes);
-            break;
-          }
-          case WqOp::kCas:
-            msg.op = fab::Op::kCasReq;
-            msg.operand1 = entry.operand1;
-            msg.operand2 = entry.operand2;
-            break;
-          case WqOp::kFetchAdd:
-            msg.op = fab::Op::kFetchAddReq;
-            msg.operand1 = entry.operand1;
-            break;
-        }
-
-        // Per-line pipeline occupancy, then inject.
-        co_await chargeFrontend(params_.cycles(params_.rgpPerLineCycles),
-                                params_.emuPerLine);
-        co_await sendMessage(msg);
-        requestPacketsSent_.inc();
+    std::uint32_t sent = 0;
+    co_await injectLines(tidIndex, myEpoch, 0, &sent);
+    if (!itt.owns(myEpoch, 0))
+        co_return; // aborted (reset, fence, peer death) mid-unroll
+    // Unrolled as far as it ever will be: the timeout clock may start.
+    itt.unrolled = true;
+    if (sent < itt.total) {
+        // Unmapped local buffer: complete the WQ entry with an error.
+        // Lines already injected will still reply, so the tid stays
+        // live until they drain (tid reuse before that would mis-route
+        // their replies). remaining counts the lines whose replies have
+        // not arrived; cancel the never-sent ones.
+        itt.error = true;
+        itt.remaining -= itt.total - sent;
+        itt.total = sent;
+        if (itt.remaining == 0)
+            co_await postCompletion(itt, tidIndex);
     }
-    // All lines injected: the transfer's timeout clock may start.
-    if (itt.active && itt.epoch == myEpoch)
-        itt.unrolled = true;
 }
 
-sim::FireAndForget
-Rmc::retransmitTransfer(std::uint32_t tidIndex)
+sim::Task
+Rmc::injectLines(std::uint32_t tidIndex, std::uint16_t epoch,
+                 std::uint8_t attempt, std::uint32_t *sent)
 {
     IttEntry &itt = itt_[tidIndex];
-    const std::uint16_t myEpoch = itt.epoch;
-    const std::uint8_t myAttempt = itt.attempt;
-
-    // Capped deterministic backoff: attempt 1 resends after rnrBackoff,
-    // each further attempt doubles, up to rnrBackoffCapDoublings.
-    const std::uint32_t shift = std::min<std::uint32_t>(
-        std::uint32_t(myAttempt) - 1, params_.rnrBackoffCapDoublings);
-    co_await sim::Delay(eq_, params_.rnrBackoff << shift);
-
-    // Same re-check discipline as generateRequests: a fence/reset in
-    // any suspension frees the tid (epoch bump); a newer sweep pass
-    // cannot re-own the entry while retransmitPending, so an attempt
-    // mismatch here means the entry was freed and reused.
-    const CtEntry *ce = ct_.entry(itt.ctx);
-    if (!itt.active || itt.epoch != myEpoch || itt.attempt != myAttempt ||
-        !ce) {
-        co_return;
-    }
-
-    const std::uint32_t total = itt.total;
-    for (std::uint32_t i = 0; i < total; ++i) {
-        if (!itt.active || itt.epoch != myEpoch ||
-            itt.attempt != myAttempt)
+    const auto lane = static_cast<std::size_t>(fab::Lane::kRequest);
+    *sent = 0;
+    for (std::uint32_t i = 0; i < itt.total; ++i) {
+        // Every step below can suspend, and a reset, fence, peer death
+        // or newer attempt may free or re-own the slot meanwhile; the
+        // lines left belong to a transfer (attempt) that no longer
+        // exists, and the slot may already carry a new one.
+        if (!itt.owns(epoch, attempt))
             co_return;
         fab::Message msg;
         msg.srcNid = nid_;
         msg.dstNid = itt.peer;
         msg.ctxId = itt.ctx;
-        msg.tid = tidOf(itt.epoch, tidIndex);
-        msg.attempt = itt.attempt;
+        msg.tid = tidOf(epoch, tidIndex);
+        msg.attempt = attempt;
         msg.offset =
             itt.baseOffset + std::uint64_t(i) * sim::kCacheLineBytes;
 
@@ -251,27 +181,18 @@ Rmc::retransmitTransfer(std::uint32_t tidIndex)
             break;
           case WqOp::kWrite: {
             msg.op = fab::Op::kWriteReq;
-            // Re-read the payload line through the MAQ, exactly as the
-            // first attempt did.
+            // Fetch the local payload line through the MAQ. A live
+            // transfer's QP is live (fences abort its transfers first),
+            // so its CT entry exists.
             const vm::VAddr lineVa =
                 itt.bufVa + std::uint64_t(i) * sim::kCacheLineBytes;
             std::optional<mem::PAddr> pa;
-            co_await translate(itt.ctx, lineVa, ce->ptRoot, &pa);
-            if (!itt.active || itt.epoch != myEpoch ||
-                itt.attempt != myAttempt)
-                co_return;
-            if (!pa) {
-                // The buffer was unmapped between attempts (application
-                // bug). Mark the error and hand the entry back; the
-                // next sweep pass aborts it.
-                itt.error = true;
-                itt.issuedAt = eq_.now();
-                itt.retransmitPending = false;
-                co_return;
-            }
+            co_await walker_.translate(itt.ctx, lineVa,
+                                       ct_.entry(itt.ctx)->ptRoot, &pa);
+            if (!itt.owns(epoch, attempt) || !pa)
+                co_return; // aborted, or the local buffer is unmapped
             co_await maq_.read(*pa);
-            if (!itt.active || itt.epoch != myEpoch ||
-                itt.attempt != myAttempt)
+            if (!itt.owns(epoch, attempt))
                 co_return;
             std::uint8_t line[sim::kCacheLineBytes];
             phys_.read(*pa, line, sizeof(line));
@@ -289,13 +210,47 @@ Rmc::retransmitTransfer(std::uint32_t tidIndex)
             break;
         }
 
-        co_await chargeFrontend(params_.cycles(params_.rgpPerLineCycles),
-                                params_.emuPerLine);
-        co_await sendMessage(msg);
+        // Per-line pipeline occupancy, then inject, waiting for NI
+        // space — but never for a transfer that stopped owning the slot.
+        co_await charge(emuFrontend_.get(),
+                        params_.cycles(params_.rgpPerLineCycles),
+                        params_.emuPerLine);
+        while (true) {
+            if (!itt.owns(epoch, attempt))
+                co_return;
+            if (ni_.trySend(msg))
+                break;
+            co_await sendSpace_[lane].wait();
+        }
         requestPacketsSent_.inc();
+        ++*sent;
     }
-    if (!itt.active || itt.epoch != myEpoch || itt.attempt != myAttempt)
+}
+
+sim::FireAndForget
+Rmc::retransmitTransfer(std::uint32_t tidIndex)
+{
+    IttEntry &itt = itt_[tidIndex];
+    const std::uint16_t myEpoch = itt.epoch;
+    const std::uint8_t myAttempt = itt.attempt;
+
+    // Capped deterministic backoff: attempt 1 resends after rnrBackoff,
+    // each further attempt doubles, up to rnrBackoffCapDoublings.
+    const std::uint32_t shift = std::min<std::uint32_t>(
+        std::uint32_t(myAttempt) - 1, params_.rnrBackoffCapDoublings);
+    co_await sim::Delay(eq_, params_.rnrBackoff << shift);
+
+    // A newer sweep pass cannot re-own the entry while retransmitPending,
+    // so an attempt mismatch after a suspension means the entry was
+    // freed and reused.
+    std::uint32_t sent = 0;
+    co_await injectLines(tidIndex, myEpoch, myAttempt, &sent);
+    if (!itt.owns(myEpoch, myAttempt))
         co_return;
+    // A buffer unmapped between attempts (application bug) marks the
+    // error; the next sweep pass aborts the transfer.
+    if (sent < itt.total)
+        itt.error = true;
     // Fresh deadline for this attempt; the sweep owns the entry again.
     itt.issuedAt = eq_.now();
     itt.retransmitPending = false;

@@ -177,18 +177,13 @@ Rmc::setFailureHook(sim::Callback hook)
     failureHook_ = std::move(hook);
 }
 
-std::optional<mem::PAddr>
-Rmc::walkFunctional(mem::PAddr ptRoot, vm::VAddr va) const
+const CtEntry *
+Rmc::liveQp(sim::CtxId ctx, std::uint32_t qpIndex) const
 {
-    mem::PAddr table = ptRoot;
-    for (std::uint32_t level = 0; level < vm::kLevels; ++level) {
-        const auto pte = phys_.readT<std::uint64_t>(
-            vm::PageTable::pteAddr(table, level, va));
-        if (!vm::PageTable::pteValid(pte))
-            return std::nullopt;
-        table = vm::PageTable::pteFrame(pte);
-    }
-    return table + vm::pageOffset(va);
+    const CtEntry *ce = ct_.entry(ctx);
+    if (!ce || qpIndex >= ce->qps.size() || !ce->qps[qpIndex].valid)
+        return nullptr;
+    return ce;
 }
 
 void
@@ -208,8 +203,8 @@ Rmc::postFunctionalCompletion(sim::CtxId ctx, std::uint32_t qpIndex,
     // Functional-only post: the RMC is aborting or draining, not
     // timing-accurately completing; applications just need to observe
     // the status (paper §5.1). CQ pages are pinned.
-    const std::optional<mem::PAddr> pa =
-        walkFunctional(ce->ptRoot, qp.cqEntryVa(cur.index()));
+    const std::optional<mem::PAddr> pa = vm::PageTable::walk(
+        phys_, ce->ptRoot, qp.cqEntryVa(cur.index()));
     if (!pa)
         return;
     phys_.write(*pa, &cq, sizeof(cq));
@@ -228,16 +223,22 @@ Rmc::abortTransfer(std::uint32_t tidIndex, CqStatus status)
     failureAborts_.inc();
     if (status == CqStatus::kFabricError)
         unrecoverable_.inc();
-    const CtEntry *ctx = ct_.entry(e.ctx);
     // A flush (teardown) posts through the just-invalidated descriptor:
     // the driver clears `valid` before fencing, but the rings are still
     // mapped and the application still holds handles to drain.
-    const bool usable =
-        ctx && e.qpIndex < ctx->qps.size() &&
-        (ctx->qps[e.qpIndex].valid || status == CqStatus::kFlushed);
-    if (usable)
+    if (status == CqStatus::kFlushed || liveQp(e.ctx, e.qpIndex))
         postFunctionalCompletion(e.ctx, e.qpIndex, e.wqIndex, status);
     freeTid(tidIndex);
+}
+
+template <class Match>
+void
+Rmc::abortTransfersWhere(CqStatus status, Match match)
+{
+    for (std::uint32_t i = 0; i < itt_.size(); ++i) {
+        if (itt_[i].active && match(itt_[i]))
+            abortTransfer(i, status);
+    }
 }
 
 void
@@ -245,11 +246,9 @@ Rmc::fenceQueuePair(sim::CtxId ctx, std::uint32_t qpIndex)
 {
     // 1. In-flight transfers of this (ctx, qp): one clean flushed
     //    completion each; freeTid bumps the epoch so late replies drop.
-    for (std::uint32_t i = 0; i < itt_.size(); ++i) {
-        if (itt_[i].active && itt_[i].ctx == ctx &&
-            itt_[i].qpIndex == qpIndex)
-            abortTransfer(i, CqStatus::kFlushed);
-    }
+    abortTransfersWhere(CqStatus::kFlushed, [&](const IttEntry &e) {
+        return e.ctx == ctx && e.qpIndex == qpIndex;
+    });
     // 2. Posted-but-unconsumed WQ entries — including doorbell-batched
     //    ones that were never rung — flush-complete in ring order so
     //    every application post gets exactly one completion. Ops the
@@ -262,8 +261,8 @@ Rmc::fenceQueuePair(sim::CtxId ctx, std::uint32_t qpIndex)
     const QpDescriptor &qp = ce->qps[qpIndex];
     RingCursor &cur = wqCursor_[ctx][qpIndex];
     while (true) {
-        const std::optional<mem::PAddr> pa =
-            walkFunctional(ce->ptRoot, qp.wqEntryVa(cur.index()));
+        const std::optional<mem::PAddr> pa = vm::PageTable::walk(
+            phys_, ce->ptRoot, qp.wqEntryVa(cur.index()));
         if (!pa)
             break;
         WqEntry entry;
@@ -292,7 +291,10 @@ Rmc::handleFabricFailure()
         }
         // A peer died: abort only the transfers aimed at it, leaving
         // healthy traffic undisturbed, and still tell the driver.
-        abortTransfersTo(f.a);
+        abortTransfersWhere(CqStatus::kFabricError,
+                            [peer = f.a](const IttEntry &e) {
+                                return e.peer == peer;
+                            });
         if (failureHook_)
             failureHook_();
         return;
@@ -308,24 +310,13 @@ Rmc::handleFabricFailure()
 }
 
 void
-Rmc::abortTransfersTo(sim::NodeId peer)
-{
-    for (std::uint32_t i = 0; i < itt_.size(); ++i) {
-        if (itt_[i].active && itt_[i].peer == peer)
-            abortTransfer(i, CqStatus::kFabricError);
-    }
-}
-
-void
 Rmc::reset()
 {
     // Abort every outstanding transfer with a fabric-error completion.
     // (Conservative: the paper notes failures "typically require a reset
     // of the RMC's state, and may require a restart of the applications".)
-    for (std::uint32_t i = 0; i < itt_.size(); ++i) {
-        if (itt_[i].active)
-            abortTransfer(i, CqStatus::kFabricError);
-    }
+    abortTransfersWhere(CqStatus::kFabricError,
+                        [](const IttEntry &) { return true; });
     tlb_.flushAll();
     ct_.invalidateCache();
     if (failureHook_)
@@ -376,19 +367,11 @@ Rmc::sweepTimeouts()
 }
 
 sim::Task
-Rmc::chargeFrontend(sim::Tick hwCost, sim::Tick emuCost)
+Rmc::charge(sim::ServiceResource *emuThread, sim::Tick hwCost,
+            sim::Tick emuCost)
 {
     if (params_.emulation())
-        co_await emuFrontend_->use(emuCost);
-    else if (hwCost > 0)
-        co_await sim::Delay(eq_, hwCost);
-}
-
-sim::Task
-Rmc::chargeRemote(sim::Tick hwCost, sim::Tick emuCost)
-{
-    if (params_.emulation())
-        co_await emuRemote_->use(emuCost);
+        co_await emuThread->use(emuCost);
     else if (hwCost > 0)
         co_await sim::Delay(eq_, hwCost);
 }
@@ -435,13 +418,6 @@ Rmc::freeTid(std::uint32_t tidIndex)
     assert(activeTids_ > 0);
     --activeTids_;
     tidAvailable_.notifyAll();
-}
-
-sim::Task
-Rmc::translate(sim::CtxId ctx, vm::VAddr va, mem::PAddr ptRoot,
-               std::optional<mem::PAddr> *out)
-{
-    co_await walker_.translate(ctx, va, ptRoot, out);
 }
 
 } // namespace sonuma::rmc

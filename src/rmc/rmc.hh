@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -92,6 +91,14 @@ struct IttEntry
     bool unrolled = false;
     std::uint64_t operand1 = 0;
     std::uint64_t operand2 = 0;
+
+    /** True while this slot still holds attempt @p att of transfer
+     *  incarnation @p ep: the re-check after every suspension. */
+    bool
+    owns(std::uint16_t ep, std::uint8_t att) const
+    {
+        return active && epoch == ep && attempt == att;
+    }
 };
 
 /** In-memory footprint of one ITT entry (for MAQ timing addresses). */
@@ -290,11 +297,28 @@ class Rmc
                                std::uint32_t wqIndex,
                                const WqEntry &entry);      // rgp.cc
 
+    /**
+     * Build and inject every line of attempt @p attempt of transfer
+     * @p tidIndex from its ITT entry. Stops once the entry no longer
+     * owns (@p epoch, @p attempt), checked after every suspension and
+     * before every injection, or at the first unmapped write-payload
+     * line; @p sent receives the number of lines injected.
+     */
+    sim::Task injectLines(std::uint32_t tidIndex, std::uint16_t epoch,
+                          std::uint8_t attempt,
+                          std::uint32_t *sent);            // rgp.cc
+
     sim::FireAndForget rrppLoop();                         // rrpp.cc
     sim::FireAndForget serviceRequest(fab::Message msg);   // rrpp.cc
+    /** Service one request into @p reply: an error reply, the cached
+     *  reply of a replay, or the executed access's reply. */
+    sim::Task serve(const fab::Message &msg,
+                    fab::Message *reply);                  // rrpp.cc
 
     sim::FireAndForget rcpLoop();                          // rcp.cc
     sim::FireAndForget processReply(fab::Message msg);     // rcp.cc
+    /** Land one reply in its transfer; drops stale ones. */
+    sim::Task absorbReply(const fab::Message &msg);        // rcp.cc
     sim::Task postCompletion(IttEntry &itt,
                              std::uint32_t tidIndex);      // rcp.cc
 
@@ -303,9 +327,10 @@ class Rmc
     //
 
     /** Charge pipeline occupancy: hardware stage cycles or emulated
-     *  software service time, depending on the platform. */
-    sim::Task chargeFrontend(sim::Tick hwCost, sim::Tick emuCost);
-    sim::Task chargeRemote(sim::Tick hwCost, sim::Tick emuCost);
+     *  software service time on @p emuThread, depending on the
+     *  platform. */
+    sim::Task charge(sim::ServiceResource *emuThread, sim::Tick hwCost,
+                     sim::Tick emuCost);
 
     /** Inject @p msg, waiting for NI space. */
     sim::Task sendMessage(fab::Message msg);
@@ -317,13 +342,15 @@ class Rmc
     /** Arm (ctx, qp) for the RGP if it is not already queued. */
     void armQp(sim::CtxId ctx, std::uint32_t qpIndex);
 
+    /** @p ctx's CT entry if its queue pair @p qpIndex exists and is not
+     *  fenced, else nullptr. */
+    const CtEntry *liveQp(sim::CtxId ctx, std::uint32_t qpIndex) const;
+
     /**
      * Timeout-driven resend of every line of transfer @p tidIndex
      * (attempt already bumped by the sweep): waits out the capped
-     * exponential backoff, then rebuilds and re-injects the packets —
-     * write payloads re-read through translate+MAQ, atomic operands
-     * from the ITT. Bails silently if the entry is freed or re-bumped
-     * while suspended (epoch/attempt re-check discipline).
+     * exponential backoff, then re-injects through injectLines. Bails
+     * silently if the entry is freed or re-bumped while suspended.
      */
     sim::FireAndForget retransmitTransfer(std::uint32_t tidIndex); // rgp.cc
 
@@ -343,20 +370,13 @@ class Rmc
     /** Abort one transfer with a (functional) error completion. */
     void abortTransfer(std::uint32_t tidIndex, CqStatus status);
 
-    /**
-     * Functional (untimed) page-table walk, used by the error/teardown
-     * completion paths where charging MAQ time is impossible (the
-     * caller is not a coroutine) and unnecessary.
-     */
-    std::optional<mem::PAddr> walkFunctional(mem::PAddr ptRoot,
-                                             vm::VAddr va) const;
+    /** Abort, with @p status, every active transfer @p match accepts. */
+    template <class Match>
+    void abortTransfersWhere(CqStatus status, Match match);
 
     /** Functionally write one CQ entry for (ctx, qp) and fire hooks. */
     void postFunctionalCompletion(sim::CtxId ctx, std::uint32_t qpIndex,
                                   std::uint32_t wqIndex, CqStatus status);
-
-    /** Abort every active transfer destined to @p peer (peer death). */
-    void abortTransfersTo(sim::NodeId peer);
 
     /** Dispatch a fabric failure notification by kind and victim. */
     void handleFabricFailure();
@@ -364,10 +384,6 @@ class Rmc
     /** Timeout sweep over active ITT entries. */
     void scheduleSweep();
     void sweepTimeouts();
-
-    /** Translate through TLB + walker with the ctx's page-table root. */
-    sim::Task translate(sim::CtxId ctx, vm::VAddr va, mem::PAddr ptRoot,
-                        std::optional<mem::PAddr> *out);
 
     mem::PAddr
     ittAddr(std::uint32_t tidIndex) const

@@ -34,13 +34,20 @@ sim::FireAndForget
 Rmc::serviceRequest(fab::Message msg)
 {
     requestsServiced_.inc();
+    fab::Message reply;
+    co_await serve(msg, &reply);
+    co_await sendMessage(reply);
+    rrppSlots_.release();
+}
 
+sim::Task
+Rmc::serve(const fab::Message &msg, fab::Message *reply)
+{
     // Validate the wire-supplied payload length before it is ever used
     // as a copy size; a corrupt packet must not become a buffer overrun.
     if (!msg.payloadLenValid()) {
         boundsErrors_.inc();
-        co_await sendMessage(msg.makeReply(fab::Op::kErrorReply));
-        rrppSlots_.release();
+        *reply = msg.makeReply(fab::Op::kErrorReply);
         co_return;
     }
 
@@ -50,8 +57,8 @@ Rmc::serviceRequest(fab::Message msg)
         co_await sim::Delay(eq_, params_.emuPollDelay);
 
     // Decode + per-request pipeline occupancy.
-    co_await chargeRemote(params_.cycles(params_.rrppStageCycles),
-                          params_.emuRrppPerLine);
+    co_await charge(emuRemote_.get(), params_.cycles(params_.rrppStageCycles),
+                    params_.emuRrppPerLine);
 
     // CT lookup through the CT$; a miss costs a memory read of the CT
     // entry through the MAQ (paper §4.3).
@@ -62,8 +69,7 @@ Rmc::serviceRequest(fab::Message msg)
     const CtEntry *ce = ct_.entry(msg.ctxId);
     if (!ce) {
         badContextErrors_.inc();
-        co_await sendMessage(msg.makeReply(fab::Op::kErrorReply));
-        rrppSlots_.release();
+        *reply = msg.makeReply(fab::Op::kErrorReply);
         co_return;
     }
 
@@ -75,21 +81,19 @@ Rmc::serviceRequest(fab::Message msg)
             : sim::kCacheLineBytes;
     if (msg.offset + span > ce->segBytes) {
         boundsErrors_.inc();
-        co_await sendMessage(msg.makeReply(fab::Op::kErrorReply));
-        rrppSlots_.release();
+        *reply = msg.makeReply(fab::Op::kErrorReply);
         co_return;
     }
 
     // Compute the local VA and translate it (TLB / hardware walk).
     const vm::VAddr va = ce->segBase + msg.offset;
     std::optional<mem::PAddr> pa;
-    co_await translate(msg.ctxId, va, ce->ptRoot, &pa);
+    co_await walker_.translate(msg.ctxId, va, ce->ptRoot, &pa);
     if (!pa) {
         // Registered segments are pinned, so this indicates teardown
         // racing with traffic; surface as a bounds error.
         boundsErrors_.inc();
-        co_await sendMessage(msg.makeReply(fab::Op::kErrorReply));
-        rrppSlots_.release();
+        *reply = msg.makeReply(fab::Op::kErrorReply);
         co_return;
     }
 
@@ -103,30 +107,27 @@ Rmc::serviceRequest(fab::Message msg)
     if (mutating && params_.dedupWindow > 0) {
         if (const DedupEntry *d = dedupLookup(msg)) {
             dupSuppressed_.inc();
-            fab::Message cached = msg.makeReply(d->replyOp);
+            *reply = msg.makeReply(d->replyOp);
             if (d->replyOp == fab::Op::kAtomicReply)
-                cached.setPayload(&d->oldValue, sizeof(d->oldValue));
-            co_await sendMessage(cached);
-            rrppSlots_.release();
+                reply->setPayload(&d->oldValue, sizeof(d->oldValue));
             co_return;
         }
     }
 
-    fab::Message reply;
     switch (msg.op) {
       case fab::Op::kReadReq: {
         co_await maq_.read(*pa);
-        reply = msg.makeReply(fab::Op::kReadReply);
+        *reply = msg.makeReply(fab::Op::kReadReply);
         std::uint8_t line[sim::kCacheLineBytes];
         phys_.read(*pa, line, sizeof(line));
-        reply.setPayload(line, sim::kCacheLineBytes);
+        reply->setPayload(line, sim::kCacheLineBytes);
         break;
       }
       case fab::Op::kWriteReq: {
         // Full-line store: allocate-on-miss without a stale fetch.
         co_await maq_.writeFullLine(*pa);
         phys_.write(*pa, msg.payload.data(), msg.payloadLen);
-        reply = msg.makeReply(fab::Op::kWriteReply);
+        *reply = msg.makeReply(fab::Op::kWriteReply);
         break;
       }
       case fab::Op::kCasReq: {
@@ -137,16 +138,16 @@ Rmc::serviceRequest(fab::Message msg)
         atomicsExecuted_.inc();
         const std::uint64_t old =
             phys_.compareSwap64(*pa, msg.operand1, msg.operand2);
-        reply = msg.makeReply(fab::Op::kAtomicReply);
-        reply.setPayload(&old, sizeof(old));
+        *reply = msg.makeReply(fab::Op::kAtomicReply);
+        reply->setPayload(&old, sizeof(old));
         break;
       }
       case fab::Op::kFetchAddReq: {
         co_await maq_.write(*pa);
         atomicsExecuted_.inc();
         const std::uint64_t old = phys_.fetchAdd64(*pa, msg.operand1);
-        reply = msg.makeReply(fab::Op::kAtomicReply);
-        reply.setPayload(&old, sizeof(old));
+        *reply = msg.makeReply(fab::Op::kAtomicReply);
+        reply->setPayload(&old, sizeof(old));
         break;
       }
       default:
@@ -159,13 +160,11 @@ Rmc::serviceRequest(fab::Message msg)
         remoteWriteEvent_.notifyAll();
         if (params_.dedupWindow > 0) {
             std::uint64_t old = 0;
-            if (reply.op == fab::Op::kAtomicReply)
-                std::memcpy(&old, reply.payload.data(), sizeof(old));
-            dedupRecord(msg, reply.op, old);
+            if (reply->op == fab::Op::kAtomicReply)
+                std::memcpy(&old, reply->payload.data(), sizeof(old));
+            dedupRecord(msg, reply->op, old);
         }
     }
-    co_await sendMessage(reply);
-    rrppSlots_.release();
 }
 
 const Rmc::DedupEntry *

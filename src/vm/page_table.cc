@@ -113,12 +113,18 @@ PageTable::unmap(VAddr va)
 std::optional<mem::PAddr>
 PageTable::translate(VAddr va) const
 {
+    return walk(mem_, root_, va);
+}
+
+std::optional<mem::PAddr>
+PageTable::walk(const mem::PhysMem &phys, mem::PAddr root, VAddr va)
+{
     if (va >= (1ull << kVaBits))
         return std::nullopt;
-    mem::PAddr table = root_;
+    mem::PAddr table = root;
     for (std::uint32_t level = 0; level < kLevels; ++level) {
         const std::uint64_t pte =
-            mem_.readT<std::uint64_t>(pteAddr(table, level, va));
+            phys.readT<std::uint64_t>(pteAddr(table, level, va));
         if (!pteValid(pte))
             return std::nullopt;
         table = pteFrame(pte);

@@ -96,6 +96,11 @@ class PageTable
     /** Functional translation (no timing). */
     std::optional<mem::PAddr> translate(VAddr va) const;
 
+    /** translate() for any table: walks @p root in @p phys (the RMC's
+     *  untimed completion and teardown paths hold only the root). */
+    static std::optional<mem::PAddr> walk(const mem::PhysMem &phys,
+                                          mem::PAddr root, VAddr va);
+
     /** Index of @p va at table level @p level (0 = root). */
     static std::uint32_t indexAt(std::uint32_t level, VAddr va);
 

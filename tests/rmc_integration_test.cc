@@ -5,8 +5,10 @@
  *
  * Verifies data integrity (real bytes move), latency plausibility,
  * multi-line unrolling, out-of-order completion, atomics, bounds/
- * permission errors, multi-QP operation, and failure handling, all on
- * the v2 awaitable API (OpResult / OpHandle).
+ * permission errors, multi-QP operation, failure handling, request
+ * lines fenced mid-unroll, byte-exact retransmission through a drop
+ * window, and an unroll stopped by an unmapped local page, all on the
+ * v2 awaitable API (OpResult / OpHandle).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "api/session.hh"
+#include "api/testbed.hh"
 #include "node/cluster.hh"
 #include "sim/simulation.hh"
 
@@ -430,6 +433,160 @@ TEST_F(TwoNodeFixture, WqWrapsAroundManyLaps)
     }(&session, buf, &completions));
     sim.run();
     EXPECT_EQ(completions, kOps);
+}
+
+/** A write of @p len bytes from @p buf awaited to its completion. */
+sim::Task
+awaitWrite(RmcSession *s, sim::NodeId nid, std::uint64_t offset,
+           vm::VAddr buf, std::uint32_t len, OpResult *r)
+{
+    OpHandle h = co_await s->writeAsync(nid, offset, buf, len);
+    *r = co_await h;
+}
+
+TEST(RmcFence, NoRequestLineLeavesAfterItsQpIsFenced)
+{
+    // A 16-line async write on node 1, its session closed at fence tick
+    // T for every T on a 3 ns grid across the write's whole life. The
+    // fence completes the op kFlushed at once; a request line injected
+    // after that would execute at the destination as a write of an op
+    // the application already saw flushed. So once the fence ran, the
+    // source must inject nothing more, whichever suspension (payload
+    // translation, MAQ read, stage charge, NI send space) the RGP was
+    // parked in.
+    constexpr std::uint32_t kLen = 1024;
+    std::uint32_t leaks = 0, flushed = 0, ok = 0;
+    for (std::uint64_t ns = 0; ns < 1500; ns += 3) {
+        api::TestBed bed(api::ClusterSpec{}.nodes(2));
+        RmcSession &s = bed.session(1);
+        const vm::VAddr buf = s.allocBuffer(kLen);
+        const sim::Counter *sent = bed.sim().stats().counter(
+            "node1.rmc.rgp.requestPackets");
+        ASSERT_NE(sent, nullptr);
+        std::uint64_t atFence = 0;
+        bed.sim().eq().schedule(sim::nsToTicks(double(ns)), [&] {
+            s.close();
+            atFence = sent->value();
+        });
+        OpResult r;
+        r.status = CqStatus::kFabricError;
+        bed.spawn(awaitWrite(&s, 0, 0, buf, kLen, &r));
+        bed.run();
+        if (sent->value() != atFence)
+            ++leaks;
+        ASSERT_TRUE(r.status == CqStatus::kOk ||
+                    r.status == CqStatus::kFlushed)
+            << "fence at " << ns << " ns";
+        (r.ok() ? ok : flushed) += 1;
+    }
+    EXPECT_EQ(leaks, 0u) << "fence ticks that let a request line out";
+    // The grid must straddle the op: some fences catch it mid-flight,
+    // the late ones find it already complete.
+    EXPECT_GT(flushed, 0u);
+    EXPECT_GT(ok, 0u);
+}
+
+TEST(RmcRetransmit, DropWindowKeepsBytesExactAndFetchAddExactlyOnce)
+{
+    // 4-node ring torus, node 0 -> node 2 (two hops either way). Every
+    // link out of node 2 drops for the first 20 us, so every reply of
+    // the first attempt is lost after the destination executed it;
+    // links into node 2 drop over a short window inside the write's
+    // unroll, so some write lines are lost as requests too. Recovery is
+    // the RMC's alone: the timeout retransmits every line, the replayed
+    // write lines and the replayed fetch-add are answered from the
+    // dedup window instead of executing twice.
+    fab::FaultPlan plan;
+    const sim::Tick replyEnd = sim::usToTicks(20);
+    plan.dropWindow(0, replyEnd, 2, 1).dropWindow(0, replyEnd, 2, 3);
+    plan.dropWindow(sim::nsToTicks(150), sim::nsToTicks(400), 1, 2)
+        .dropWindow(sim::nsToTicks(150), sim::nsToTicks(400), 3, 2);
+    api::TestBed bed(
+        api::ClusterSpec{}.nodes(4).torus({4}).faultPlan(plan));
+    RmcSession &s = bed.session(0);
+    constexpr std::uint32_t kLen = 1024;
+    constexpr std::uint64_t kCounterOffset = 8192;
+    const vm::VAddr buf = s.allocBuffer(kLen);
+    std::vector<std::uint8_t> data(kLen);
+    for (std::uint32_t i = 0; i < kLen; ++i)
+        data[i] = static_cast<std::uint8_t>(31 + i * 13);
+    bed.process(0).addressSpace().write(buf, data.data(), kLen);
+    vm::AddressSpace &dst = bed.process(2).addressSpace();
+    dst.writeT<std::uint64_t>(bed.segBase(2) + kCounterOffset, 1000);
+
+    OpResult wr, fa;
+    bed.spawn([](RmcSession *s, vm::VAddr buf, OpResult *wr,
+                 OpResult *fa) -> sim::Task {
+        OpHandle w = co_await s->writeAsync(2, 0, buf, kLen);
+        OpHandle f = co_await s->fetchAddAsync(2, kCounterOffset, 7);
+        *wr = co_await w;
+        *fa = co_await f;
+    }(&s, buf, &wr, &fa));
+    bed.run();
+
+    EXPECT_EQ(wr.status, CqStatus::kOk);
+    EXPECT_EQ(fa.status, CqStatus::kOk);
+    std::vector<std::uint8_t> got(kLen);
+    dst.read(bed.segBase(2), got.data(), kLen);
+    EXPECT_EQ(got, data);
+    EXPECT_EQ(fa.oldValue, 1000u);
+    EXPECT_EQ(dst.readT<std::uint64_t>(bed.segBase(2) + kCounterOffset),
+              1007u)
+        << "the fetch-add must apply exactly once";
+    const sim::StatRegistry &stats = bed.sim().stats();
+    EXPECT_GT(stats.counter("node0.rmc.retransmits")->value(), 0u);
+    EXPECT_GT(stats.counter("node2.rmc.rrpp.dupSuppressed")->value(), 0u);
+    EXPECT_EQ(stats.counter("node2.rmc.rrpp.atomics")->value(), 1u);
+    // Some requests were lost too: node 2 served fewer than were sent.
+    EXPECT_LT(stats.counter("node2.rmc.rrpp.requests")->value(),
+              stats.counter("node0.rmc.rgp.requestPackets")->value());
+}
+
+TEST(RmcUnroll, UnmappedLocalPageStopsTheWriteAtTheHole)
+{
+    // A 512 B write whose source buffer straddles a page boundary, with
+    // the second page unmapped: the RGP injects the four lines before
+    // the hole, stops at the fifth, and the op completes kBoundsError
+    // once the injected lines' replies drain. The QP stays usable.
+    api::TestBed bed(api::ClusterSpec{}.nodes(2));
+    RmcSession &s = bed.session(1);
+    vm::AddressSpace &src = bed.process(1).addressSpace();
+    vm::AddressSpace &dst = bed.process(0).addressSpace();
+    const vm::VAddr pages = s.allocBuffer(2 * vm::kPageBytes);
+    ASSERT_EQ(vm::pageOffset(pages), 0u);
+    constexpr std::uint32_t kBefore = 256; // four lines, then the hole
+    const vm::VAddr buf = pages + vm::kPageBytes - kBefore;
+    std::vector<std::uint8_t> data(2 * kBefore);
+    for (std::uint32_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(0x5a ^ i);
+    src.write(buf, data.data(), data.size());
+    src.pageTable().unmap(pages + vm::kPageBytes);
+    std::vector<std::uint8_t> marker(2 * kBefore, 0xee);
+    dst.write(bed.segBase(0), marker.data(), marker.size());
+
+    OpResult torn, next;
+    bed.spawn([](RmcSession *s, vm::VAddr buf, OpResult *torn,
+                 OpResult *next) -> sim::Task {
+        *torn = co_await s->write(0, 0, buf, 2 * kBefore);
+        *next = co_await s->write(0, 4096, buf, 64);
+    }(&s, buf, &torn, &next));
+    bed.run();
+
+    EXPECT_EQ(torn.status, CqStatus::kBoundsError);
+    EXPECT_EQ(next.status, CqStatus::kOk);
+    std::vector<std::uint8_t> got(2 * kBefore);
+    dst.read(bed.segBase(0), got.data(), got.size());
+    for (std::uint32_t i = 0; i < kBefore; ++i)
+        ASSERT_EQ(got[i], data[i]) << "line before the hole, byte " << i;
+    for (std::uint32_t i = kBefore; i < 2 * kBefore; ++i)
+        ASSERT_EQ(got[i], 0xee) << "line after the hole, byte " << i;
+    std::uint8_t first = 0;
+    dst.read(bed.segBase(0) + 4096, &first, 1);
+    EXPECT_EQ(first, 0x5a);
+    // Four lines of the torn write, one of the next.
+    EXPECT_EQ(bed.sim().stats().counter("node1.rmc.rgp.requestPackets")
+                  ->value(),
+              5u);
 }
 
 } // namespace

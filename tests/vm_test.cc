@@ -65,6 +65,13 @@ TEST_F(VmFixture, UnmappedTranslatesToNullopt)
     EXPECT_TRUE(pt.translate(0x200000).has_value());
     // Neighbouring pages are still unmapped.
     EXPECT_FALSE(pt.translate(0x200000 + vm::kPageBytes).has_value());
+    // Beyond the 43-bit VA the index bits would alias the mapped page;
+    // the range check rejects it, in translate and in the static walk.
+    const vm::VAddr alias = 0x200000 + (1ull << vm::kVaBits);
+    EXPECT_FALSE(pt.translate(alias).has_value());
+    EXPECT_FALSE(PageTable::walk(mem, pt.root(), alias).has_value());
+    EXPECT_EQ(PageTable::walk(mem, pt.root(), 0x200000),
+              pt.translate(0x200000));
 }
 
 TEST_F(VmFixture, UnmapRemovesMapping)
