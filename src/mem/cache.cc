@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "sim/log.hh"
 
@@ -30,13 +31,11 @@ L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
     assert(numSets_ > 0 && "L1 too small for its associativity");
     sets_.resize(numSets_, std::vector<LineInfo>(params_.assoc));
     mshrs_.resize(params_.mshrs);
-    // Reserve steady-state capacities up front: waiter lists are
-    // bounded by the concurrent accesses that can merge on one line,
-    // putbacks by the transactions in flight. Exceeding a reservation
-    // still works — it just pays one amortized growth.
-    for (auto &m : mshrs_)
-        m.waiters.reserve(2 * params_.mshrs);
-    fillScratch_.reserve(2 * params_.mshrs);
+    // Reserve steady-state capacities up front: merged waiters are
+    // bounded by the accesses in flight, putbacks by the transactions
+    // in flight. Exceeding a reservation still works — it just pays one
+    // amortized growth.
+    waiters_.reserve(2 * params_.mshrs);
     pendingPutbacks_.reserve(params_.mshrs);
     l1Id_ = l2_.registerL1(this);
 }
@@ -175,7 +174,7 @@ L1Cache::startMiss(PAddr line, bool write, bool fullLine,
     if (Mshr *hit = findMshr(line)) {
         // Merge into the outstanding transaction; incompatible waiters
         // (writes joining a read request) are retried after the fill.
-        hit->waiters.emplace_back(write, std::move(done));
+        addWaiter(*hit, write, std::move(done));
         return;
     }
     if (mshrsInUse_ >= params_.mshrs) {
@@ -194,7 +193,7 @@ L1Cache::startMiss(PAddr line, bool write, bool fullLine,
     mshr->busy = true;
     mshr->line = line;
     mshr->write = write;
-    mshr->waiters.emplace_back(write, std::move(done));
+    addWaiter(*mshr, write, std::move(done));
     ++mshrsInUse_;
     l2_.request(l1Id_, line, write, fullLine,
                 [this, line, write] { handleFill(line, write); });
@@ -212,23 +211,37 @@ L1Cache::handleFill(PAddr line, bool grantedWrite)
     assert(mshr);
     // Free the slot before draining its waiters: a waiter retry or
     // retryBlocked() below may start a fresh transaction on this same
-    // line. Waiters move into a scratch list so both vectors keep
-    // their own (reserved) capacity.
-    fillScratch_.clear();
-    for (auto &w : mshr->waiters)
-        fillScratch_.push_back(std::move(w));
-    mshr->waiters.clear();
+    // line. The detached list stays parked in waiters_ until each entry
+    // is taken, and `next` is read before the take, so a re-entrant
+    // access can reuse only slots already drained.
+    std::uint32_t w = mshr->head;
+    mshr->head = mshr->tail = kNoWaiter;
     mshr->busy = false;
     --mshrsInUse_;
-    for (auto &[w, cb] : fillScratch_) {
-        if (!w || grantedWrite) {
-            cb();
+    while (w != kNoWaiter) {
+        const std::uint32_t next = waiters_.peek(w).next;
+        Waiter waiter = waiters_.take(w);
+        w = next;
+        if (!waiter.write || grantedWrite) {
+            waiter.done();
         } else {
             // A write waiter on a read fill: retry as an upgrade.
-            access(line, true, std::move(cb));
+            access(line, true, std::move(waiter.done));
         }
     }
     retryBlocked();
+}
+
+void
+L1Cache::addWaiter(Mshr &mshr, bool write, sim::Callback done)
+{
+    const std::uint32_t w =
+        waiters_.put(Waiter{write, std::move(done), kNoWaiter});
+    if (mshr.tail == kNoWaiter)
+        mshr.head = w;
+    else
+        waiters_.peek(mshr.tail).next = w;
+    mshr.tail = w;
 }
 
 void
@@ -319,9 +332,9 @@ L2Cache::setOf(PAddr line) const
 L2Cache::LockEntry *
 L2Cache::findLock(PAddr line)
 {
-    for (auto &e : locks_) {
-        if (e.inUse && e.line == line)
-            return &e;
+    for (std::size_t i = 0; i < lockedCount_; ++i) {
+        if (locks_[i].line == line)
+            return &locks_[i];
     }
     return nullptr;
 }
@@ -333,19 +346,9 @@ L2Cache::lockLine(PAddr line, PendingReq req)
         held->waiting.push(std::move(req));
         return false;
     }
-    LockEntry *free = nullptr;
-    for (auto &e : locks_) {
-        if (!e.inUse) {
-            free = &e;
-            break;
-        }
-    }
-    if (!free) {
+    if (lockedCount_ == locks_.size())
         locks_.emplace_back();
-        free = &locks_.back();
-    }
-    free->inUse = true;
-    free->line = line;
+    locks_[lockedCount_++].line = line;
     const std::uint32_t slot =
         reqSlots_.put(ParkedReq{line, std::move(req)});
     eq_.scheduleAfter(params_.latency(),
@@ -366,11 +369,15 @@ L2Cache::unlockLine(PAddr line)
     LockEntry *held = findLock(line);
     assert(held && "unlock of a line that was never locked");
     if (held->waiting.empty()) {
-        held->inUse = false; // slot recycles for the next locked line
+        // Keep held entries packed; the freed entry (and its ring's
+        // capacity) moves to the free tail.
+        LockEntry &last = locks_[--lockedCount_];
+        if (held != &last)
+            std::swap(*held, last);
         return;
     }
     // Hand the lock straight to the next waiter (the entry stays
-    // inUse), scheduling its processing exactly as lockLine would.
+    // held), scheduling its processing exactly as lockLine would.
     PendingReq next = held->waiting.popFront();
     const std::uint32_t slot =
         reqSlots_.put(ParkedReq{line, std::move(next)});

@@ -125,18 +125,33 @@ class L1Cache
         bool valid = false;
     };
 
+    static constexpr std::uint32_t kNoWaiter = ~std::uint32_t(0);
+
+    /**
+     * An access merged into an MSHR, linked FIFO through `next`. All
+     * MSHRs of one L1 share one pool, sized for the accesses in flight
+     * rather than for every MSHR's worst case.
+     */
+    struct Waiter
+    {
+        bool write = false;
+        sim::Callback done;
+        std::uint32_t next = kNoWaiter;
+    };
+
     /**
      * Miss-status holding register. Fixed slots (params.mshrs of them,
      * linear-scanned — the hardware's CAM): an unordered_map here would
      * allocate a node per miss, and queue-pair polling makes misses the
-     * steady state. The waiters vector keeps its capacity across reuse.
+     * steady state. Its waiters are a head/tail list in waiters_.
      */
     struct Mshr
     {
         bool busy = false;
         PAddr line = 0;
         bool write = false;               //!< permission being requested
-        std::vector<std::pair<bool, sim::Callback>> waiters;
+        std::uint32_t head = kNoWaiter;
+        std::uint32_t tail = kNoWaiter;
     };
 
     void accessImpl(PAddr addr, bool write, bool fullLine,
@@ -167,9 +182,7 @@ class L1Cache
     std::vector<std::vector<LineInfo>> sets_; //!< [set][way]
     std::vector<Mshr> mshrs_;                 //!< fixed slots (CAM)
     std::size_t mshrsInUse_ = 0;
-    // Scratch for draining one MSHR's waiters after its slot is freed
-    // (capacity persists; see handleFill).
-    std::vector<std::pair<bool, sim::Callback>> fillScratch_;
+    sim::SlotPool<Waiter> waiters_; //!< every MSHR's merged accesses
     sim::SlotPool<PendingAccess> accessSlots_;
     sim::RingBuffer<PendingAccess> blocked_; //!< retry when an MSHR frees
     // PutMs in flight to the L2. A handful at most: linear vector, no
@@ -191,6 +204,7 @@ class L1Cache
     bool pendingPutback(PAddr line) const;
     void erasePendingPutback(PAddr line);
 
+    void addWaiter(Mshr &mshr, bool write, sim::Callback done);
     void startMiss(PAddr line, bool write, bool fullLine,
                    sim::Callback done);
     void handleFill(PAddr line, bool grantedWrite);
@@ -298,18 +312,20 @@ class L2Cache
     /**
      * Per-line transaction serialization. Concurrently locked lines are
      * bounded by in-flight transactions (MSHRs x L1s), so a compact
-     * linear-scanned table replaces the old unordered set+map pair,
-     * whose node churn allocated on every single transaction. Freed
-     * entries (inUse = false) are recycled; each waiting ring keeps its
-     * capacity.
+     * linear-scanned table replaces a node-based set+map pair, whose
+     * node churn would allocate on every transaction. Held entries are
+     * packed in locks_[0, lockedCount_), so a lookup scans only the
+     * locks actually held (typically a handful); a release swaps the
+     * last held entry into the freed slot. Each waiting ring keeps its
+     * capacity as entries move.
      */
     struct LockEntry
     {
-        bool inUse = false;
         PAddr line = 0;
         sim::RingBuffer<PendingReq> waiting{2};
     };
     std::vector<LockEntry> locks_;
+    std::size_t lockedCount_ = 0;
 
     sim::Counter hits_;
     sim::Counter misses_;

@@ -5,13 +5,24 @@
 
 #include "mem/phys_mem.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 
 #include "sim/log.hh"
 
 namespace sonuma::mem {
 
-PhysMem::PhysMem(std::uint64_t size) : size_(size) {}
+PhysMem::PhysMem(std::uint64_t size)
+    : size_(size), chunks_((size + kChunkBytes - 1) / kChunkBytes)
+{
+}
+
+void
+PhysMem::Unmap::operator()(std::uint8_t *p) const
+{
+    ::munmap(p, kChunkBytes);
+}
 
 void
 PhysMem::checkRange(PAddr addr, std::uint64_t len) const
@@ -26,14 +37,16 @@ PhysMem::checkRange(PAddr addr, std::uint64_t len) const
 std::uint8_t *
 PhysMem::chunkFor(PAddr addr) const
 {
-    const std::uint64_t idx = addr / kChunkBytes;
-    auto it = chunks_.find(idx);
-    if (it == chunks_.end()) {
-        auto buf = std::make_unique<std::uint8_t[]>(kChunkBytes);
-        std::memset(buf.get(), 0, kChunkBytes);
-        it = chunks_.emplace(idx, std::move(buf)).first;
+    Chunk &chunk = chunks_[addr / kChunkBytes];
+    if (!chunk) {
+        void *p = ::mmap(nullptr, kChunkBytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1,
+                         0);
+        if (p == MAP_FAILED)
+            sim::panic("PhysMem: mmap of a 1 MiB chunk failed");
+        chunk.reset(static_cast<std::uint8_t *>(p));
     }
-    return it->second.get();
+    return chunk.get();
 }
 
 void

@@ -5,8 +5,16 @@
  * The simulator follows a functional/timing split: payload bytes live
  * here; caches and DRAM only model *when* accesses complete. Keeping the
  * bytes in one place means the caches need no data arrays.
- * Backing store is chunked so simulating nodes with multi-GB address
- * spaces does not reserve host memory up front.
+ *
+ * Backing store is demand-zero. The address space splits into 1 MiB
+ * chunks, and the first access to a chunk maps it as its own anonymous
+ * private mapping, which the kernel zero-fills a 4 KiB page at a time
+ * on first touch. A node therefore holds resident only the pages it
+ * uses (CT, ITT, page tables, QP rings, segment: tens of KB), not whole
+ * chunks. Mapping per chunk rather than the whole space keeps reserved
+ * address space small at hundreds of nodes; mmap rather than calloc
+ * keeps every chunk fresh from the kernel, so the footprint does not
+ * depend on what an earlier PhysMem in the process freed.
  */
 
 #ifndef SONUMA_MEM_PHYS_MEM_HH
@@ -16,7 +24,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/types.hh"
@@ -29,7 +36,7 @@ using PAddr = std::uint64_t;
 /**
  * Sparse byte-addressable physical memory for one node.
  *
- * All functional reads/writes go through here; an untouched chunk reads
+ * All functional reads/writes go through here; an untouched byte reads
  * as zero, matching zero-initialized DRAM semantics.
  */
 class PhysMem
@@ -80,9 +87,16 @@ class PhysMem
   private:
     static constexpr std::uint64_t kChunkBytes = 1ull << 20; // 1 MiB
 
+    /** Unmaps a chunk's mapping. */
+    struct Unmap
+    {
+        void operator()(std::uint8_t *p) const;
+    };
+    using Chunk = std::unique_ptr<std::uint8_t, Unmap>;
+
     std::uint64_t size_;
-    mutable std::unordered_map<std::uint64_t,
-                               std::unique_ptr<std::uint8_t[]>> chunks_;
+    // One slot per chunk of the address space, null until first touch.
+    mutable std::vector<Chunk> chunks_;
 
     std::uint8_t *chunkFor(PAddr addr) const;
     void checkRange(PAddr addr, std::uint64_t len) const;

@@ -62,9 +62,8 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
                      "transfers given up as unrecoverable (attempt "
                      "budget exhausted or peer dead)"),
       dedupRing_(params.dedupWindow),
-      // 4x the live window keeps the index far from its rehash
-      // threshold: tombstone drift from FIFO eviction stays amortized
-      // out of the steady state.
+      // 4x the live window keeps probe runs short; FIFO eviction
+      // never grows the index, whose size tracks live keys only.
       dedupIndex_(std::size_t(params.dedupWindow) * 4)
 {
     freeTids_.reserve(params.maxTids);

@@ -7,13 +7,18 @@
  * that track a growing-then-stable working set — the L2 directory being
  * the canonical case — would keep touching the allocator in steady
  * state. This map stores slots inline, probes linearly, and allocates
- * only when it grows past its load factor: an amortized warm-up cost,
- * zero in steady state, exactly like sim::RingBuffer and sim::SlotPool.
+ * only when its live entries pass the load factor: an amortized warm-up
+ * cost, zero in steady state, exactly like sim::RingBuffer and
+ * sim::SlotPool.
  *
- * Erase uses tombstones (reclaimed by the next growth rehash), which
- * keeps deletion O(1) without backward-shifting. Iteration order is
- * deliberately not exposed: the simulator must never depend on hash
- * order for determinism.
+ * Erase uses backward-shift deletion: later entries of the probe run
+ * move back into the hole, so the table never holds tombstones and a
+ * bounded live set under any erase/insert churn (the RRPP dedup
+ * window's FIFO, the L2's evict-then-install) keeps its capacity
+ * forever. The shift moves entries, so a pointer from find() is valid
+ * only until the next insert or erase. Iteration order is deliberately
+ * not exposed: the simulator must never depend on hash order for
+ * determinism.
  */
 
 #ifndef SONUMA_SIM_FLAT_MAP_HH
@@ -41,6 +46,8 @@ class FlatMap
 
     std::size_t size() const { return full_; }
     bool empty() const { return full_ == 0; }
+    /** Slot count; changes only when the live entries outgrow it. */
+    std::size_t capacity() const { return slots_.size(); }
 
     /** Pointer to the mapped value, or nullptr. */
     V *
@@ -49,9 +56,9 @@ class FlatMap
         const std::size_t mask = slots_.size() - 1;
         for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
             Slot &s = slots_[i];
-            if (s.state == State::kEmpty)
+            if (!s.full)
                 return nullptr;
-            if (s.state == State::kFull && s.key == key)
+            if (s.key == key)
                 return &s.val;
         }
     }
@@ -80,27 +87,18 @@ class FlatMap
     {
         maybeGrow();
         const std::size_t mask = slots_.size() - 1;
-        std::size_t firstTomb = slots_.size();
         for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
             Slot &s = slots_[i];
-            if (s.state == State::kFull && s.key == key) {
+            if (!s.full) {
+                s.full = true;
+                s.key = key;
                 s.val = std::move(val);
+                ++full_;
                 return s.val;
             }
-            if (s.state == State::kTomb && firstTomb == slots_.size()) {
-                firstTomb = i;
-                continue;
-            }
-            if (s.state == State::kEmpty) {
-                Slot &dst =
-                    firstTomb != slots_.size() ? slots_[firstTomb] : s;
-                if (dst.state != State::kTomb)
-                    ++used_;
-                dst.state = State::kFull;
-                dst.key = key;
-                dst.val = std::move(val);
-                ++full_;
-                return dst.val;
+            if (s.key == key) {
+                s.val = std::move(val);
+                return s.val;
             }
         }
     }
@@ -110,32 +108,41 @@ class FlatMap
     erase(const K &key)
     {
         const std::size_t mask = slots_.size() - 1;
-        for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
-            Slot &s = slots_[i];
-            if (s.state == State::kEmpty)
+        std::size_t hole = hash(key) & mask;
+        for (;; hole = (hole + 1) & mask) {
+            if (!slots_[hole].full)
                 return false;
-            if (s.state == State::kFull && s.key == key) {
-                s.state = State::kTomb;
-                s.val = V{}; // release held resources eagerly
-                --full_;
-                return true;
+            if (slots_[hole].key == key)
+                break;
+        }
+        // Backward shift: an entry further along the run moves into the
+        // hole unless its home slot lies after the hole (cyclically),
+        // where a probe for it would never pass the hole.
+        for (std::size_t j = (hole + 1) & mask; slots_[j].full;
+             j = (j + 1) & mask) {
+            const std::size_t home = hash(slots_[j].key) & mask;
+            if (((j - home) & mask) >= ((j - hole) & mask)) {
+                slots_[hole].key = slots_[j].key;
+                slots_[hole].val = std::move(slots_[j].val);
+                hole = j;
             }
         }
+        slots_[hole].full = false;
+        slots_[hole].val = V{}; // release held resources eagerly
+        --full_;
+        return true;
     }
 
   private:
-    enum class State : std::uint8_t { kEmpty, kFull, kTomb };
-
     struct Slot
     {
-        State state = State::kEmpty;
+        bool full = false;
         K key{};
         V val{};
     };
 
     std::vector<Slot> slots_;
     std::size_t full_ = 0; //!< live entries
-    std::size_t used_ = 0; //!< live + tombstoned slots
 
     static std::size_t
     hash(const K &key)
@@ -152,14 +159,13 @@ class FlatMap
     void
     maybeGrow()
     {
-        if ((used_ + 1) * 10 < slots_.size() * 7)
+        if ((full_ + 1) * 10 < slots_.size() * 7)
             return;
         std::vector<Slot> old(slots_.size() * 2);
         old.swap(slots_);
         full_ = 0;
-        used_ = 0;
         for (Slot &s : old) {
-            if (s.state == State::kFull)
+            if (s.full)
                 insert(s.key, std::move(s.val));
         }
     }

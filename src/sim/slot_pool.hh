@@ -60,6 +60,14 @@ class SlotPool
 
     std::size_t capacity() const { return slots_.size(); }
 
+    /** Pre-size for @p n concurrently parked values. */
+    void
+    reserve(std::size_t n)
+    {
+        slots_.reserve(n);
+        free_.reserve(n);
+    }
+
   private:
     std::vector<T> slots_;
     std::vector<std::uint32_t> free_;

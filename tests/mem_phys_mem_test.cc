@@ -1,10 +1,13 @@
 /**
  * @file
- * Tests for sparse functional physical memory.
+ * Tests for sparse functional physical memory: demand-zero chunks,
+ * byte-exact access across chunk boundaries, sizes that are not a whole
+ * number of chunks, and the out-of-range panic.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -40,6 +43,65 @@ TEST(PhysMem, CrossChunkAccess)
     std::vector<std::uint8_t> dst(src.size());
     m.read(addr, dst.data(), dst.size());
     EXPECT_EQ(src, dst);
+}
+
+TEST(PhysMem, FreshMemoryAfterAnEarlierOneIsDestroyedReadsZero)
+{
+    // The perfbench rep pattern: build a bed, dirty its memory, tear it
+    // down, build the next one in the same process. Whatever backing
+    // the first one released must not show through in the second.
+    constexpr std::uint64_t kSize = 8ull << 20;
+    for (int rep = 0; rep < 3; ++rep) {
+        PhysMem m(kSize);
+        for (std::uint64_t a = 0; a < kSize; a += 4096) {
+            ASSERT_EQ(m.readT<std::uint64_t>(a), 0u) << rep << " " << a;
+            ASSERT_EQ(m.readT<std::uint64_t>(a + 4088), 0u);
+        }
+        m.fill(0, 0xa5, kSize);
+    }
+}
+
+TEST(PhysMem, ReadWriteFillAcrossChunkBoundariesAreByteExact)
+{
+    // Spans of three chunks: a tail, one whole chunk and a head.
+    constexpr std::uint64_t kChunk = 1ull << 20;
+    PhysMem m(4 * kChunk);
+    const std::uint64_t addr = kChunk - 777;
+    std::vector<std::uint8_t> src(kChunk + 2000);
+    for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = static_cast<std::uint8_t>(i * 31 + 7);
+    m.write(addr, src.data(), src.size());
+    std::vector<std::uint8_t> dst(src.size() + 2);
+    m.read(addr - 1, dst.data(), dst.size());
+    EXPECT_EQ(dst.front(), 0);
+    EXPECT_EQ(dst.back(), 0);
+    EXPECT_TRUE(std::equal(src.begin(), src.end(), dst.begin() + 1));
+
+    m.fill(2 * kChunk - 5, 0x3c, 10);
+    std::uint8_t around[12];
+    m.read(2 * kChunk - 6, around, sizeof(around));
+    for (std::size_t i = 0; i < sizeof(around); ++i) {
+        const std::uint8_t want =
+            i == 0 || i == 11 ? src[2 * kChunk - 6 + i - addr] : 0x3c;
+        EXPECT_EQ(around[i], want) << i;
+    }
+}
+
+TEST(PhysMem, PartialLastChunkIsUsableToItsLastByte)
+{
+    // TestBed sizes memory as max(256 MiB, 4 x segment), which need not
+    // be a whole number of chunks.
+    const std::uint64_t size = (3ull << 20) + 4096 + 24;
+    PhysMem m(size);
+    EXPECT_EQ(m.readT<std::uint64_t>(size - 8), 0u);
+    m.writeT<std::uint64_t>(size - 8, 0x0123456789abcdefULL);
+    EXPECT_EQ(m.readT<std::uint64_t>(size - 8), 0x0123456789abcdefULL);
+    m.fill(size - 100, 0xee, 92);
+    std::uint8_t last[100];
+    m.read(size - 100, last, sizeof(last));
+    EXPECT_EQ(last[91], 0xee);
+    EXPECT_EQ(last[92], 0xef); // low byte of the word written above
+    EXPECT_EQ(m.fetchAdd64(size - 8, 1), 0x0123456789abcdefULL);
 }
 
 TEST(PhysMem, SparseChunksOnlyMaterializeWhenTouched)
@@ -97,6 +159,9 @@ TEST(PhysMemDeathTest, OutOfRangePanics)
     std::uint8_t b = 0;
     EXPECT_DEATH(m.read(1024, &b, 1), "out of range");
     EXPECT_DEATH(m.write(1020, &b, 8), "out of range");
+    PhysMem partial((1ull << 20) + 100);
+    EXPECT_DEATH(partial.fill((1ull << 20) + 96, 0, 5), "out of range");
+    EXPECT_DEATH(partial.readT<std::uint64_t>(~0ull - 3), "out of range");
 }
 
 } // namespace
