@@ -20,16 +20,14 @@ namespace sonuma::mem {
 L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
                  std::string name, const CacheParams &params, L2Cache &l2)
     : eq_(eq), name_(std::move(name)), params_(params), l2_(l2),
+      sets_(params.sizeBytes, params.assoc),
+      ways_(std::size_t(sets_.count()) * params.assoc),
       hits_(stats, name_ + ".hits", "L1 hits"),
       misses_(stats, name_ + ".misses", "L1 misses"),
       writebacks_(stats, name_ + ".writebacks", "L1 dirty evictions"),
       probes_(stats, name_ + ".probes", "coherence probes received"),
       upgrades_(stats, name_ + ".upgrades", "S->M upgrade requests")
 {
-    const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
-    numSets_ = static_cast<std::uint32_t>(lines / params_.assoc);
-    assert(numSets_ > 0 && "L1 too small for its associativity");
-    sets_.resize(numSets_, std::vector<LineInfo>(params_.assoc));
     mshrs_.resize(params_.mshrs);
     // Reserve steady-state capacities up front: merged waiters are
     // bounded by the accesses in flight, putbacks by the transactions
@@ -43,9 +41,9 @@ L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
 L1Cache::Mshr *
 L1Cache::findMshr(PAddr line)
 {
-    for (auto &m : mshrs_) {
-        if (m.busy && m.line == line)
-            return &m;
+    for (std::size_t i = 0; i < mshrsInUse_; ++i) {
+        if (mshrs_[i].line == line)
+            return &mshrs_[i];
     }
     return nullptr;
 }
@@ -72,17 +70,17 @@ L1Cache::erasePendingPutback(PAddr line)
     }
 }
 
-std::uint32_t
-L1Cache::setOf(PAddr line) const
+std::span<L1Cache::LineInfo>
+L1Cache::waysOf(PAddr line)
 {
-    return static_cast<std::uint32_t>((line / sim::kCacheLineBytes) %
-                                      numSets_);
+    return {ways_.data() + std::size_t(sets_(line)) * params_.assoc,
+            params_.assoc};
 }
 
 L1Cache::LineInfo *
 L1Cache::findLine(PAddr line)
 {
-    for (auto &way : sets_[setOf(line)]) {
+    for (auto &way : waysOf(line)) {
         if (way.valid && way.tag == line)
             return &way;
     }
@@ -95,7 +93,7 @@ L1Cache::allocLine(PAddr line)
     if (LineInfo *existing = findLine(line))
         return existing; // upgrade fill: line already resident
 
-    auto &set = sets_[setOf(line)];
+    const std::span<LineInfo> set = waysOf(line);
     LineInfo *victim = nullptr;
     for (auto &way : set) {
         if (!way.valid) {
@@ -182,19 +180,9 @@ L1Cache::startMiss(PAddr line, bool write, bool fullLine,
             PendingAccess{line, write, fullLine, std::move(done)});
         return;
     }
-    Mshr *mshr = nullptr;
-    for (auto &m : mshrs_) {
-        if (!m.busy) {
-            mshr = &m;
-            break;
-        }
-    }
-    assert(mshr && "mshrsInUse_ disagrees with the slot table");
-    mshr->busy = true;
-    mshr->line = line;
-    mshr->write = write;
-    addWaiter(*mshr, write, std::move(done));
-    ++mshrsInUse_;
+    Mshr &mshr = mshrs_[mshrsInUse_++];
+    mshr = Mshr{line, write, kNoWaiter, kNoWaiter};
+    addWaiter(mshr, write, std::move(done));
     l2_.request(l1Id_, line, write, fullLine,
                 [this, line, write] { handleFill(line, write); });
 }
@@ -209,15 +197,14 @@ L1Cache::handleFill(PAddr line, bool grantedWrite)
 
     Mshr *mshr = findMshr(line);
     assert(mshr);
-    // Free the slot before draining its waiters: a waiter retry or
+    // Free the MSHR before draining its waiters: a waiter retry or
     // retryBlocked() below may start a fresh transaction on this same
-    // line. The detached list stays parked in waiters_ until each entry
-    // is taken, and `next` is read before the take, so a re-entrant
-    // access can reuse only slots already drained.
+    // line. The last busy MSHR moves into the freed slot to keep the
+    // busy ones packed. The detached list stays parked in waiters_
+    // until each entry is taken, and `next` is read before the take, so
+    // a re-entrant access can reuse only slots already drained.
     std::uint32_t w = mshr->head;
-    mshr->head = mshr->tail = kNoWaiter;
-    mshr->busy = false;
-    --mshrsInUse_;
+    *mshr = mshrs_[--mshrsInUse_];
     while (w != kNoWaiter) {
         const std::uint32_t next = waiters_.peek(w).next;
         Waiter waiter = waiters_.take(w);
@@ -285,6 +272,7 @@ L1Cache::handleProbe(PAddr line, bool invalidate)
 L2Cache::L2Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
                  std::string name, const Params &params, DramChannel &dram)
     : eq_(eq), name_(std::move(name)), params_(params), dram_(dram),
+      sets_(params.sizeBytes, params.assoc),
       hits_(stats, name_ + ".hits", "L2 hits"),
       misses_(stats, name_ + ".misses", "L2 misses"),
       c2c_(stats, name_ + ".c2cTransfers", "cache-to-cache transfers"),
@@ -292,9 +280,7 @@ L2Cache::L2Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
       dramRetries_(stats, name_ + ".dramRetries", "DRAM queue-full retries")
 {
     const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
-    numSets_ = static_cast<std::uint32_t>(lines / params_.assoc);
-    assert(numSets_ > 0);
-    setFill_.resize(numSets_);
+    setFill_.resize(sets_.count());
     // A set's fill list tops out at the associativity; reserving it now
     // keeps first-touch line installs off the allocator.
     for (auto &f : setFill_)
@@ -322,13 +308,6 @@ L2Cache::registerL1(L1Cache *l1)
     return static_cast<int>(l1s_.size()) - 1;
 }
 
-std::uint32_t
-L2Cache::setOf(PAddr line) const
-{
-    return static_cast<std::uint32_t>((line / sim::kCacheLineBytes) %
-                                      numSets_);
-}
-
 L2Cache::LockEntry *
 L2Cache::findLock(PAddr line)
 {
@@ -339,28 +318,25 @@ L2Cache::findLock(PAddr line)
     return nullptr;
 }
 
-bool
+void
 L2Cache::lockLine(PAddr line, PendingReq req)
 {
     if (LockEntry *held = findLock(line)) {
         held->waiting.push(std::move(req));
-        return false;
+        return;
     }
     if (lockedCount_ == locks_.size())
         locks_.emplace_back();
     locks_[lockedCount_++].line = line;
-    const std::uint32_t slot =
-        reqSlots_.put(ParkedReq{line, std::move(req)});
-    eq_.scheduleAfter(params_.latency(),
-                      [this, slot] { fireProcess(slot); });
-    return true;
+    startTransaction(line, std::move(req));
 }
 
 void
-L2Cache::fireProcess(std::uint32_t slot)
+L2Cache::startTransaction(PAddr line, PendingReq req)
 {
-    ParkedReq parked = reqSlots_.take(slot);
-    process(parked.line, std::move(parked.req));
+    const std::uint32_t slot =
+        reqSlots_.put(ParkedReq{line, std::move(req)});
+    eq_.scheduleAfter(params_.latency(), [this, slot] { process(slot); });
 }
 
 void
@@ -378,11 +354,7 @@ L2Cache::unlockLine(PAddr line)
     }
     // Hand the lock straight to the next waiter (the entry stays
     // held), scheduling its processing exactly as lockLine would.
-    PendingReq next = held->waiting.popFront();
-    const std::uint32_t slot =
-        reqSlots_.put(ParkedReq{line, std::move(next)});
-    eq_.scheduleAfter(params_.latency(),
-                      [this, slot] { fireProcess(slot); });
+    startTransaction(line, held->waiting.popFront());
 }
 
 void
@@ -400,33 +372,33 @@ L2Cache::putback(int requester, PAddr line)
 }
 
 void
-L2Cache::process(PAddr line, PendingReq req)
+L2Cache::process(std::uint32_t slot)
 {
+    const ParkedReq &parked = reqSlots_.peek(slot);
+    const PAddr line = parked.line;
     DirEntry *entry = lines_.find(line);
 
-    if (req.isPutback) {
-        if (entry && entry->owner == req.requester) {
+    if (parked.req.isPutback) {
+        const int requester = reqSlots_.take(slot).req.requester;
+        if (entry && entry->owner == requester) {
             entry->owner = -1;
-            entry->sharers |= 1u << req.requester;
+            entry->sharers |= 1u << requester;
             entry->dirtyInL2 = true;
             entry->lastUse = eq_.now();
         }
         // Stale putbacks (owner already changed by a probe) are dropped.
-        l1s_[static_cast<std::size_t>(req.requester)]
-            ->erasePendingPutback(line);
+        l1s_[static_cast<std::size_t>(requester)]->erasePendingPutback(line);
         unlockLine(line);
         return;
     }
 
     if (entry) {
         hits_.inc();
-        finishRequest(line, req);
+        finishRequest(slot, *entry);
         return;
     }
 
     misses_.inc();
-    const std::uint32_t slot =
-        reqSlots_.put(ParkedReq{line, std::move(req)});
     ensureCapacity(line, slot);
 }
 
@@ -446,19 +418,21 @@ L2Cache::fillMissingLine(PAddr line, std::uint32_t slot)
 void
 L2Cache::installLine(PAddr line, std::uint32_t slot)
 {
-    ParkedReq parked = reqSlots_.take(slot);
     DirEntry entry;
     entry.lastUse = eq_.now();
-    entry.dirtyInL2 = parked.req.fullLine; // write-validate allocation
-    lines_.insert(line, entry);
-    setFill_[setOf(line)].push_back(line);
-    finishRequest(line, parked.req);
+    // Write-validate allocation.
+    entry.dirtyInL2 = reqSlots_.peek(slot).req.fullLine;
+    DirEntry &dir = lines_.insert(line, entry);
+    setFill_[sets_(line)].push_back(line);
+    finishRequest(slot, dir);
 }
 
 void
-L2Cache::finishRequest(PAddr line, PendingReq &req)
+L2Cache::finishRequest(std::uint32_t slot, DirEntry &dir)
 {
-    DirEntry &dir = lines_.get(line);
+    const ParkedReq &parked = reqSlots_.peek(slot);
+    const PAddr line = parked.line;
+    const PendingReq &req = parked.req;
     dir.lastUse = eq_.now();
 
     bool probed = false;
@@ -499,8 +473,6 @@ L2Cache::finishRequest(PAddr line, PendingReq &req)
     }
 
     const sim::Tick extra = probed ? params_.probeLatency() : 0;
-    const std::uint32_t slot =
-        reqSlots_.put(ParkedReq{line, std::move(req)});
     eq_.scheduleAfter(extra, [this, slot] { fireCompletion(slot); });
 }
 
@@ -516,7 +488,7 @@ L2Cache::fireCompletion(std::uint32_t slot)
 void
 L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
 {
-    auto &fill = setFill_[setOf(line)];
+    auto &fill = setFill_[sets_(line)];
     if (fill.size() < params_.assoc) {
         fillMissingLine(line, slot);
         return;

@@ -16,8 +16,10 @@
 #ifndef SONUMA_MEM_CACHE_HH
 #define SONUMA_MEM_CACHE_HH
 
+#include <cassert>
 #include <coroutine>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,38 @@ struct CacheParams
     {
         return sim::Clock(freqGhz).cycles(latencyCycles);
     }
+};
+
+/**
+ * Line-to-set mapping shared by both cache levels: a mask when the set
+ * count is a power of two, a modulo otherwise (SHM PageRank sizes its
+ * L2 at 4 MiB x threads, so e.g. 3 threads give 12288 sets).
+ * node::validate guarantees at least one whole set.
+ */
+class SetIndex
+{
+  public:
+    SetIndex(std::uint64_t sizeBytes, std::uint32_t assoc)
+        : count_(static_cast<std::uint32_t>(
+              sizeBytes / sim::kCacheLineBytes / assoc)),
+          pow2_((count_ & (count_ - 1)) == 0)
+    {
+        assert(count_ > 0 && "cache smaller than one set");
+    }
+
+    std::uint32_t count() const { return count_; }
+
+    std::uint32_t
+    operator()(PAddr line) const
+    {
+        const PAddr n = line / sim::kCacheLineBytes;
+        return static_cast<std::uint32_t>(pow2_ ? n & (count_ - 1)
+                                                : n % count_);
+    }
+
+  private:
+    std::uint32_t count_;
+    bool pow2_;
 };
 
 /**
@@ -120,8 +154,8 @@ class L1Cache
     struct LineInfo
     {
         PAddr tag = 0;
-        State state = State::kInvalid;
         sim::Tick lastUse = 0;
+        State state = State::kInvalid;
         bool valid = false;
     };
 
@@ -143,11 +177,15 @@ class L1Cache
      * Miss-status holding register. Fixed slots (params.mshrs of them,
      * linear-scanned — the hardware's CAM): an unordered_map here would
      * allocate a node per miss, and queue-pair polling makes misses the
-     * steady state. Its waiters are a head/tail list in waiters_.
+     * steady state. Busy MSHRs are packed in mshrs_[0, mshrsInUse_), so
+     * a lookup scans only the misses in flight; a new miss takes
+     * mshrs_[mshrsInUse_] and a fill swaps the last busy MSHR into the
+     * slot it frees. MSHRs are found by line, never by index, so the
+     * move is unobservable. Its waiters are a head/tail list in
+     * waiters_.
      */
     struct Mshr
     {
-        bool busy = false;
         PAddr line = 0;
         bool write = false;               //!< permission being requested
         std::uint32_t head = kNoWaiter;
@@ -178,9 +216,9 @@ class L1Cache
     L2Cache &l2_;
     int l1Id_ = -1;
 
-    std::uint32_t numSets_;
-    std::vector<std::vector<LineInfo>> sets_; //!< [set][way]
-    std::vector<Mshr> mshrs_;                 //!< fixed slots (CAM)
+    SetIndex sets_;
+    std::vector<LineInfo> ways_; //!< flat tag array: [set * assoc + way]
+    std::vector<Mshr> mshrs_;    //!< fixed slots (CAM), busy ones packed
     std::size_t mshrsInUse_ = 0;
     sim::SlotPool<Waiter> waiters_; //!< every MSHR's merged accesses
     sim::SlotPool<PendingAccess> accessSlots_;
@@ -196,7 +234,7 @@ class L1Cache
     sim::Counter upgrades_;
 
     static PAddr lineOf(PAddr addr) { return addr & ~PAddr(63); }
-    std::uint32_t setOf(PAddr line) const;
+    std::span<LineInfo> waysOf(PAddr line);
     LineInfo *findLine(PAddr line);
     LineInfo *allocLine(PAddr line); //!< may trigger victim writeback
 
@@ -300,7 +338,7 @@ class L2Cache
     DramChannel &dram_;
     std::vector<L1Cache *> l1s_;
 
-    std::uint32_t numSets_;
+    SetIndex sets_;
     // Inclusive tag+directory state, keyed by line address. A line present
     // here is present in the L2; set occupancy enforced via setFill_.
     // Flat map, not unordered_map: directory inserts happen on every
@@ -334,9 +372,13 @@ class L2Cache
     sim::Counter dramRetries_;
 
     /**
-     * Requests parked on a scheduled event (the L2 tag latency before
-     * process(), or the probe latency before completion). As in the L1,
-     * slot storage keeps event captures at {this, slot}.
+     * A transaction holding its line's lock. It is parked once, when it
+     * takes the lock (lockLine, or the unlockLine hand-off), and stays
+     * in its slot through the tag latency, the miss path and the probe
+     * latency until fireCompletion (or process, for a putback) takes
+     * it. As in the L1, slot storage keeps event captures at
+     * {this, slot}: the PendingReq holds a Callback and would overflow
+     * sim::Callback's inline buffer.
      */
     struct ParkedReq
     {
@@ -346,20 +388,18 @@ class L2Cache
 
     sim::SlotPool<ParkedReq> reqSlots_;
 
-    std::uint32_t setOf(PAddr line) const;
     LockEntry *findLock(PAddr line);
-    bool lockLine(PAddr line, PendingReq req);
+    void lockLine(PAddr line, PendingReq req);
     void unlockLine(PAddr line);
-    void process(PAddr line, PendingReq req);
-    void fireProcess(std::uint32_t slot);
+    void startTransaction(PAddr line, PendingReq req);
+    void process(std::uint32_t slot);
     void fireCompletion(std::uint32_t slot);
-    void finishRequest(PAddr line, PendingReq &req);
+    /** @param dir the line's entry, as process or installLine found it */
+    void finishRequest(std::uint32_t slot, DirEntry &dir);
 
     //
-    // L2 miss path. The missing request is parked in reqSlots_ and only
-    // {this, line, slot} travels through the continuations — parking
-    // keeps every capture inside sim::Callback's inline buffer (the
-    // PendingReq itself holds a Callback and would overflow it).
+    // L2 miss path: only {this, line, slot} travels through the
+    // continuations.
     //
     void ensureCapacity(PAddr line, std::uint32_t slot);
     void fillMissingLine(PAddr line, std::uint32_t slot);

@@ -27,6 +27,27 @@ dimsString(const std::vector<std::uint32_t> &dims)
     return out;
 }
 
+/**
+ * A cache must hold at least one whole set: the set index divides by
+ * the set count, and a partial set would silently drop capacity.
+ */
+void
+validateCacheGeometry(const std::string &field, std::uint64_t sizeBytes,
+                      std::uint32_t assoc)
+{
+    if (assoc == 0)
+        throw std::invalid_argument("NodeParams: " + field +
+                                    ".assoc must be >= 1 (got 0)");
+    const std::uint64_t setBytes =
+        std::uint64_t(assoc) * sim::kCacheLineBytes;
+    if (sizeBytes == 0 || sizeBytes % setBytes != 0)
+        throw std::invalid_argument(
+            "NodeParams: " + field + ".sizeBytes " +
+            std::to_string(sizeBytes) + " is not a non-zero whole number " +
+            "of " + std::to_string(setBytes) + " B sets (assoc " +
+            std::to_string(assoc) + " x 64 B lines)");
+}
+
 } // namespace
 
 void
@@ -36,6 +57,19 @@ validate(const ClusterParams &params)
         throw std::invalid_argument(
             "ClusterParams: nodes must be >= 1 (got 0)");
     rmc::validate(params.node.rmc);
+    const NodeParams &node = params.node;
+    validateCacheGeometry("l1", node.l1.sizeBytes, node.l1.assoc);
+    validateCacheGeometry("l2", node.l2.sizeBytes, node.l2.assoc);
+    if (node.l1.mshrs == 0)
+        throw std::invalid_argument(
+            "NodeParams: l1.mshrs must be >= 1 (got 0); every L1 miss "
+            "needs an MSHR to start its transaction");
+    if (node.cores > 31)
+        throw std::invalid_argument(
+            "NodeParams: cores " + std::to_string(node.cores) +
+            " gives cores + 1 = " + std::to_string(node.cores + 1ull) +
+            " L1s on one L2 (one per core plus the RMC's), more than the "
+            "32 its directory's sharer mask can track");
     if (params.topology == Topology::kCrossbar &&
         params.torus.routing == fab::RoutingMode::kAdaptive)
         throw std::invalid_argument(

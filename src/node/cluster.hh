@@ -48,9 +48,12 @@ struct ClusterParams
 
 /**
  * Eager configuration check: throws std::invalid_argument with a
- * precise message on nodes == 0 or torus dims whose product differs
- * from the node count (instead of misbehaving deep in fab::Torus
- * routing). Called by the Cluster constructor; also usable directly.
+ * precise message on nodes == 0, torus dims whose product differs from
+ * the node count (instead of misbehaving deep in fab::Torus routing),
+ * bad RmcParams, or a cache geometry the model cannot index: a size
+ * that is not a non-zero whole number of assoc x 64 B sets, assoc or
+ * L1 mshrs of 0, or more than 32 L1s (cores + the RMC's) on one L2
+ * directory. Called by the Cluster constructor; also usable directly.
  */
 void validate(const ClusterParams &params);
 

@@ -5,6 +5,7 @@
 
 #include "rmc/maq.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace sonuma::rmc {
@@ -19,6 +20,7 @@ Maq::Maq(sim::EventQueue &eq, sim::StatRegistry &stats,
 {
     slots_.resize(capacity_);
     freeSlots_.reserve(capacity_);
+    activeStores_.reserve(capacity_);
     for (std::uint32_t i = capacity_; i > 0; --i)
         freeSlots_.push_back(i - 1);
 }
@@ -26,11 +28,12 @@ Maq::Maq(sim::EventQueue &eq, sim::StatRegistry &stats,
 Maq::Slot *
 Maq::findInflightStore(mem::PAddr line)
 {
-    for (auto &slot : slots_) {
-        if (slot.active && slot.isWrite && slot.line == line)
-            return &slot;
+    std::uint32_t lowest = capacity_;
+    for (const std::uint32_t idx : activeStores_) {
+        if (idx < lowest && slots_[idx].line == line)
+            lowest = idx;
     }
-    return nullptr;
+    return lowest == capacity_ ? nullptr : &slots_[lowest];
 }
 
 void
@@ -72,6 +75,8 @@ Maq::issue(mem::PAddr pa, bool isWrite, bool fullLine, sim::Callback done)
     slot.isWrite = isWrite;
     slot.active = true;
     slot.done = std::move(done);
+    if (isWrite)
+        activeStores_.push_back(idx);
 
     // The completion handed to the cache captures 12 bytes: it always
     // stays inline in sim::Callback no matter how large the original
@@ -93,6 +98,12 @@ Maq::complete(std::uint32_t slotIdx)
     sim::Callback done = std::move(slot.done);
     const bool wasWrite = slot.isWrite;
     slot.active = false;
+    if (wasWrite) {
+        auto it = std::find(activeStores_.begin(), activeStores_.end(),
+                            slotIdx);
+        *it = activeStores_.back();
+        activeStores_.pop_back();
+    }
 
     done();
     if (wasWrite && !slot.forwardedLoads.empty()) {

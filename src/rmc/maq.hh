@@ -12,7 +12,9 @@
  * MAQ slots (the completion passed down to the cache captures only
  * {maq, slot} and stays inline in sim::Callback), the overflow queue is
  * a ring buffer, and store-to-load forwarding subscribes waiters on the
- * in-flight store's slot instead of a per-line hash map.
+ * in-flight store's slot instead of a per-line hash map. The slot
+ * indices of active stores are kept in a packed list, so a load's
+ * forwarding lookup scans only the stores in flight, not every slot.
  */
 
 #ifndef SONUMA_RMC_MAQ_HH
@@ -128,6 +130,7 @@ class Maq
     std::uint32_t inflight_ = 0;
     std::vector<Slot> slots_;              //!< capacity_ entries
     std::vector<std::uint32_t> freeSlots_;
+    std::vector<std::uint32_t> activeStores_; //!< slots of stores in flight
     sim::RingBuffer<Pending> waiting_;
 
     sim::Counter reads_;

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
+#include <utility>
 
 #include "sim/time_series.hh"
 
@@ -51,9 +52,8 @@ jsonEscape(const std::string &s)
 }
 
 Counter::Counter(StatRegistry &reg, std::string name, std::string desc)
-    : name_(std::move(name)), desc_(std::move(desc))
 {
-    reg.add(this);
+    reg.add(this, std::move(name), std::move(desc));
 }
 
 Histogram::Histogram(StatRegistry &reg, std::string name, std::string desc)
@@ -132,9 +132,9 @@ Histogram::reset()
 }
 
 void
-StatRegistry::add(Counter *c)
+StatRegistry::add(Counter *c, std::string name, std::string desc)
 {
-    counters_[c->name()] = c;
+    counters_[std::move(name)] = CounterEntry{c, std::move(desc)};
 }
 
 void
@@ -188,7 +188,7 @@ const Counter *
 StatRegistry::counter(const std::string &name) const
 {
     auto it = counters_.find(name);
-    return it == counters_.end() ? nullptr : it->second;
+    return it == counters_.end() ? nullptr : it->second.counter;
 }
 
 const Histogram *
@@ -206,7 +206,7 @@ StatRegistry::sumByPrefix(const std::string &prefix) const
          ++it) {
         if (it->first.compare(0, prefix.size(), prefix) != 0)
             break;
-        total += it->second->value();
+        total += it->second.counter->value();
     }
     return total;
 }
@@ -216,9 +216,10 @@ StatRegistry::dump(std::ostream &os) const
 {
     os << "---------- stats ----------\n";
     for (const auto &[name, c] : counters_) {
-        os << std::left << std::setw(48) << name << ' ' << c->value();
-        if (!c->desc().empty())
-            os << "   # " << c->desc();
+        os << std::left << std::setw(48) << name << ' '
+           << c.counter->value();
+        if (!c.desc.empty())
+            os << "   # " << c.desc;
         os << '\n';
     }
     for (const auto &[name, h] : histograms_) {
@@ -236,7 +237,7 @@ void
 StatRegistry::resetAll()
 {
     for (auto &[name, c] : counters_)
-        c->reset();
+        c.counter->reset();
     for (auto &[name, h] : histograms_)
         h->reset();
 }

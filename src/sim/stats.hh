@@ -32,7 +32,11 @@ class TimeSeries;
  */
 std::string jsonEscape(const std::string &s);
 
-/** Monotonically increasing event counter. */
+/**
+ * Monotonically increasing event counter. A bare value: its name and
+ * description live in the StatRegistry entry, so counters embedded in
+ * model objects take 8 bytes and keep hot fields together.
+ */
 class Counter
 {
   public:
@@ -43,12 +47,7 @@ class Counter
     std::uint64_t value() const { return value_; }
     void reset() { value_ = 0; }
 
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
   private:
-    std::string name_;
-    std::string desc_;
     std::uint64_t value_ = 0;
 };
 
@@ -112,7 +111,7 @@ class Histogram
 class StatRegistry
 {
   public:
-    void add(Counter *c);
+    void add(Counter *c, std::string name, std::string desc);
     void add(Histogram *h);
     void add(TimeSeries *ts);
 
@@ -155,7 +154,13 @@ class StatRegistry
     void sampleAll(Tick now);
 
   private:
-    std::map<std::string, Counter *> counters_;
+    struct CounterEntry
+    {
+        Counter *counter;
+        std::string desc;
+    };
+
+    std::map<std::string, CounterEntry> counters_;
     std::map<std::string, Histogram *> histograms_;
     std::map<std::string, TimeSeries *> series_;
     std::size_t samplingSlots_ = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
  * ClusterSpec / TestBed tests: eager validation of bad configurations
- * (torus dims vs node count, zero nodes), declarative construction of
+ * (torus dims vs node count, zero nodes, cache geometry), declarative construction of
  * crossbar and torus beds, session caching, and qpDepth plumbing down
  * to the queue pairs.
  */
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "api/testbed.hh"
 #include "fabric/fault.hh"
@@ -185,6 +186,81 @@ TEST(RmcParamsValidation, ClusterBuildChecksRmcParams)
     EXPECT_THROW(node::Cluster cluster(sim, p), std::invalid_argument);
     EXPECT_THROW(TestBed bed(ClusterSpec{}.nodes(2).qpCount(0)),
                  std::invalid_argument);
+}
+
+/** The validation message for @p p, or "" if validate accepts it. */
+std::string
+rejection(const node::ClusterParams &p)
+{
+    try {
+        node::validate(p);
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CacheGeometryValidation, EachBadFieldIsNamed)
+{
+    // An L1 smaller than one 2-way set (128 B) would index zero sets.
+    node::ClusterParams p;
+    p.node.l1.sizeBytes = 64;
+    EXPECT_EQ(rejection(p),
+              "NodeParams: l1.sizeBytes 64 is not a non-zero whole "
+              "number of 128 B sets (assoc 2 x 64 B lines)");
+
+    p = node::ClusterParams{};
+    p.node.l2.sizeBytes = 0;
+    EXPECT_EQ(rejection(p),
+              "NodeParams: l2.sizeBytes 0 is not a non-zero whole number "
+              "of 1024 B sets (assoc 16 x 64 B lines)");
+
+    // A partial set: 4 MiB + one line.
+    p = node::ClusterParams{};
+    p.node.l2.sizeBytes = (4u << 20) + 64;
+    EXPECT_NE(rejection(p).find("l2.sizeBytes 4194368"), std::string::npos)
+        << rejection(p);
+
+    p = node::ClusterParams{};
+    p.node.l1.assoc = 0;
+    EXPECT_EQ(rejection(p), "NodeParams: l1.assoc must be >= 1 (got 0)");
+
+    p = node::ClusterParams{};
+    p.node.l2.assoc = 0;
+    EXPECT_EQ(rejection(p), "NodeParams: l2.assoc must be >= 1 (got 0)");
+
+    p = node::ClusterParams{};
+    p.node.l1.mshrs = 0;
+    EXPECT_EQ(rejection(p),
+              "NodeParams: l1.mshrs must be >= 1 (got 0); every L1 miss "
+              "needs an MSHR to start its transaction");
+
+    // 31 cores + the RMC fill the 32-bit sharer mask; one more overflows.
+    p = node::ClusterParams{};
+    p.node.cores = 31;
+    EXPECT_EQ(rejection(p), "");
+    p.node.cores = 32;
+    EXPECT_EQ(rejection(p),
+              "NodeParams: cores 32 gives cores + 1 = 33 L1s on one L2 "
+              "(one per core plus the RMC's), more than the 32 its "
+              "directory's sharer mask can track");
+}
+
+TEST(CacheGeometryValidation, NonPowerOfTwoSetCountsAreValid)
+{
+    // SHM PageRank sizes its L2 at 4 MiB x threads: 3 threads give
+    // 12288 sets, a whole number that is not a power of two.
+    node::ClusterParams p;
+    p.node.cores = 3;
+    p.node.l2.sizeBytes = 3 * (4u << 20);
+    EXPECT_EQ(rejection(p), "");
+    p.node.l1.sizeBytes = 48 * 1024; // 384 two-way sets
+    EXPECT_EQ(rejection(p), "");
+
+    // The Cluster constructor runs the same check.
+    sim::Simulation sim(1);
+    p.node.l1.sizeBytes = 100;
+    EXPECT_THROW(node::Cluster cluster(sim, p), std::invalid_argument);
 }
 
 TEST(ClusterSpecTest, QpCountReachesTheSession)

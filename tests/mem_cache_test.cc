@@ -3,17 +3,21 @@
  * Tests for the coherent cache hierarchy: hit/miss timing, MSHR merging
  * and limits, upgrades, cache-to-cache transfers (the mechanism behind
  * the paper's low-latency queue-pair polling), writebacks, inclusion,
- * and probe/writeback races.
+ * probe/writeback races, out-of-order fills through the packed MSHRs,
+ * and replacement on both set-index paths against a reference LRU.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "sim/event_queue.hh"
+#include "sim/rng.hh"
 #include "sim/stats.hh"
 
 namespace {
@@ -224,6 +228,212 @@ TEST_F(CacheFixture, ConcurrentMixedTrafficCompletes)
     EXPECT_EQ(done, kOps);
     // 32 distinct lines -> at most 32 cold DRAM reads.
     EXPECT_LE(stats.counter("dram.reads")->value(), 32u);
+}
+
+TEST_F(CacheFixture, OutOfOrderFillsKeepWaitersFifoAndMshrsPacked)
+{
+    // Eight lines the L2 already holds (fast fills) and eight it must
+    // fetch from DRAM (slow fills). The DRAM lines take the first MSHRs,
+    // so the fast fills free MSHRs inside the packed range. Each line
+    // gets a read, a write and a read merged into one MSHR.
+    std::vector<std::uint64_t> dramLines, l2Lines;
+    for (std::uint64_t i = 0; i < 8; ++i) {
+        dramLines.push_back(0x100000 + i * 64);
+        l2Lines.push_back(0x200000 + i * 64);
+        timedAccess(rmc, l2Lines.back(), false);
+    }
+
+    struct Done
+    {
+        std::uint64_t line;
+        int waiter;
+    };
+    std::vector<Done> log;
+    int firstReads = 0, writes = 0;
+    const sim::Counter &upgrades = *stats.counter("core.l1.upgrades");
+    auto issue = [&](std::uint64_t line) {
+        for (int w = 0; w < 3; ++w) {
+            core.access(line, w == 1, [&, line, w] {
+                log.push_back({line, w});
+                firstReads += w == 0;
+                writes += w == 1;
+                // Open MSHRs: read misses not yet filled, plus the
+                // upgrades (write waiters retried after a read fill)
+                // started and not yet filled.
+                EXPECT_EQ(core.inflight(),
+                          std::size_t(16 - firstReads) +
+                              (upgrades.value() - std::size_t(writes)));
+            });
+        }
+    };
+    for (auto line : dramLines)
+        issue(line);
+    for (auto line : l2Lines)
+        issue(line);
+    eq.runUntil(eq.now() + CacheParams{}.latency());
+    EXPECT_EQ(core.inflight(), 16u); // merged waiters share an MSHR
+
+    eq.run();
+    ASSERT_EQ(log.size(), 48u);
+    EXPECT_EQ(core.inflight(), 0u);
+    EXPECT_EQ(upgrades.value(), 16u);
+
+    // Per line: the reads run in issue order at the fill, and the write
+    // completes after both, once its upgrade fills.
+    std::vector<std::uint64_t> lines = dramLines;
+    lines.insert(lines.end(), l2Lines.begin(), l2Lines.end());
+    for (auto line : lines) {
+        std::vector<int> order;
+        for (const Done &d : log) {
+            if (d.line == line)
+                order.push_back(d.waiter);
+        }
+        EXPECT_EQ(order, (std::vector<int>{0, 2, 1})) << line;
+    }
+    // Every L2-held line filled before any DRAM line: fills completed
+    // out of MSHR allocation order.
+    auto firstDram = std::find_if(log.begin(), log.end(), [](const Done &d) {
+        return d.line < 0x200000;
+    });
+    const auto l2Before = std::count_if(
+        log.begin(), firstDram,
+        [](const Done &d) { return d.line >= 0x200000 && d.waiter == 0; });
+    EXPECT_EQ(l2Before, 8);
+}
+
+TEST_F(CacheFixture, FillNeverEvictsALineWithAnOpenMshr)
+{
+    // A, B and C share one L1 set (2 ways). A is the LRU way, but its
+    // S->M upgrade is still open (the probe of rmc's copy makes it
+    // slower than C's L2 hit) when C's fill needs a victim. The victim
+    // must be B, whose dirty eviction is counted at C's fill.
+    const std::uint64_t setStride = 256 * 64;
+    const std::uint64_t a = 0x40000, b = a + setStride, c = a + 2 * setStride;
+    timedAccess(rmc, a, false);
+    timedAccess(rmc, c, false); // C is in the L2
+    timedAccess(core, a, false);
+    timedAccess(core, b, true); // core's set: A (S, LRU), B (M)
+
+    const sim::Counter &writebacks = *stats.counter("core.l1.writebacks");
+    bool aDone = false, cDone = false;
+    core.access(a, true, [&] { aDone = true; }); // MSHR open on A
+    core.access(c, false, [&] {
+        cDone = true;
+        EXPECT_FALSE(aDone) << "A's upgrade must still be open";
+        EXPECT_EQ(writebacks.value(), 1u) << "C's fill must evict B";
+    });
+    eq.run();
+    EXPECT_TRUE(aDone && cDone);
+    EXPECT_EQ(stats.counter("core.l1.upgrades")->value(), 1u);
+    EXPECT_EQ(writebacks.value(), 1u);
+    // A stayed resident and is now M: a write hits.
+    EXPECT_DOUBLE_EQ(timedAccess(core, a, true), 1.5);
+}
+
+/**
+ * Reference model: set-associative LRU over line addresses, set = line
+ * index modulo the set count, invalid ways filled first.
+ */
+class ReferenceLru
+{
+  public:
+    ReferenceLru(std::uint64_t sizeBytes, std::uint32_t assoc)
+        : assoc_(assoc), sets_(sizeBytes / 64 / assoc)
+    {
+    }
+
+    void
+    access(std::uint64_t line)
+    {
+        auto &set = sets_[(line / 64) % sets_.size()]; // LRU first
+        auto it = std::find(set.begin(), set.end(), line);
+        if (it != set.end()) {
+            ++hits;
+            set.erase(it);
+        } else {
+            ++misses;
+            if (set.size() == assoc_) {
+                ++evictions;
+                set.erase(set.begin());
+            }
+        }
+        set.push_back(line);
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    std::size_t assoc_;
+    std::vector<std::vector<std::uint64_t>> sets_;
+};
+
+/** @p n seeded line addresses drawn from @p span distinct lines. */
+std::vector<std::uint64_t>
+seededLines(std::uint64_t seed, int n, std::uint64_t span)
+{
+    sim::Rng rng(seed);
+    std::vector<std::uint64_t> lines;
+    for (int i = 0; i < n; ++i)
+        lines.push_back(0x1000000 + rng.below(span) * 64);
+    return lines;
+}
+
+TEST(CacheReference, L2MatchesReferenceLruOnBothSetIndexPaths)
+{
+    // 48 KiB / 16 ways = 48 sets (modulo path); 64 KiB = 64 (mask path).
+    for (const std::uint64_t size : {48 * 1024ull, 64 * 1024ull}) {
+        SCOPED_TRACE(size);
+        EventQueue eq;
+        StatRegistry st;
+        DramChannel dram(eq, st, "dram", DramParams{});
+        L2Cache::Params params;
+        params.sizeBytes = size;
+        L2Cache l2(eq, st, "l2", params, dram);
+        L1Cache l1(eq, st, "l1", CacheParams{}, l2); // directory id 0
+        ReferenceLru ref(size, params.assoc);
+        // Reads straight into the L2, one at a time: its replacement
+        // order is exactly recency of use.
+        for (const auto line : seededLines(size, 4000, 2 * size / 64)) {
+            l2.request(0, line, false, false, [] {});
+            eq.run();
+            ref.access(line);
+        }
+        EXPECT_GT(ref.hits, 1000u);
+        EXPECT_GT(ref.evictions, 1000u);
+        EXPECT_EQ(l2.hits(), ref.hits);
+        EXPECT_EQ(l2.misses(), ref.misses);
+        EXPECT_EQ(st.counter("l2.evictions")->value(), ref.evictions);
+    }
+}
+
+TEST(CacheReference, L1MatchesReferenceLruOnBothSetIndexPaths)
+{
+    // 48 KiB / 2 ways = 384 sets (modulo path); 32 KiB = 256 (mask path).
+    for (const std::uint64_t size : {48 * 1024ull, 32 * 1024ull}) {
+        SCOPED_TRACE(size);
+        EventQueue eq;
+        StatRegistry st;
+        DramChannel dram(eq, st, "dram", DramParams{});
+        L2Cache l2(eq, st, "l2", L2Cache::Params{}, dram);
+        CacheParams params;
+        params.sizeBytes = size;
+        L1Cache l1(eq, st, "l1", params, l2);
+        ReferenceLru ref(size, params.assoc);
+        // Writes only: every resident line is dirty, so each eviction
+        // is a counted writeback. The 4 MiB L2 never evicts.
+        for (const auto line : seededLines(size, 4000, 2 * size / 64)) {
+            l1.access(line, true, [] {});
+            eq.run();
+            ref.access(line);
+        }
+        EXPECT_GT(ref.hits, 1000u);
+        EXPECT_GT(ref.evictions, 1000u);
+        EXPECT_EQ(l1.hits(), ref.hits);
+        EXPECT_EQ(l1.misses(), ref.misses);
+        EXPECT_EQ(st.counter("l1.writebacks")->value(), ref.evictions);
+    }
 }
 
 } // namespace

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "mem/phys_mem.hh"
@@ -120,6 +123,43 @@ TEST_F(MaqFixture, StoreToLoadForwarding)
     EXPECT_EQ(storeDone, 1);
     EXPECT_EQ(loadDone, 2);
     EXPECT_EQ(l1.hits() + l1.misses(), 1u);
+}
+
+TEST_F(MaqFixture, LoadsForwardFromTheLowestSlotStoreToTheirLine)
+{
+    // Two stores to line X in flight, the younger in the lower slot: a
+    // warm load to Y holds slot 0 and frees it before the second store
+    // is submitted. Loads to X then forward from the store in the
+    // lowest slot (the younger one), not from the oldest.
+    const mem::PAddr x = 0x1000, y = 0x8000;
+    l1.access(y, false, [] {});
+    sim.run();
+
+    std::vector<std::string> order;
+    auto record = [&order](std::string what) {
+        return [&order, what] { order.push_back(what); };
+    };
+    maq.submit(y, false, false, record("loadY"));  // slot 0, L1 hit
+    maq.submit(x, true, false, record("store1")); // slot 1, miss
+    const sim::Tick later = sim.eq().now() + sim::nsToTicks(10);
+    sim.eq().schedule(later, [&] {
+        ASSERT_EQ(order, std::vector<std::string>{"loadY"});
+        maq.submit(x, true, false, record("store2")); // slot 0
+        maq.submit(x, false, false, record("loadA"));
+        maq.submit(x + 8, false, false, record("loadB")); // same line
+        EXPECT_EQ(maq.inflight(), 2u); // forwarded loads take no slot
+    });
+    sim.run();
+    EXPECT_EQ(maq.forwardCount(), 2u);
+    EXPECT_EQ(order, (std::vector<std::string>{"loadY", "store1", "store2",
+                                               "loadA", "loadB"}));
+
+    // Both stores completed: a later load to X reaches the L1 itself.
+    maq.submit(x, false, false, record("loadC"));
+    sim.run();
+    EXPECT_EQ(maq.forwardCount(), 2u);
+    EXPECT_EQ(order.back(), "loadC");
+    EXPECT_EQ(maq.inflight(), 0u);
 }
 
 TEST_F(MaqFixture, CapacityBoundsInflight)

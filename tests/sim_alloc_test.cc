@@ -4,8 +4,9 @@
  * of the simulation core. This binary overrides global operator
  * new/delete to count heap allocations (and bytes), warms each
  * subsystem up, and then asserts that the steady-state event loop,
- * coroutine spawn cycle, fabric message path, cache miss paths and RRPP
- * dedup window perform zero allocations per event. It also bounds the
+ * coroutine spawn cycle, fabric message path, cache hit and miss paths
+ * (MSHR compaction, L2 transactions), MAQ store-to-load forwarding and
+ * the RRPP dedup window perform zero allocations per event. It also bounds the
  * heap a node takes to build.
  */
 
@@ -23,6 +24,7 @@
 #include "fabric/torus.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "rmc/maq.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/frame_pool.hh"
@@ -331,6 +333,82 @@ TEST(AllocCounting, L2EvictionsInAFullSetAreAllocationFree)
                                8'000, round);
     EXPECT_EQ(done, 8'064u);
     EXPECT_GE(h.stats.counter("l2.evictions")->value(), 8'000u);
+}
+
+TEST(AllocCounting, L2HitAndMissTransactionsAreAllocationFree)
+{
+    Hierarchy h(2);
+    std::uint64_t done = 0;
+    auto bump = [&done] { ++done; };
+
+    // A write miss fetches a fresh line from DRAM into L1 1; a read
+    // from L1 0 then hits the L2 and downgrades the owner by probe, and
+    // its write hits again and invalidates L1 1's copy. Each request
+    // stays in one parked slot from its lock to its completion.
+    auto round = [&](int r) {
+        const mem::PAddr line = 0x300000 + mem::PAddr(r) * 64;
+        h.l1s[1]->access(line, true, bump);
+        h.eq.run();
+        h.l1s[0]->access(line, false, bump);
+        h.eq.run();
+        h.l1s[0]->access(line, true, bump);
+        h.eq.run();
+    };
+    expectAllocationFreeRounds("L2 hit and miss transactions must not "
+                               "allocate",
+                               1'024, 4'000, round);
+    EXPECT_EQ(done, 3u * 5'024);
+    EXPECT_EQ(h.l2.hits(), 2u * 5'024);
+    EXPECT_EQ(h.l2.cacheToCacheTransfers(), 5'024u);
+}
+
+TEST(AllocCounting, MshrReleaseWithCompactionIsAllocationFree)
+{
+    Hierarchy h(2);
+    std::uint64_t done = 0;
+    auto bump = [&done] { ++done; };
+
+    // L1 0 misses on three fresh lines in one tick: DRAM, L2 (warmed
+    // by L1 1), DRAM. The L2 hit fills first and frees the middle
+    // MSHR, and the last busy one moves into its slot.
+    auto round = [&](int r) {
+        const mem::PAddr base = 0x800000 + mem::PAddr(r) * 3 * 64;
+        h.l1s[1]->access(base + 64, false, bump);
+        h.eq.run();
+        for (mem::PAddr i = 0; i < 3; ++i)
+            h.l1s[0]->access(base + i * 64, false, bump);
+        h.eq.run();
+    };
+    expectAllocationFreeRounds("MSHR release with compaction must not "
+                               "allocate",
+                               1'024, 4'000, round);
+    EXPECT_EQ(done, 4u * 5'024);
+    EXPECT_EQ(h.l1s[0]->inflight(), 0u);
+}
+
+TEST(AllocCounting, MaqStoreToLoadForwardingIsAllocationFree)
+{
+    Hierarchy h(1);
+    rmc::Maq maq(h.eq, h.stats, "maq", *h.l1s[0], 32);
+    std::uint64_t done = 0;
+    auto bump = [&done] { ++done; };
+
+    // Two stores to one fresh line, then three loads that forward from
+    // the store in the lower slot: the store list and each slot's
+    // forwarded loads keep their capacity across rounds.
+    auto round = [&](int r) {
+        const mem::PAddr line = 0xc00000 + mem::PAddr(r) * 64;
+        maq.submit(line, true, false, bump);
+        maq.submit(line, true, false, bump);
+        for (mem::PAddr i = 0; i < 3; ++i)
+            maq.submit(line + 8 * i, false, false, bump);
+        h.eq.run();
+    };
+    expectAllocationFreeRounds("MAQ store-to-load forwarding must not "
+                               "allocate",
+                               1'024, 4'000, round);
+    EXPECT_EQ(done, 5u * 5'024);
+    EXPECT_EQ(maq.forwardCount(), 3u * 5'024);
 }
 
 TEST(AllocCounting, RrppDedupWindowChurnIsAllocationFree)

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -76,15 +78,32 @@ TEST(Stats, ResetAllClears)
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
+// Counters are embedded in every model object: names and descriptions
+// live in the registry, so a counter is its value and nothing else.
+static_assert(sizeof(Counter) == sizeof(std::uint64_t));
+
 TEST(Stats, DumpContainsNamesAndValues)
 {
     StatRegistry reg;
     Counter c(reg, "some.counter", "a counter");
+    Counter d(reg, "other.counter", "another counter");
+    Counter bare(reg, "bare.counter", "");
     c.inc(17);
+    d.inc(4);
     std::ostringstream os;
     reg.dump(os);
-    EXPECT_NE(os.str().find("some.counter"), std::string::npos);
-    EXPECT_NE(os.str().find("17"), std::string::npos);
+    const std::string out = os.str();
+    for (const char *name : {"some.counter", "other.counter",
+                             "bare.counter"})
+        EXPECT_NE(out.find(name), std::string::npos) << name;
+    EXPECT_NE(out.find("17   # a counter\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("4   # another counter\n"), std::string::npos)
+        << out;
+    // An empty description prints no comment marker.
+    const std::size_t bareAt = out.find("bare.counter");
+    const std::string bareLine =
+        out.substr(bareAt, out.find('\n', bareAt) - bareAt);
+    EXPECT_EQ(bareLine.find('#'), std::string::npos) << bareLine;
 }
 
 TEST(Rng, DeterministicForSameSeed)
