@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "api/testbed.hh"
+#include "sim/did_you_mean.hh"
 #include "sim/simulation.hh"
 
 namespace sonuma::bench {
@@ -71,7 +72,7 @@ class Args
                 continue;
             if (error) {
                 *error = "unknown flag --" + name;
-                const std::string near = closest(name, known);
+                const std::string near = sim::closestMatch(name, known);
                 if (!near.empty())
                     *error += "; did you mean --" + near + "?";
                 *error += " valid flags:";
@@ -264,42 +265,6 @@ class Args
             }
         }
         return canon;
-    }
-
-    /** Closest known flag within edit distance 3, or "". */
-    static std::string
-    closest(const std::string &name, const std::vector<std::string> &known)
-    {
-        std::string best;
-        std::size_t bestDist = 4;
-        for (const auto &k : known) {
-            const std::size_t d = editDistance(name, k);
-            if (d < bestDist) {
-                bestDist = d;
-                best = k;
-            }
-        }
-        return best;
-    }
-
-    static std::size_t
-    editDistance(const std::string &a, const std::string &b)
-    {
-        std::vector<std::size_t> row(b.size() + 1);
-        for (std::size_t j = 0; j <= b.size(); ++j)
-            row[j] = j;
-        for (std::size_t i = 1; i <= a.size(); ++i) {
-            std::size_t prev = row[0];
-            row[0] = i;
-            for (std::size_t j = 1; j <= b.size(); ++j) {
-                const std::size_t cur = row[j];
-                row[j] = std::min(
-                    {row[j] + 1, row[j - 1] + 1,
-                     prev + (a[i - 1] == b[j - 1] ? 0 : 1)});
-                prev = cur;
-            }
-        }
-        return row[b.size()];
     }
 };
 

@@ -40,10 +40,10 @@ case "$FAMILY" in
     "$BIN/bench_sweep" "${SWEEP[@]}" --faults=node-kill@10us+100us \
         --obs-period-ns=10000 >/dev/null
     "$BIN/bench_sweep" "${SWEEP[@]}" --routing=adaptive \
-        --faults=link-kill@10us >/dev/null
+        --faults=link-kill@2us >/dev/null
     "$BIN/bench_sweep" "${SWEEP[@]}" --faults=incast >/dev/null
     "$BIN/bench_sweep" "${SWEEP[@]}" --faults=drop@10us+100us \
-        --max-attempts=6 --retries=0 >/dev/null
+        --max-attempts=6 >/dev/null
     pinned=("$REPO_ROOT"/BENCH_sweep/DEGRADED_*.json
             "$REPO_ROOT"/BENCH_sweep/OBS_*_node-kill.json)
     ;;

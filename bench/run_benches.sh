@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Build Release and run every bench, refreshing the tracked artifacts
-# (schema 3, all rendered by sim::JsonWriter; README.md lists them):
+# (schema 4, all rendered by sim::JsonWriter; README.md lists them):
 #
 #   BENCH_<bench>.json           - engine throughput (sim_core) and the
 #                                  paper tables: fig1, fig7 (+ the .txt
@@ -53,15 +53,15 @@ if [[ "$SMOKE" == 1 ]]; then
         --out-dir="$SMOKE_DIR" >/dev/null
     echo "== smoke: degraded-mode cell (node kill/recover) =="
     "$BUILD_DIR/bench_sweep" --quick --nodes=16 --topo=4x4 --sizes=64 \
-        --depths=16 --ops=32 --faults=node-kill@20us+40us \
+        --depths=16 --ops=32 --faults=node-kill@2us+40us \
         --out-dir="$SMOKE_DIR" >/dev/null
     echo "== smoke: recovery cell (silent drop window, RMC retransmission) =="
-    # Workload-level retries are OFF (--retries=0): every dropped packet
-    # must be recovered by the RMC's timeout-driven retransmission
-    # alone, and the ok + unrecoverable == ops identity must close.
+    # Every dropped packet must be recovered by the RMC's timeout-driven
+    # retransmission, and the ok + unrecoverable == ops identity must
+    # close. Both faults land inside the ~5 us healthy run.
     "$BUILD_DIR/bench_sweep" --quick --nodes=16 --topo=4x4 --sizes=64 \
-        --depths=16 --ops=32 --faults=drop@10us+60us --max-attempts=6 \
-        --retries=0 --out-dir="$SMOKE_DIR" >/dev/null
+        --depths=16 --ops=32 --faults=drop@1us+20us --max-attempts=6 \
+        --out-dir="$SMOKE_DIR" >/dev/null
     echo "== smoke: fig9 pagerank workload cell (8 nodes, tiny graph) =="
     "$BUILD_DIR/bench_sweep" --workload=pagerank --nodes=8 --ndims=3 \
         --sizes=64 --depths=16 --pr-vertices=1024 --pr-degree=4 \
@@ -118,13 +118,12 @@ echo "== fig9 PageRank scale study (64/256/512 nodes, 3D tori) =="
     --out-dir="$REPO_ROOT/BENCH_sweep"
 
 echo "== degraded-mode study (node kill, link kill + adaptive, incast) =="
-# The node kill lands mid-run with the RMC's default retransmission
-# budget, which rides out the 100 us down window: every packet the
-# fabric drops is recovered by an RMC retransmit, and no op aborts to
-# the workload (aborted_ops and retried_ops stay 0; the cell reads the
-# same with --retries=0). The software retry ladder (abort, back off,
-# repost) is tested by NodeKillRecoverCompletesWithExactAccounting in
-# tests/fault_test.cc, which pins the fail-fast RMC.
+# RMC retransmission is the one fault-recovery path. The node kill
+# lands mid-run and the default attempt budget rides out the 100 us
+# down window: every packet the fabric drops is recovered by an RMC
+# retransmit, and every op completes (unrecoverable == 0). The adaptive
+# link kill lands at 2 us, inside the ~14 us healthy run, so the
+# detour shows in the latencies.
 # The node-kill cell also carries the observability exemplar: sampling
 # every 10 simulated us writes an OBS_*_node-kill.json sidecar next to
 # the (unchanged) DEGRADED artifact.
@@ -132,15 +131,15 @@ echo "== degraded-mode study (node kill, link kill + adaptive, incast) =="
     --ops=64 --faults=node-kill@10us+100us --obs-period-ns=10000 \
     --out-dir="$REPO_ROOT/BENCH_sweep"
 "$BUILD_DIR/bench_sweep" --nodes=64 --topo=4x4x4 --sizes=64 --depths=16 \
-    --ops=64 --routing=adaptive --faults=link-kill@10us \
+    --ops=64 --routing=adaptive --faults=link-kill@2us \
     --out-dir="$REPO_ROOT/BENCH_sweep"
 "$BUILD_DIR/bench_sweep" --nodes=64 --topo=4x4x4 --sizes=64 --depths=16 \
     --ops=64 --faults=incast \
     --out-dir="$REPO_ROOT/BENCH_sweep"
-# Silent drop window, workload retries off: recovery is carried by RMC
-# retransmission alone (retransmits > 0, unrecoverable == 0).
+# Silent drop window: recovery is carried by RMC retransmission
+# (retransmits > 0, unrecoverable == 0).
 "$BUILD_DIR/bench_sweep" --nodes=64 --topo=4x4x4 --sizes=64 --depths=16 \
-    --ops=64 --faults=drop@10us+100us --max-attempts=6 --retries=0 \
+    --ops=64 --faults=drop@10us+100us --max-attempts=6 \
     --out-dir="$REPO_ROOT/BENCH_sweep"
 
 echo "== fig7_remote_read =="

@@ -18,7 +18,10 @@
  *   $ ./bench_sweep --nodes=64 --topo=4x4x4 --faults=node-kill@50us+100us
  *   $ ./bench_sweep --nodes=64 --topo=4x4x4 --routing=adaptive \
  *                   --faults=link-kill@50us
- *   $ ./bench_sweep --nodes=64 --faults=incast --retries=8
+ *   $ ./bench_sweep --nodes=64 --faults=incast
+ *
+ * Lost packets are recovered by the RMC's timeout-driven
+ * retransmission alone (--max-attempts bounds it per transfer).
  *
  * The whole driver is app::SweepDriver; scaling the study to 512 nodes
  * — or swapping the uniform-read kernel for the Fig. 9 PageRank
@@ -42,7 +45,7 @@ main(int argc, char **argv)
                      {"workload", "nodes", "topo", "ndims", "sizes",
                       "depths", "qps", "batching", "ops", "out-dir",
                       "quick", "pr-vertices", "pr-degree", "faults",
-                      "routing", "retries", "max-attempts",
+                      "routing", "max-attempts",
                       "obs-period-ns"});
     const bool quick = args.has("quick");
 
@@ -66,7 +69,7 @@ main(int argc, char **argv)
         args.getU64("ndims", cfg.torusDims.empty() ? 2
                                                    : cfg.torusDims.size()));
 
-    // Degraded-mode axis: fault scenario, routing policy, retry budget.
+    // Degraded-mode axis: fault scenario, routing policy, attempt budget.
     // The routing name is checked here; SweepDriver::run checks the
     // fault plan against every node count before the first cell. Both
     // errors carry did-you-mean hints.
@@ -79,11 +82,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    cfg.maxRetries =
-        static_cast<std::uint32_t>(args.getU64("retries", 8));
 
-    // RMC-level reliable delivery: per-transfer attempt budget. Distinct
-    // from --retries, which reposts whole ops in software.
+    // RMC-level reliable delivery: per-transfer attempt budget.
     cfg.rmcParams.maxAttempts = static_cast<std::uint32_t>(args.getU64(
         "max-attempts", cfg.rmcParams.maxAttempts));
 
@@ -108,9 +108,10 @@ main(int argc, char **argv)
                 cfg.opsPerNode,
                 cfg.doorbellBatching ? ", doorbell batching" : "");
     if (cfg.faultSpec != "none" || cfg.routing != fab::RoutingMode::kDor)
-        std::printf("# degraded: faults=%s, routing=%s, retries=%u\n",
+        std::printf("# degraded: faults=%s, routing=%s, max-attempts=%u\n",
                     cfg.faultSpec.c_str(),
-                    fab::routingModeName(cfg.routing), cfg.maxRetries);
+                    fab::routingModeName(cfg.routing),
+                    cfg.rmcParams.maxAttempts);
     if (pagerank)
         std::printf("# pagerank: V=%u, degree=%u, supersteps=%u, ranks "
                     "verified vs host reference\n",

@@ -48,11 +48,9 @@ Barrier::arrive()
     session_.flush();
 
     // Poll locally until every participant announced this generation.
-    // Re-announcing is bounded: after kMaxReannounceRounds the wait
-    // degrades to the event-driven form, so a permanently dead peer
-    // quiesces the simulation (surfacing Workload::run's stalled-fault
-    // diagnostic) instead of re-broadcasting forever.
-    std::uint32_t reannounceLeft = kMaxReannounceRounds;
+    // An announcement lost to a fault is retransmitted by the RMC, so
+    // the wait needs no fault path; a peer that never comes back leaves
+    // it suspended, and Workload::run reports the stall.
     for (sim::NodeId peer : participants_) {
         const vm::VAddr slot =
             myRegion_ + std::uint64_t(peer) * sim::kCacheLineBytes;
@@ -60,24 +58,7 @@ Barrier::arrive()
             co_await session_.core().load(slot);
             if (as.readT<std::uint64_t>(slot) >= gen)
                 break;
-            if (reannounce_ == 0 || reannounceLeft == 0) {
-                co_await session_.rmc().remoteWriteEvent().wait();
-                continue;
-            }
-            --reannounceLeft;
-            // Degraded mode: an announcement posted while a peer was
-            // dead is gone, and the peer cannot know to ask for it.
-            // Sleep a bounded interval, then re-broadcast my (monotone,
-            // hence idempotent) generation before polling again.
-            co_await sim::Delay(session_.core().simulation().eq(),
-                                reannounce_);
-            for (sim::NodeId p2 : participants_) {
-                if (p2 != self)
-                    co_await session_.writeAsync(p2, mySlotOff,
-                                                 announceLine_,
-                                                 sim::kCacheLineBytes);
-            }
-            session_.flush();
+            co_await session_.rmc().remoteWriteEvent().wait();
         }
     }
 }

@@ -53,24 +53,6 @@ class Barrier
     /** Completed barrier episodes. */
     std::uint64_t generation() const { return generation_; }
 
-    /**
-     * Opt in to periodic re-announcement while waiting (degraded-mode
-     * runs): an announcement written to a peer that was dead at the time
-     * is lost forever, so under fault plans each waiter re-posts its
-     * generation to every peer each @p interval until the barrier
-     * completes. Announcement values are monotone, so re-posting is
-     * idempotent. The healthy path (never enabled) is event-driven and
-     * byte-identical to before. Re-announcing is bounded by
-     * kMaxReannounceRounds per arrival so a permanently dead peer
-     * quiesces the simulation instead of livelocking it.
-     */
-    void enableReannounce(sim::Tick interval) { reannounce_ = interval; }
-
-    /** Re-announce rounds per arrival before degrading to the
-     *  event-driven wait (4096 x 50us default interval ~= 200 ms of sim
-     *  time — far beyond any plausible recovery window). */
-    static constexpr std::uint32_t kMaxReannounceRounds = 4096;
-
   private:
     RmcSession &session_;
     std::vector<sim::NodeId> participants_;
@@ -78,7 +60,6 @@ class Barrier
     std::uint64_t regionOffset_;
     std::uint64_t generation_ = 0;
     vm::VAddr announceLine_;
-    sim::Tick reannounce_ = 0; //!< 0 = event-driven wait (default)
 };
 
 } // namespace sonuma::api

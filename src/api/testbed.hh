@@ -290,11 +290,6 @@ class TestBed
     void spawn(sim::Task t) { sim_.spawn(std::move(t)); }
     sim::Tick run() { return sim_.run(); }
 
-    /** True when the spec carried a non-empty FaultPlan (armed at
-     *  build time). Software layers use this to opt in to their
-     *  degraded-mode behaviors (barrier re-announce, retries). */
-    bool faultsActive() const { return faultInjector_ != nullptr; }
-
   private:
     sim::Simulation sim_;
     std::unique_ptr<node::Cluster> cluster_;

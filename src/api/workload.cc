@@ -38,11 +38,6 @@ Workload::Workload(TestBed &bed, std::string scope)
         barriers_.push_back(std::make_unique<Barrier>(
             bed_.newSession(i, 0, barrierParams), all, bed_.segBase(i),
             /*regionOffset=*/0));
-        // Under a fault plan, a barrier announcement written to a dead
-        // peer is lost; re-announcing makes the barrier converge once
-        // the peer recovers. Healthy runs keep the event-driven wait.
-        if (bed_.faultsActive())
-            barriers_.back()->enableReannounce(sim::usToTicks(50));
     }
 }
 
@@ -102,9 +97,9 @@ Workload::run()
     if (!bed_.sim().allRootsDone())
         throw std::runtime_error(
             "Workload: simulation quiesced with node coroutines still "
-            "suspended — a permanent fault (dead node or link) left ops "
-            "that can neither complete nor time out; give the plan a "
-            "recovery event or enable a retry policy");
+            "suspended — a permanent fault (dead node or link) outlasted "
+            "the RMC's retransmission budget (RmcParams::maxAttempts); "
+            "give the plan a recovery event");
     return t;
 }
 

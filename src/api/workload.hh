@@ -37,31 +37,6 @@
 
 namespace sonuma::api {
 
-/**
- * Opt-in capped-exponential-backoff retry policy for degraded-mode
- * runs: when a fabric fault aborts an op with kFabricError, a workload
- * body consults this to decide whether (and after how long) to repost.
- * Disabled (maxRetries == 0) the body should treat failures as fatal,
- * which keeps healthy-run behavior byte-identical.
- */
-struct RetryPolicy
-{
-    std::uint32_t maxRetries = 0;            //!< 0 = fail fast (default)
-    sim::Tick backoff = sim::usToTicks(5);   //!< first retry delay
-    std::uint32_t capDoublings = 5;          //!< backoff cap = 2^cap * backoff
-
-    bool enabled() const { return maxRetries > 0; }
-
-    /** Deterministic backoff before retry number @p attempt (1-based). */
-    sim::Tick
-    delayFor(std::uint32_t attempt) const
-    {
-        const std::uint32_t shift =
-            attempt > capDoublings ? capDoublings : attempt;
-        return backoff << shift;
-    }
-};
-
 class Workload
 {
   public:
@@ -99,9 +74,6 @@ class Workload
         /** Node-scoped histogram: "<scope>.node<i>.<name>". */
         sim::Histogram &histogram(const std::string &name);
 
-        /** The workload's retry policy (see Workload::setRetryPolicy). */
-        const RetryPolicy &retry() const { return wl_->retry_; }
-
       private:
         friend class Workload;
         Workload *wl_ = nullptr;
@@ -120,19 +92,11 @@ class Workload
     /** Register the per-node body. */
     Workload &onEachNode(Fn fn);
 
-    /** Opt in to op retries under faults (read via NodeCtx::retry()). */
-    Workload &
-    setRetryPolicy(const RetryPolicy &p)
-    {
-        retry_ = p;
-        return *this;
-    }
-
     /**
      * Spawn one coroutine per node (bracketed by start/finish barriers)
      * and run the simulation to quiescence. Throws if the simulation
      * quiesces with node coroutines still suspended (a permanent fault
-     * with no recovery/retry path). @return final tick.
+     * with no recovery event). @return final tick.
      */
     sim::Tick run();
 
@@ -145,7 +109,6 @@ class Workload
     TestBed &bed_;
     std::string scope_;
     Fn fn_;
-    RetryPolicy retry_;
     std::vector<std::unique_ptr<Barrier>> barriers_;
     std::vector<NodeCtx> ctxs_;
     // Deques: stable addresses for registry-held stat pointers.

@@ -314,17 +314,13 @@ PageRankFineWorkload::install(api::TestBed &bed, api::Workload &wl)
         const vm::VAddr vtxVa = ctx.segBase() + st->vtxOff;
 
         // Per-slot landing lines + a FIFO of pending reads carrying the
-        // paper's async_dest_addr context alongside each OpHandle (plus
-        // what a degraded-mode repost needs: peer, offset, attempt).
+        // paper's async_dest_addr context alongside each OpHandle.
         struct PendingRead
         {
             api::OpHandle h;
             std::uint32_t vLocal;
             int readPar;
             int writePar;
-            sim::NodeId peer;
-            std::uint64_t off;
-            std::uint32_t attempt;
         };
         std::deque<PendingRead> pendingReads;
         const std::uint32_t depth = session.queueDepth();
@@ -339,39 +335,15 @@ PageRankFineWorkload::install(api::TestBed &bed, api::Workload &wl)
 
         // Retiring one read runs the paper's pagerank_async handler:
         // await the fetched vertex, accumulate into the target's rank.
-        // Under a retry policy, fault-aborted reads are reposted after
-        // a capped backoff: a superstep's read parity is stable until
-        // its closing barrier, so a late retry fetches the same value
-        // the original attempt would have and the ranks stay exact.
-        const api::RetryPolicy &retry = ctx.retry();
+        // Lost packets are the RMC's to retransmit; a read that still
+        // fails would make the rank sum silently drift, so it is fatal.
         auto &ok = ctx.counter("okOps");
-        auto &aborted = ctx.counter("abortedOps");
-        auto &retried = ctx.counter("retriedOps");
         auto retireFront = [&]() -> sim::Task {
-            PendingRead pr = pendingReads.front();
+            const PendingRead pr = pendingReads.front();
             pendingReads.pop_front();
             const api::OpResult r = co_await pr.h;
-            if (!r.ok()) {
-                if (!retry.enabled())
-                    sim::fatal("pagerank remote read failed");
-                aborted.inc();
-                if (pr.attempt >= retry.maxRetries)
-                    sim::fatal(
-                        "pagerank remote read failed after " +
-                        std::to_string(pr.attempt) +
-                        " retries; the rank sum would silently drift, "
-                        "so a permanent fault needs a recovery event");
-                retried.inc();
-                co_await sim::Delay(ctx.sim().eq(),
-                                    retry.delayFor(pr.attempt + 1));
-                const std::uint32_t rslot = session.nextSlot();
-                pr.h = co_await session.readAsync(
-                    pr.peer, pr.off,
-                    lbuf + std::uint64_t(rslot) * 64, 64);
-                ++pr.attempt;
-                pendingReads.push_back(pr);
-                co_return;
-            }
+            if (!r.ok())
+                sim::fatal("pagerank remote read failed");
             if (measuring)
                 ok.inc();
             if (measuring)
@@ -436,15 +408,12 @@ PageRankFineWorkload::install(api::TestBed &bed, api::Workload &wl)
                         while (pendingReads.size() >= depth)
                             co_await retireFront();
                         const std::uint32_t slot = session.nextSlot();
-                        const auto peer =
-                            static_cast<sim::NodeId>(ref.part);
-                        const std::uint64_t off =
-                            st->vtxOff + std::uint64_t(ref.localIdx) * 64;
                         api::OpHandle h = co_await session.readAsync(
-                            peer, off, lbuf + std::uint64_t(slot) * 64,
-                            64);
-                        pendingReads.push_back(PendingRead{
-                            h, i, readPar, writePar, peer, off, 0});
+                            static_cast<sim::NodeId>(ref.part),
+                            st->vtxOff + std::uint64_t(ref.localIdx) * 64,
+                            lbuf + std::uint64_t(slot) * 64, 64);
+                        pendingReads.push_back(
+                            PendingRead{h, i, readPar, writePar});
                         ++st->remoteOps;
                         if (measuring) {
                             // Stats cover the measured region only, so

@@ -84,7 +84,7 @@ struct PageRankRun
      */
     std::uint64_t measuredRemoteOps = 0;
 
-    std::uint64_t aborts = 0;   //!< timeout/failure-aborted transfers
+    std::uint64_t aborts = 0;   //!< aborted transfers (budget spent or flushed)
     std::uint64_t errors = 0;   //!< RRPP-reported request errors
 };
 

@@ -80,8 +80,6 @@ SweepCellResult::json() const
         .field("p95_latency_ns", p95LatencyNs)
         .field("p99_latency_ns", p99LatencyNs)
         .field("ok_ops", okOps)
-        .field("aborted_ops", abortedOps)
-        .field("retried_ops", retriedOps)
         .field("failed_ops", failedOps)
         .field("dropped_messages", droppedMessages)
         .field("retransmits", retransmits)
@@ -178,10 +176,7 @@ class UniformReadWorkload final : public SweepWorkload
             auto &issued = ctx.counter("ops");
             auto &lat = ctx.histogram("opLatencyNs");
             auto &ok = ctx.counter("okOps");
-            auto &aborted = ctx.counter("abortedOps");
-            auto &retried = ctx.counter("retriedOps");
             auto &failed = ctx.counter("failedOps");
-            const api::RetryPolicy &retry = ctx.retry();
 
             const std::uint32_t depth = s.queueDepth();
             const vm::VAddr buf =
@@ -190,19 +185,11 @@ class UniformReadWorkload final : public SweepWorkload
             const std::uint64_t span =
                 (segBytes - dataOff) / 2 / requestBytes * requestBytes;
 
-            /** One outstanding read plus what a repost would need. */
-            struct Pending
-            {
-                api::OpHandle h;
-                sim::NodeId peer;
-                std::uint64_t off;
-                std::uint32_t attempt;
-            };
-            std::deque<Pending> window;
+            std::deque<api::OpHandle> window;
             auto retireFront = [&]() -> sim::Task {
-                Pending p = window.front();
+                const api::OpHandle h = window.front();
                 window.pop_front();
-                api::OpResult r = co_await p.h;
+                const api::OpResult r = co_await h;
                 if (r.ok()) {
                     ok.inc();
                     lat.sample(sim::ticksToNs(r.latency));
@@ -210,22 +197,8 @@ class UniformReadWorkload final : public SweepWorkload
                 }
                 if (!faulted)
                     sim::fatal("sweep read failed");
-                // A fault aborted this attempt: back off and repost the
-                // same read, or charge the op to failedOps at the cap.
-                aborted.inc();
-                if (p.attempt >= retry.maxRetries) {
-                    failed.inc();
-                    co_return;
-                }
-                retried.inc();
-                co_await sim::Delay(ctx.sim().eq(),
-                                    retry.delayFor(p.attempt + 1));
-                const std::uint32_t slot = s.nextSlot();
-                api::OpHandle h = co_await s.readAsync(
-                    p.peer, p.off,
-                    buf + std::uint64_t(slot) * requestBytes,
-                    requestBytes);
-                window.push_back(Pending{h, p.peer, p.off, p.attempt + 1});
+                // The RMC spent the transfer's attempt budget.
+                failed.inc();
             };
             for (std::uint32_t i = 0; i < ops; ++i) {
                 sim::NodeId peer;
@@ -252,9 +225,9 @@ class UniformReadWorkload final : public SweepWorkload
                     peer, off, buf + std::uint64_t(slot) * requestBytes,
                     requestBytes);
                 issued.inc();
-                window.push_back(Pending{h, peer, off, 0});
+                window.push_back(h);
                 // Opportunistically retire completed ops as they pass.
-                while (!window.empty() && window.front().h.done())
+                while (!window.empty() && window.front().done())
                     co_await retireFront();
             }
             while (!window.empty())
@@ -494,11 +467,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     const auto t0 = std::chrono::steady_clock::now();
     api::TestBed bed(spec);
     api::Workload wl(bed, "sweep");
-    if (cfg_.faultSpec != "none") {
-        api::RetryPolicy rp;
-        rp.maxRetries = cfg_.maxRetries;
-        wl.setRetryPolicy(rp);
-    }
     body->install(bed, wl, cell, cfg_);
     wl.run();
 
@@ -552,8 +520,6 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
         return total;
     };
     cell.okOps = sumCounters("okOps");
-    cell.abortedOps = sumCounters("abortedOps");
-    cell.retriedOps = sumCounters("retriedOps");
     cell.failedOps = sumCounters("failedOps");
     cell.droppedMessages = bed.cluster().fabric().droppedMessages();
     cell.goodputMops = static_cast<double>(cell.okOps) / secs / 1e6;
@@ -572,11 +538,10 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
     cell.unrecoverable = sumRmcCounters("unrecoverable");
 
     // Drops-vs-lost-ops audit: a dropped packet may be retransmitted
-    // (then it is a drop but not a lost op). With the workload-level
-    // retry loop disabled, every op either completes or is aborted as
-    // unrecoverable — anything else means a completion was lost or
-    // double-delivered.
-    if (cell.workload == "uniform" && cfg_.maxRetries == 0 &&
+    // (then it is a drop but not a lost op). Every op either completes
+    // or is aborted as unrecoverable — anything else means a completion
+    // was lost or double-delivered.
+    if (cell.workload == "uniform" &&
         fab::FaultPlan::scenarioOf(cell.faultScenario) == "drop" &&
         cell.okOps + cell.unrecoverable != cell.ops)
         sim::fatal("sweep: drop cell accounting broke: ok_ops " +

@@ -5,10 +5,10 @@
  * Runs one workload over the full cross product of request size x QP
  * depth x QP count x node count x topology, one freshly-built
  * TestBed + Workload per cell, and emits one flat JSON object per cell.
- * Schema 3 carries every field in every cell; a healthy cell has
+ * Schema 4 carries every field in every cell; a healthy cell has
  * routing "dor", fault_scenario "none" and zero fault counters:
  *
- *   {"bench": "sweep", "schema": 3, "workload": "uniform", "nodes": 64,
+ *   {"bench": "sweep", "schema": 4, "workload": "uniform", "nodes": 64,
  *    "topology": "torus_8x8", "request_bytes": 64, "qp_depth": 64, ...,
  *    "ops": 8192, "mops": ..., "p99_latency_ns": ..., "ok_ops": 8192,
  *    ..., <pagerank extras>, "sim_us": ..., "host_seconds": ...}
@@ -86,15 +86,6 @@ struct SweepConfig
     /** Torus routing policy; adaptive detours around failed links. */
     fab::RoutingMode routing = fab::RoutingMode::kDor;
 
-    /**
-     * Retry budget per op for degraded cells (faultSpec != "none"):
-     * aborted ops are reposted with the default RetryPolicy backoff
-     * (capped exponential) up to maxRetries times, then counted
-     * failed. Healthy cells ignore it and keep their fail-fast
-     * behavior.
-     */
-    std::uint32_t maxRetries = 8;
-
     /** PageRank workload axis (used when workload == "pagerank"). */
     struct PageRankAxis
     {
@@ -145,19 +136,17 @@ struct SweepCellResult
     double simMicros = 0;           //!< measured region, simulated time
     double hostSeconds = 0;         //!< wall time to simulate the cell
 
-    // Degraded-mode accounting. The identities okOps + failedOps == ops
-    // and abortedOps == retriedOps + failedOps hold for every cell (a
-    // healthy cell has okOps == ops and zeros elsewhere).
+    // Degraded-mode accounting. okOps + failedOps == ops holds for
+    // every cell (a healthy cell has okOps == ops and zeros elsewhere).
     std::uint64_t okOps = 0;        //!< ops that completed successfully
-    std::uint64_t abortedOps = 0;   //!< attempts aborted by a fault
-    std::uint64_t retriedOps = 0;   //!< reposts after an aborted attempt
-    std::uint64_t failedOps = 0;    //!< ops given up at the retry cap
+    std::uint64_t failedOps = 0;    //!< ops that completed with an error
     std::uint64_t droppedMessages = 0; //!< fabric-level packet drops
     // Reliable-delivery accounting, pooled from the RMC counters. A
     // dropped-then-retransmitted packet shows up in droppedMessages AND
-    // retransmits but never as a lost op: with retries disabled,
-    // okOps + unrecoverable == ops holds exactly (asserted for
-    // drop-scenario uniform cells in runCell).
+    // retransmits but never as a lost op: an op fails only when its
+    // transfer spends the attempt budget, so okOps + unrecoverable ==
+    // ops holds exactly (asserted for drop-scenario uniform cells in
+    // runCell).
     std::uint64_t retransmits = 0;  //!< timed-out transfers re-sent
     std::uint64_t dupSuppressed = 0; //!< replays answered from dedup
     std::uint64_t unrecoverable = 0; //!< transfers given up for good
@@ -196,7 +185,7 @@ struct SweepCellResult
     /** Human-readable topology, e.g. "torus_8x8x8" or "crossbar". */
     std::string topologyName() const;
 
-    /** The cell's schema-3 JSON artifact. */
+    /** The cell's JSON artifact (sim::kArtifactSchema). */
     std::string json() const;
 };
 

@@ -91,19 +91,18 @@ CrossbarFabric::contains(
                      std::make_pair(from, to)) != links.end();
 }
 
-bool
+void
 CrossbarFabric::setMember(
     std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
     sim::NodeId from, sim::NodeId to, bool member)
 {
     auto it = std::find(links.begin(), links.end(), std::make_pair(from, to));
     if (member == (it != links.end()))
-        return false;
+        return;
     if (member)
         links.emplace_back(from, to);
     else
         links.erase(it);
-    return true;
 }
 
 void
@@ -120,10 +119,10 @@ CrossbarFabric::validateLink(sim::NodeId from, sim::NodeId to) const
             std::to_string(to) + ": a node has no link to itself");
 }
 
-bool
+void
 CrossbarFabric::setLinkUp(sim::NodeId from, sim::NodeId to, bool up)
 {
-    return setMember(failedLinks_, from, to, !up);
+    setMember(failedLinks_, from, to, !up);
 }
 
 void

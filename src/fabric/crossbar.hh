@@ -67,12 +67,12 @@ class CrossbarFabric : public Fabric
 
     void launch(const Message &msg) override;
     void attached(sim::NodeId id) override;
-    bool setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
+    void setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
     void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
 
     void drain(sim::NodeId src, Lane lane);
     void arrive(const Message &msg);
-    static bool setMember(
+    static void setMember(
         std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
         sim::NodeId from, sim::NodeId to, bool member);
     static bool contains(

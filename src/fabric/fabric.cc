@@ -123,17 +123,6 @@ Fabric::flushParked(Endpoint &ep)
 }
 
 void
-Fabric::notifyAll(const FailureInfo &info)
-{
-    // Notify every attached NI (the paper's driver is told of fabric
-    // failures and may reset RMC state, §5.1).
-    for (auto &ep : endpoints_) {
-        if (ep.ni)
-            ep.ni->notifyFailure(info);
-    }
-}
-
-void
 Fabric::failNode(sim::NodeId id)
 {
     assert(id < endpoints_.size());
@@ -142,34 +131,27 @@ Fabric::failNode(sim::NodeId id)
         return;
     ep.failed = true;
     flushParked(ep);
-    notifyAll({FailureKind::kNodeDown, id, id});
 }
 
 void
 Fabric::recoverNode(sim::NodeId id)
 {
     assert(id < endpoints_.size());
-    Endpoint &ep = endpoints_[id];
-    if (!ep.failed)
-        return;
-    ep.failed = false;
-    notifyAll({FailureKind::kNodeUp, id, id});
+    endpoints_[id].failed = false;
 }
 
 void
 Fabric::failLink(sim::NodeId from, sim::NodeId to)
 {
     validateLink(from, to);
-    if (setLinkUp(from, to, false))
-        notifyAll({FailureKind::kLinkDown, from, to});
+    setLinkUp(from, to, false);
 }
 
 void
 Fabric::recoverLink(sim::NodeId from, sim::NodeId to)
 {
     validateLink(from, to);
-    if (setLinkUp(from, to, true))
-        notifyAll({FailureKind::kLinkUp, from, to});
+    setLinkUp(from, to, true);
 }
 
 void

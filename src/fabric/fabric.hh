@@ -29,27 +29,6 @@ namespace sonuma::fab {
 
 class NetworkInterface;
 
-/** What kind of fabric fault a notification describes. */
-enum class FailureKind : std::uint8_t
-{
-    kNone = 0,  //!< no failure observed yet
-    kNodeDown,  //!< node @c a failed
-    kNodeUp,    //!< node @c a recovered
-    kLinkDown,  //!< directed link @c a -> @c b failed
-    kLinkUp,    //!< directed link @c a -> @c b recovered
-};
-
-/**
- * Failure reason delivered with NetworkInterface::notifyFailure(): which
- * peer is involved and whether the fault is node- or link-scoped.
- */
-struct FailureInfo
-{
-    FailureKind kind = FailureKind::kNone;
-    sim::NodeId a = 0;  //!< failed/recovered node, or link source
-    sim::NodeId b = 0;  //!< link destination (== @c a for node events)
-};
-
 /**
  * The fabric core every topology shares: endpoints, per-(source, lane)
  * credits, deliver-or-park at the destination, and node faults (see
@@ -81,27 +60,28 @@ class Fabric
 
     /**
      * Fail the node: packets to/from it (including any parked at its
-     * eject queue) are dropped and attached NIs are notified.
+     * eject queue) are dropped. Nobody is told; transfers that lose
+     * packets recover through the RMC's timeout-driven retransmission.
      */
     void failNode(sim::NodeId id);
 
-    /** Bring a failed node back; attached NIs see a kNodeUp notification. */
+    /** Bring a failed node back. */
     void recoverNode(sim::NodeId id);
 
     /**
      * Fail the directed link @p from -> @p to: packets routed over it are
-     * dropped (dor) or detoured (adaptive). NIs see kLinkDown.
+     * dropped (dor) or detoured (adaptive).
      * @throws std::invalid_argument if the link does not exist.
      */
     void failLink(sim::NodeId from, sim::NodeId to);
 
-    /** Restore a failed link; attached NIs see kLinkUp. */
+    /** Restore a failed link. */
     void recoverLink(sim::NodeId from, sim::NodeId to);
 
     /**
      * Mark the directed link @p from -> @p to lossy (transient drop
-     * window): packets crossing it are silently dropped and counted, with
-     * no failure notification. Routing still treats the link as up.
+     * window): packets crossing it are silently dropped and counted.
+     * Routing still treats the link as up.
      */
     void setLinkLossy(sim::NodeId from, sim::NodeId to, bool lossy);
 
@@ -189,18 +169,14 @@ class Fabric
     /** Node @p id attached: create its probes when sampling is on. */
     virtual void attached(sim::NodeId id) = 0;
 
-    /**
-     * Set the validated link @p from -> @p to up or down.
-     * @retval true if its state changed.
-     */
-    virtual bool setLinkUp(sim::NodeId from, sim::NodeId to, bool up) = 0;
+    /** Set the validated link @p from -> @p to up or down. */
+    virtual void setLinkUp(sim::NodeId from, sim::NodeId to, bool up) = 0;
 
     /** Set or clear the validated link's drop window. */
     virtual void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) = 0;
 
     void returnCredit(sim::NodeId src, Lane lane);
     void flushParked(Endpoint &ep);
-    void notifyAll(const FailureInfo &info);
 };
 
 /**
@@ -250,9 +226,6 @@ class NetworkInterface
     /** Register a callback fired whenever a message arrives on @p lane. */
     void onArrival(Lane lane, sim::Callback fn);
 
-    /** Register a callback fired if the fabric reports a failure. */
-    void onFabricFailure(sim::Callback fn);
-
     //
     // Fabric-side hooks
     //
@@ -263,12 +236,6 @@ class NetworkInterface
 
     /** Fabric signals that credits freed on @p lane; retries injection. */
     void injectSpaceFreed(Lane lane);
-
-    /** Fabric reports a node/link failure or recovery. */
-    void notifyFailure(const FailureInfo &info);
-
-    /** The most recent failure notification (kNone before the first). */
-    const FailureInfo &lastFailure() const { return lastFailure_; }
 
     std::size_t injectDepth(Lane lane) const;
     std::size_t ejectDepth(Lane lane) const;
@@ -284,8 +251,6 @@ class NetworkInterface
     sim::Callback sendSpaceCb_[kNumLanes];
     sim::Callback arrivalCb_[kNumLanes];
     bool pumping_[kNumLanes] = {}; //!< pumpInject reentrancy guard
-    sim::Callback failureCb_;
-    FailureInfo lastFailure_;
 
     sim::Counter sent_;
     sim::Counter received_;

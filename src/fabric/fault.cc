@@ -8,27 +8,11 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/did_you_mean.hh"
+
 namespace sonuma::fab {
 
 namespace {
-
-/** Levenshtein distance for did-you-mean on scenario keywords. */
-std::size_t
-editDistance(const std::string &a, const std::string &b)
-{
-    std::vector<std::size_t> prev(b.size() + 1), cur(b.size() + 1);
-    for (std::size_t j = 0; j <= b.size(); ++j)
-        prev[j] = j;
-    for (std::size_t i = 1; i <= a.size(); ++i) {
-        cur[0] = i;
-        for (std::size_t j = 1; j <= b.size(); ++j) {
-            const std::size_t sub = prev[j - 1] + (a[i - 1] != b[j - 1]);
-            cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, sub});
-        }
-        std::swap(prev, cur);
-    }
-    return prev[b.size()];
-}
 
 /** Parse "<float><ns|us|ms>" into ticks. */
 bool
@@ -217,15 +201,7 @@ FaultPlan::parse(const std::string &spec, std::uint32_t nodes,
     const auto &known = knownScenarios();
     if (std::find(known.begin(), known.end(), scenario) == known.end()) {
         *error = "unknown fault scenario '" + scenario + "'";
-        std::string best;
-        std::size_t bestDist = 4; // suggest only close misspellings
-        for (const auto &cand : known) {
-            const std::size_t d = editDistance(scenario, cand);
-            if (d < bestDist) {
-                bestDist = d;
-                best = cand;
-            }
-        }
+        const std::string best = sim::closestMatch(scenario, known);
         if (!best.empty())
             *error += " (did you mean '" + best + "'?)";
         else

@@ -104,12 +104,6 @@ NetworkInterface::onArrival(Lane lane, sim::Callback fn)
     arrivalCb_[li(lane)] = std::move(fn);
 }
 
-void
-NetworkInterface::onFabricFailure(sim::Callback fn)
-{
-    failureCb_ = std::move(fn);
-}
-
 bool
 NetworkInterface::deliver(const Message &msg)
 {
@@ -121,14 +115,6 @@ NetworkInterface::deliver(const Message &msg)
     if (arrivalCb_[li(lane)])
         arrivalCb_[li(lane)]();
     return true;
-}
-
-void
-NetworkInterface::notifyFailure(const FailureInfo &info)
-{
-    lastFailure_ = info;
-    if (failureCb_)
-        failureCb_();
 }
 
 std::size_t

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/did_you_mean.hh"
+
 namespace sonuma::fab {
 
 const char *
@@ -30,16 +32,11 @@ parseRoutingMode(const std::string &name, RoutingMode *out,
     }
     if (error) {
         *error = "unknown routing mode '" + name + "'";
-        // Cheap did-you-mean: prefix match against the two known names.
-        for (const char *cand : {"dor", "adaptive"}) {
-            const std::string c(cand);
-            if (!name.empty() &&
-                (c.find(name) == 0 || name.find(c) == 0)) {
-                *error += " (did you mean '" + c + "'?)";
-                return false;
-            }
-        }
-        *error += " (valid: dor, adaptive)";
+        const std::string best = sim::closestMatch(name, {"dor", "adaptive"});
+        if (!best.empty())
+            *error += " (did you mean '" + best + "'?)";
+        else
+            *error += " (valid: dor, adaptive)";
     }
     return false;
 }

@@ -180,14 +180,10 @@ TorusFabric::validateLink(sim::NodeId from, sim::NodeId to) const
     (void)dirTo(from, to);
 }
 
-bool
+void
 TorusFabric::setLinkUp(sim::NodeId from, sim::NodeId to, bool up)
 {
-    auto &&state = routers_[from].linkUp[dirTo(from, to)];
-    if (state == up)
-        return false;
-    state = up;
-    return true;
+    routers_[from].linkUp[dirTo(from, to)] = up;
 }
 
 void

@@ -87,7 +87,7 @@ class TorusFabric : public Fabric
 
     void launch(const Message &msg) override;
     void attached(sim::NodeId id) override;
-    bool setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
+    void setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
     void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
 
     void forward(sim::NodeId here, const Message &msg, std::uint32_t hops);

@@ -14,10 +14,6 @@ namespace sonuma::os {
 RmcDriver::RmcDriver(NodeOs &os, rmc::Rmc &rmc, ContextRegistry &registry)
     : os_(os), rmc_(rmc), registry_(registry)
 {
-    rmc_.setFailureHook([this] {
-        for (auto &fn : failureCbs_)
-            fn();
-    });
 }
 
 bool
@@ -160,12 +156,6 @@ RmcDriver::unregisterContext(Process &proc, sim::CtxId ctx)
         entry = rmc_.contextTable().entryMutable(ctx);
     }
     rmc_.contextTable().remove(ctx);
-}
-
-void
-RmcDriver::onFailure(sim::Callback fn)
-{
-    failureCbs_.push_back(std::move(fn));
 }
 
 } // namespace sonuma::os

@@ -4,9 +4,9 @@
  *
  * Responsibilities mirror the paper: manage the context namespace
  * (via the cluster ContextRegistry), register context segments (pages
- * pinned — our address spaces map eagerly, which is equivalent), create
- * and register queue pairs in the Context Table, and surface fabric
- * failures to interested software.
+ * pinned — our address spaces map eagerly, which is equivalent), and
+ * create and register queue pairs in the Context Table. Fabric failures
+ * never reach the driver: the RMC rides them out by retransmission.
  *
  * Because the RMC shares the OS page tables through cache coherence,
  * registration does NOT copy any translation state into the device —
@@ -22,7 +22,6 @@
 #include "os/context_registry.hh"
 #include "os/node_os.hh"
 #include "rmc/rmc.hh"
-#include "sim/callback.hh"
 
 namespace sonuma::os {
 
@@ -94,9 +93,6 @@ class RmcDriver
      */
     void unregisterContext(Process &proc, sim::CtxId ctx);
 
-    /** Register a callback for fabric-failure notifications (§5.1). */
-    void onFailure(sim::Callback fn);
-
     rmc::Rmc &rmc() { return rmc_; }
     NodeOs &os() { return os_; }
     ContextRegistry &registry() { return registry_; }
@@ -105,7 +101,6 @@ class RmcDriver
     NodeOs &os_;
     rmc::Rmc &rmc_;
     ContextRegistry &registry_;
-    std::vector<sim::Callback> failureCbs_;
 
     struct OpenRecord
     {

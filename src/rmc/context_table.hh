@@ -95,7 +95,7 @@ class ContextTable
     /** Install @p ctx into the CT$ after the miss fill completes. */
     void fill(sim::CtxId ctx);
 
-    /** Invalidate the CT$ (driver update or RMC reset). */
+    /** Invalidate the CT$ (driver update). */
     void invalidateCache();
 
     /** Disable the CT$ entirely (ablation experiments). */

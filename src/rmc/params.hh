@@ -72,10 +72,9 @@ struct RmcParams
 
     //
     // Source-side transfer timeout: a transfer whose replies stop
-    // arriving (node/link failure swallowed the packets) is aborted
-    // with a fabric-error completion after this long. Complements the
-    // driver's failure notification (§5.1) for requests that were still
-    // queued when the failure hit.
+    // arriving (a dead node, a dead link or a lossy window swallowed
+    // the packets) is retransmitted after this long. It is the only
+    // fault detector: no fault is ever notified to the RMC.
     //
     sim::Tick transferTimeout = sim::usToTicks(200);
 
@@ -86,8 +85,8 @@ struct RmcParams
     // delayed by rnrBackoff doubled per attempt (capped at
     // rnrBackoffCapDoublings doublings). Only after the attempt budget
     // is exhausted does the transfer abort with a fabric-error
-    // completion. maxAttempts == 1 restores the legacy abort-on-first-
-    // timeout behaviour.
+    // completion (counted in `unrecoverable`). maxAttempts == 1 aborts
+    // on the first timeout.
     //
     std::uint32_t maxAttempts = 4;
     sim::Tick rnrBackoff = sim::usToTicks(5);

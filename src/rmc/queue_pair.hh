@@ -72,7 +72,7 @@ enum class CqStatus : std::uint8_t
     kOk = 0,
     kBoundsError = 1,   //!< offset outside the destination segment
     kBadContext = 2,    //!< ctx not registered at the destination
-    kFabricError = 3,   //!< node/link failure while in flight
+    kFabricError = 3,   //!< attempt budget spent without a reply
     kFlushed = 4,       //!< QP/context torn down while in flight
 };
 

@@ -46,7 +46,7 @@ Rmc::absorbReply(const fab::Message &msg)
     const std::uint16_t ep = static_cast<std::uint16_t>(msg.tid >> 16);
     const std::uint32_t tidIndex = msg.tid & 0xffff;
 
-    // Stale reply — from before an RMC reset (epoch) or from a
+    // Stale reply — for a freed tid incarnation (epoch) or from a
     // superseded attempt of a retransmitted transfer: drop it. The
     // retransmit already re-counts every line of the new attempt.
     if (tidIndex >= itt_.size() || !itt_[tidIndex].owns(ep, msg.attempt))
@@ -61,10 +61,10 @@ Rmc::absorbReply(const fab::Message &msg)
                     params_.cycles(params_.rcpStageCycles),
                     params_.emuPerReply);
 
-    // The charges above suspend; a reset() may have aborted this
-    // transfer and freed (epoch-bumped) its tid meanwhile — or the
-    // timeout sweep may have bumped the attempt, superseding this
-    // reply. Re-check before reading buffer coordinates out of the
+    // The charges above suspend; a queue-pair fence or the timeout
+    // sweep may have aborted this transfer and freed (epoch-bumped) its
+    // tid meanwhile — or the sweep may have bumped the attempt,
+    // superseding this reply. Re-check before reading buffer coordinates out of the
     // entry — the slot may already belong to a new transfer/attempt.
     if (!itt.owns(ep, msg.attempt))
         co_return;
@@ -82,7 +82,7 @@ Rmc::absorbReply(const fab::Message &msg)
         co_await walker_.translate(itt.ctx, dst, ct_.entry(itt.ctx)->ptRoot,
                                    &pa);
         // Translation suspends too: re-check before writing the error
-        // flag (or payload bookkeeping) into an entry a reset may have
+        // flag (or payload bookkeeping) into an entry an abort may have
         // handed to a new transfer (or a sweep to a new attempt).
         if (!itt.owns(ep, msg.attempt))
             co_return;
@@ -100,7 +100,7 @@ Rmc::absorbReply(const fab::Message &msg)
 
     // Update the ITT ("Update ITT", a memory write through the MAQ).
     co_await maq_.write(ittAddr(tidIndex));
-    // The payload/ITT writes suspend too — same reset/retransmit window
+    // The payload/ITT writes suspend too — same abort/retransmit window
     // as above. Decrementing a freed entry would post a duplicate
     // completion for whatever transfer reuses the slot; decrementing a
     // re-attempted one would double-count this line.
@@ -143,8 +143,8 @@ Rmc::postCompletion(IttEntry &itt, std::uint32_t tidIndex)
     const vm::VAddr cqVa = qp.cqEntryVa(cursor.index());
     cursor.advance();
 
-    // Release the ITT entry *before* any suspension, too: a fabric
-    // failure (reset()) or the timeout sweep scanning active entries
+    // Release the ITT entry *before* any suspension, too: a queue-pair
+    // fence or the timeout sweep scanning active entries
     // mid-write would otherwise abort this transfer a second time and
     // post a duplicate completion for the same WQ slot. The epoch bump
     // in freeTid drops any straggler replies for the old incarnation.

@@ -135,7 +135,7 @@ Rmc::generateRequests(sim::CtxId ctx, std::uint32_t qpIndex,
     std::uint32_t sent = 0;
     co_await injectLines(tidIndex, myEpoch, 0, &sent);
     if (!itt.owns(myEpoch, 0))
-        co_return; // aborted (reset, fence, peer death) mid-unroll
+        co_return; // fenced mid-unroll
     // Unrolled as far as it ever will be: the timeout clock may start.
     itt.unrolled = true;
     if (sent < itt.total) {
@@ -160,10 +160,9 @@ Rmc::injectLines(std::uint32_t tidIndex, std::uint16_t epoch,
     const auto lane = static_cast<std::size_t>(fab::Lane::kRequest);
     *sent = 0;
     for (std::uint32_t i = 0; i < itt.total; ++i) {
-        // Every step below can suspend, and a reset, fence, peer death
-        // or newer attempt may free or re-own the slot meanwhile; the
-        // lines left belong to a transfer (attempt) that no longer
-        // exists, and the slot may already carry a new one.
+        // Every step below can suspend, and a queue-pair fence may free
+        // the slot meanwhile; the lines left belong to a transfer that
+        // no longer exists, and the slot may already carry a new one.
         if (!itt.owns(epoch, attempt))
             co_return;
         fab::Message msg;

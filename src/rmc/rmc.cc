@@ -52,7 +52,8 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
       atomicsExecuted_(stats, name + ".rrpp.atomics",
                        "remote atomics executed"),
       failureAborts_(stats, name + ".failureAborts",
-                     "transfers aborted by fabric failures or teardown"),
+                     "transfers aborted by an exhausted attempt budget "
+                     "or teardown"),
       retransmits_(stats, name + ".retransmits",
                    "timed-out transfers retransmitted"),
       dupSuppressed_(stats, name + ".rrpp.dupSuppressed",
@@ -60,7 +61,7 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
                      "window"),
       unrecoverable_(stats, name + ".unrecoverable",
                      "transfers given up as unrecoverable (attempt "
-                     "budget exhausted or peer dead)"),
+                     "budget exhausted)"),
       dedupRing_(params.dedupWindow),
       // 4x the live window keeps probe runs short; FIFO eviction
       // never grows the index, whose size tracks live keys only.
@@ -99,7 +100,9 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
     }
 
     // NI wiring: arrivals wake the RRPP/RCP loops, freed send space wakes
-    // blocked senders, fabric failures reset transfer state.
+    // blocked senders. Faults need no wiring: a dead peer, a dead self
+    // or a dead link only loses packets, which the timeout sweep
+    // retransmits.
     ni_.onArrival(fab::Lane::kRequest,
                   [this] { arrival_[0].notifyAll(); });
     ni_.onArrival(fab::Lane::kReply, [this] { arrival_[1].notifyAll(); });
@@ -107,7 +110,6 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
                     [this] { sendSpace_[0].notifyAll(); });
     ni_.onSendSpace(fab::Lane::kReply,
                     [this] { sendSpace_[1].notifyAll(); });
-    ni_.onFabricFailure([this] { handleFabricFailure(); });
 
     // Start the three decoupled pipelines.
     rgpLoop();
@@ -170,12 +172,6 @@ Rmc::noteCqConsumed(sim::CtxId ctx, std::uint32_t qpIndex)
         --occ.cq;
 }
 
-void
-Rmc::setFailureHook(sim::Callback hook)
-{
-    failureHook_ = std::move(hook);
-}
-
 const CtEntry *
 Rmc::liveQp(sim::CtxId ctx, std::uint32_t qpIndex) const
 {
@@ -230,24 +226,16 @@ Rmc::abortTransfer(std::uint32_t tidIndex, CqStatus status)
     freeTid(tidIndex);
 }
 
-template <class Match>
-void
-Rmc::abortTransfersWhere(CqStatus status, Match match)
-{
-    for (std::uint32_t i = 0; i < itt_.size(); ++i) {
-        if (itt_[i].active && match(itt_[i]))
-            abortTransfer(i, status);
-    }
-}
-
 void
 Rmc::fenceQueuePair(sim::CtxId ctx, std::uint32_t qpIndex)
 {
     // 1. In-flight transfers of this (ctx, qp): one clean flushed
     //    completion each; freeTid bumps the epoch so late replies drop.
-    abortTransfersWhere(CqStatus::kFlushed, [&](const IttEntry &e) {
-        return e.ctx == ctx && e.qpIndex == qpIndex;
-    });
+    for (std::uint32_t i = 0; i < itt_.size(); ++i) {
+        const IttEntry &e = itt_[i];
+        if (e.active && e.ctx == ctx && e.qpIndex == qpIndex)
+            abortTransfer(i, CqStatus::kFlushed);
+    }
     // 2. Posted-but-unconsumed WQ entries — including doorbell-batched
     //    ones that were never rung — flush-complete in ring order so
     //    every application post gets exactly one completion. Ops the
@@ -273,53 +261,6 @@ Rmc::fenceQueuePair(sim::CtxId ctx, std::uint32_t qpIndex)
         postFunctionalCompletion(ctx, qpIndex, wqIndex,
                                  CqStatus::kFlushed);
     }
-}
-
-void
-Rmc::handleFabricFailure()
-{
-    // The fabric names the kind in every notification it sends.
-    const fab::FailureInfo &f = ni_.lastFailure();
-    assert(f.kind != fab::FailureKind::kNone);
-    switch (f.kind) {
-      case fab::FailureKind::kNodeDown:
-        if (f.a == nid_) {
-            // This node itself died: full reset (paper §5.1).
-            reset();
-            return;
-        }
-        // A peer died: abort only the transfers aimed at it, leaving
-        // healthy traffic undisturbed, and still tell the driver.
-        abortTransfersWhere(CqStatus::kFabricError,
-                            [peer = f.a](const IttEntry &e) {
-                                return e.peer == peer;
-                            });
-        if (failureHook_)
-            failureHook_();
-        return;
-      case fab::FailureKind::kNodeUp:
-      case fab::FailureKind::kLinkDown:
-      case fab::FailureKind::kLinkUp:
-      case fab::FailureKind::kNone: // asserted above
-        // Link faults lose packets, not endpoints: in-flight transfers
-        // over the dead link surface through the transfer timeout (or
-        // complete via a detour under adaptive routing).
-        return;
-    }
-}
-
-void
-Rmc::reset()
-{
-    // Abort every outstanding transfer with a fabric-error completion.
-    // (Conservative: the paper notes failures "typically require a reset
-    // of the RMC's state, and may require a restart of the applications".)
-    abortTransfersWhere(CqStatus::kFabricError,
-                        [](const IttEntry &) { return true; });
-    tlb_.flushAll();
-    ct_.invalidateCache();
-    if (failureHook_)
-        failureHook_();
 }
 
 void

@@ -135,9 +135,6 @@ class Rmc
     void setCompletionHook(sim::CtxId ctx, std::uint32_t qpIndex,
                            sim::Callback hook);
 
-    /** Hook invoked when the fabric reports a failure (driver). */
-    void setFailureHook(sim::Callback hook);
-
     /**
      * Condition notified after the RRPP applies a remote write or atomic
      * to this node's memory. Software that polls local memory for
@@ -147,14 +144,6 @@ class Rmc
      * doorbell shortcut).
      */
     sim::Condition &remoteWriteEvent() { return remoteWriteEvent_; }
-
-    /**
-     * Reset transfer state after a fabric failure: every outstanding
-     * transaction completes with CqStatus::kFabricError, TLB and CT$
-     * are flushed, and the tid epoch advances so late replies from the
-     * pre-failure era are dropped (§5.1).
-     */
-    void reset();
 
     /**
      * Drain one queue pair after the driver invalidated its descriptor
@@ -247,8 +236,6 @@ class Rmc
     // Concurrency bounds for request/reply servicing.
     sim::Semaphore rrppSlots_;
     sim::Semaphore rcpSlots_;
-
-    sim::Callback failureHook_;
 
     // Stats.
     sim::Counter doorbellsRung_;
@@ -370,16 +357,9 @@ class Rmc
     /** Abort one transfer with a (functional) error completion. */
     void abortTransfer(std::uint32_t tidIndex, CqStatus status);
 
-    /** Abort, with @p status, every active transfer @p match accepts. */
-    template <class Match>
-    void abortTransfersWhere(CqStatus status, Match match);
-
     /** Functionally write one CQ entry for (ctx, qp) and fire hooks. */
     void postFunctionalCompletion(sim::CtxId ctx, std::uint32_t qpIndex,
                                   std::uint32_t wqIndex, CqStatus status);
-
-    /** Dispatch a fabric failure notification by kind and victim. */
-    void handleFabricFailure();
 
     /** Timeout sweep over active ITT entries. */
     void scheduleSweep();

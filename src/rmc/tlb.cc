@@ -64,11 +64,4 @@ Tlb::flushCtx(sim::CtxId ctx)
     }
 }
 
-void
-Tlb::flushAll()
-{
-    for (auto &e : entries_)
-        e.valid = false;
-}
-
 } // namespace sonuma::rmc

@@ -38,9 +38,6 @@ class Tlb
     /** Drop all translations for @p ctx (context teardown). */
     void flushCtx(sim::CtxId ctx);
 
-    /** Drop everything (RMC reset on fabric failure). */
-    void flushAll();
-
     std::uint64_t hitCount() const { return hits_.value(); }
     std::uint64_t missCount() const { return misses_.value(); }
     std::uint32_t capacity() const { return capacity_; }

@@ -25,7 +25,7 @@
 namespace sonuma::sim {
 
 /** Artifact schema version; bump when a field's meaning or presence changes. */
-constexpr int kArtifactSchema = 3;
+constexpr int kArtifactSchema = 4;
 
 class JsonWriter
 {

@@ -2,15 +2,18 @@
  * @file
  * Dedicated tests for the one-sided barrier (paper §5.3): no early
  * escape under staggered arrivals, reuse across generations, scaling
- * to 16 nodes, generation counting, and coexistence with application
- * traffic on a shared queue pair (safe under the v2 per-slot
- * completion model).
+ * to 16 nodes, generation counting, announcements lost to a peer death
+ * landing by retransmission once the peer recovers, and coexistence
+ * with application traffic on a shared queue pair (safe under the v2
+ * per-slot completion model).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "api/barrier.hh"
@@ -134,6 +137,52 @@ TEST_F(BarrierFixture, SixteenNodesConverge)
     EXPECT_EQ(passed, 16);
     for (const auto *b : barriers)
         EXPECT_EQ(b->generation(), 3u);
+}
+
+TEST_F(BarrierFixture, AnnouncementsLostToAPeerDeathLandAfterItRecovers)
+{
+    // Node 2 dies while the announcement writes are on the wire and
+    // comes back 20 us later. Nobody is told: the lost writes, to and
+    // from node 2, time out and are retransmitted by the RMC, so every
+    // node passes the barrier (the last only once node 2 is back), with
+    // nothing given up.
+    build(4);
+    const sim::Tick kill = sim::nsToTicks(350);
+    const sim::Tick back = kill + sim::usToTicks(20);
+    auto &fabric = bed->cluster().fabric();
+    const auto &stats = sim().stats();
+    std::uint64_t sentBeforeKill = 0;
+    sim().eq().schedule(kill, [&] {
+        for (std::uint32_t i = 0; i < 4; ++i)
+            sentBeforeKill += stats
+                                  .counter("node" + std::to_string(i) +
+                                           ".rmc.rgp.requestPackets")
+                                  ->value();
+        fabric.failNode(2);
+    });
+    sim().eq().schedule(back, [&fabric] { fabric.recoverNode(2); });
+    std::vector<sim::Tick> exits(4, 0);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        sim().spawn([](BarrierFixture *f, std::uint32_t i,
+                       std::vector<sim::Tick> *exits) -> sim::Task {
+            co_await f->barriers[i]->arrive();
+            (*exits)[i] = f->sim().now();
+        }(this, i, &exits));
+    }
+    sim().run();
+    ASSERT_TRUE(sim().allRootsDone()) << "the barrier never completed";
+    EXPECT_GT(sentBeforeKill, 0u) << "no announcement was on the wire";
+    EXPECT_GT(fabric.droppedMessages(), 0u) << "the kill must bite";
+    std::uint64_t retransmits = 0, unrecoverable = 0;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        const std::string node = "node" + std::to_string(i) + ".rmc.";
+        retransmits += stats.counter(node + "retransmits")->value();
+        unrecoverable += stats.counter(node + "unrecoverable")->value();
+        EXPECT_EQ(barriers[i]->generation(), 1u);
+    }
+    EXPECT_GE(*std::max_element(exits.begin(), exits.end()), back);
+    EXPECT_GT(retransmits, 0u);
+    EXPECT_EQ(unrecoverable, 0u);
 }
 
 TEST_F(BarrierFixture, SharesQpWithApplicationTraffic)

@@ -76,15 +76,14 @@ TEST(BenchArgs, DegradedModeFlagsValidate)
     std::string err;
     EXPECT_TRUE(Args::validate(
         {"--faults=node-kill@50us+100us", "--routing=adaptive",
-         "--retries=4", "--max-attempts=6"},
-        {"faults", "routing", "retries", "max-attempts"}, &err))
+         "--max-attempts=6"},
+        {"faults", "routing", "max-attempts"}, &err))
         << err;
 }
 
 TEST(BenchArgs, TypodDegradedFlagsGetDidYouMean)
 {
     const std::vector<std::string> known = {"faults", "routing",
-                                           "retries",
                                            "max-attempts"};
     std::string err;
     EXPECT_FALSE(Args::validate({"--fault=node-kill@50us"}, known, &err));

@@ -376,14 +376,14 @@ TEST(ClusterSpecTest, AdaptiveRoutingRequiresATorus)
                     .torus(2, 2)
                     .segmentPerNode(64_KiB)
                     .routing(fab::RoutingMode::kAdaptive));
-    EXPECT_FALSE(bed.faultsActive());
 }
 
 TEST(ClusterSpecTest, FaultPlanArmsAndFires)
 {
     // A spec-level fault plan is validated and armed at build time and
-    // its events fire on the bed's queue: kill+recover leaves the
-    // fabric healthy again but the NIs saw both notifications.
+    // its events fire on the bed's queue: a read posted while node 1 is
+    // dead loses its request, and its retransmission after the
+    // recovery completes it.
     fab::FaultPlan plan;
     plan.killNode(sim::usToTicks(1), 1);
     plan.recoverNode(sim::usToTicks(2), 1);
@@ -391,10 +391,17 @@ TEST(ClusterSpecTest, FaultPlanArmsAndFires)
                     .nodes(2)
                     .segmentPerNode(64_KiB)
                     .faultPlan(plan));
-    EXPECT_TRUE(bed.faultsActive());
+    api::OpResult res;
+    bed.spawn([](sim::Simulation *sim, api::RmcSession *s, vm::VAddr buf,
+                 api::OpResult *out) -> sim::Task {
+        co_await sim::Delay(sim->eq(), sim::nsToTicks(1500));
+        *out = co_await s->read(1, 0, buf, 64);
+    }(&bed.sim(), &bed.session(0), bed.session(0).allocBuffer(64), &res));
     bed.run();
-    EXPECT_EQ(bed.cluster().node(0).ni().lastFailure().kind,
-              fab::FailureKind::kNodeUp);
+    EXPECT_TRUE(res.ok());
+    EXPECT_EQ(bed.cluster().fabric().droppedMessages(), 1u);
+    EXPECT_EQ(bed.sim().stats().counter("node0.rmc.retransmits")->value(),
+              1u);
 
     // An out-of-range victim throws from the TestBed constructor.
     fab::FaultPlan bad;

@@ -353,17 +353,22 @@ TEST_F(TwoNodeFixture, BidirectionalTrafficBothDirections)
               0xabcdu);
 }
 
-TEST_F(TwoNodeFixture, FabricFailureAbortsOutstandingOps)
+TEST_F(TwoNodeFixture, PermanentPeerDeathAbortsInFlightOpsOnceBudgetIsSpent)
 {
+    // Nobody tells the client its peer died. Reads whose replies had
+    // already left the server complete normally; the rest just stop
+    // getting replies. Each of those retransmits until it has used
+    // maxAttempts attempts, then completes kFabricError, counted once
+    // in `unrecoverable`, and no earlier than maxAttempts timeouts.
     auto session = makeClientSession();
     const vm::VAddr buf = session.allocBuffer(64 * 8);
-
-    bool driverNotified = false;
-    cluster->node(1).driver().onFailure([&] { driverNotified = true; });
+    const rmc::RmcParams &p = cluster->node(1).rmc().params();
 
     std::vector<CqStatus> statuses;
-    sim.spawn([](Cluster *cluster, RmcSession *s, vm::VAddr buf,
-                 std::vector<CqStatus> *statuses) -> sim::Task {
+    sim::Tick failedAt = 0;
+    sim.spawn([](sim::Simulation *sim, Cluster *cluster, RmcSession *s,
+                 vm::VAddr buf, std::vector<CqStatus> *statuses,
+                 sim::Tick *failedAt) -> sim::Task {
         std::vector<OpHandle> handles;
         for (int i = 0; i < 8; ++i) {
             handles.push_back(co_await s->readAsync(
@@ -372,18 +377,25 @@ TEST_F(TwoNodeFixture, FabricFailureAbortsOutstandingOps)
         }
         // Fail the server node while requests are in flight.
         cluster->fabric().failNode(0);
+        *failedAt = sim->now();
         for (OpHandle &h : handles)
             statuses->push_back((co_await h).status);
-    }(cluster.get(), &session, buf, &statuses));
+    }(&sim, cluster.get(), &session, buf, &statuses, &failedAt));
     sim.run();
 
-    EXPECT_TRUE(driverNotified);
-    EXPECT_EQ(statuses.size(), 8u);
-    bool sawFabricError = false;
-    for (auto st : statuses)
-        sawFabricError |= (st == CqStatus::kFabricError);
-    EXPECT_TRUE(sawFabricError);
+    ASSERT_EQ(statuses.size(), 8u);
+    std::uint64_t lost = 0;
+    for (auto st : statuses) {
+        EXPECT_TRUE(st == CqStatus::kOk || st == CqStatus::kFabricError);
+        lost += st == CqStatus::kFabricError;
+    }
+    EXPECT_GT(lost, 0u) << "the kill must catch some reads in flight";
     EXPECT_EQ(session.outstanding(), 0u);
+    const auto &stats = sim.stats();
+    EXPECT_EQ(stats.counter("node1.rmc.unrecoverable")->value(), lost);
+    EXPECT_EQ(stats.counter("node1.rmc.retransmits")->value(),
+              lost * (p.maxAttempts - 1));
+    EXPECT_GE(sim.now() - failedAt, p.maxAttempts * p.transferTimeout);
 }
 
 TEST_F(TwoNodeFixture, TwoQpsOnOneNodeOperateIndependently)
