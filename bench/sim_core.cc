@@ -181,7 +181,7 @@ class LegacyEventQueue
 /**
  * Self-rescheduling event chains with capture sizes drawn from the real
  * simulator: half the chains carry an 8-byte capture (a coroutine-handle
- * resume), half a 40-byte capture (a model callback with context), which
+ * resume), half a 24-byte capture (a model callback with context), which
  * libstdc++'s std::function must heap-allocate but sim::Callback keeps
  * inline.
  */
@@ -194,7 +194,7 @@ struct ChurnHarness
 
     struct BigState
     {
-        std::uint64_t a = 1, b = 2, c = 3, d = 4;
+        std::uint64_t a = 1, b = 2;
     };
 
     void

@@ -26,47 +26,49 @@ TcpPair::TcpPair(sim::EventQueue &eq, sim::StatRegistry &stats,
 sim::Task
 TcpPair::transfer(int dir, std::uint32_t len)
 {
-    const int src = dir;
-    const int dst = 1 - dir;
     const std::uint32_t packetCount =
         std::max<std::uint32_t>(1, (len + params_.mtu - 1) / params_.mtu);
 
     // Per-message syscall/wakeup cost, then a pipelined per-packet path:
     // tx stack -> wire -> rx stack. After the last packet, the receiver
     // pays the per-message wakeup + copy-out before the app sees data.
-    co_await txCore_[src]->use(params_.perMessageTx);
+    co_await txCore_[dir]->use(params_.perMessageTx);
 
-    sim::Condition lastDone(eq_);
-    bool finished = false;
-    std::uint32_t remaining = packetCount;
+    // The transfer's state lives in this frame, so every packet callback
+    // captures only {state, bytes} and fits a sim::Callback.
+    struct State
+    {
+        TcpPair *pair;
+        int src;
+        int dst;
+        std::uint32_t remaining;
+        bool finished;
+        sim::Condition lastDone;
+    } st{this, dir, 1 - dir, packetCount, false, sim::Condition(eq_)};
     for (std::uint32_t p = 0; p < packetCount; ++p) {
         const std::uint32_t bytes =
             std::min<std::uint32_t>(params_.mtu, len - p * params_.mtu);
         packets_.inc();
-        txCore_[src]->submit(params_.perPacketTx, [this, src, dst, bytes,
-                                                   &remaining, &finished,
-                                                   &lastDone] {
-            link_[src]->send(bytes + 66 /* eth+ip+tcp headers */,
-                             [this, dst, &remaining, &finished,
-                              &lastDone] {
-                                 rxCore_[dst]->submit(
-                                     params_.perPacketRx,
-                                     [this, dst, &remaining, &finished,
-                                      &lastDone] {
-                                         if (--remaining > 0)
-                                             return;
-                                         rxCore_[dst]->submit(
-                                             params_.perMessageRx,
-                                             [&finished, &lastDone] {
-                                                 finished = true;
-                                                 lastDone.notifyAll();
-                                             });
-                                     });
-                             });
+        txCore_[st.src]->submit(params_.perPacketTx, [s = &st, bytes] {
+            s->pair->link_[s->src]->send(
+                bytes + 66 /* eth+ip+tcp headers */, [s] {
+                    TcpPair &tcp = *s->pair;
+                    tcp.rxCore_[s->dst]->submit(
+                        tcp.params_.perPacketRx, [s] {
+                            if (--s->remaining > 0)
+                                return;
+                            TcpPair &tcp = *s->pair;
+                            tcp.rxCore_[s->dst]->submit(
+                                tcp.params_.perMessageRx, [s] {
+                                    s->finished = true;
+                                    s->lastDone.notifyAll();
+                                });
+                        });
+                });
         });
     }
-    while (!finished)
-        co_await lastDone.wait();
+    while (!st.finished)
+        co_await st.lastDone.wait();
 }
 
 sim::Task

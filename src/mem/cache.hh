@@ -377,8 +377,8 @@ class L2Cache
      * in its slot through the tag latency, the miss path and the probe
      * latency until fireCompletion (or process, for a putback) takes
      * it. As in the L1, slot storage keeps event captures at
-     * {this, slot}: the PendingReq holds a Callback and would overflow
-     * sim::Callback's inline buffer.
+     * {this, slot}: the PendingReq holds a Callback, which is move-only
+     * and so cannot be captured by another sim::Callback.
      */
     struct ParkedReq
     {

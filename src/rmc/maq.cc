@@ -78,9 +78,8 @@ Maq::issue(mem::PAddr pa, bool isWrite, bool fullLine, sim::Callback done)
     if (isWrite)
         activeStores_.push_back(idx);
 
-    // The completion handed to the cache captures 12 bytes: it always
-    // stays inline in sim::Callback no matter how large the original
-    // continuation's captures are.
+    // The completion handed to the cache captures 12 bytes; the
+    // caller's continuation stays parked in the slot.
     if (fullLine)
         l1_.accessFullLineWrite(pa, [this, idx] { complete(idx); });
     else

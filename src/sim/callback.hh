@@ -1,21 +1,24 @@
 /**
  * @file
- * Small-buffer-optimized callback type for the simulation hot path.
+ * Fixed-size callback type for the simulation hot path.
  *
  * `sim::Callback` replaces `std::function<void()>` everywhere events are
- * scheduled. libstdc++'s std::function only stores trivially-copyable
- * captures up to 16 bytes inline; every fabric closure that captured a
- * Message (~136 B) or a coroutine handle plus context took a heap
- * allocation per event. Callback provides 48 bytes of inline storage and
- * accepts move-only captures, so the steady-state simulation loop touches
- * the allocator only for captures that genuinely exceed the buffer.
+ * scheduled. It is 32 bytes: an invoke pointer and 24 bytes of inline
+ * storage. Every callable the simulator schedules is a lambda over
+ * pointers, handles, indices or small PODs, so the capture must be
+ * trivially copyable, trivially destructible and at most 24 bytes;
+ * anything else is rejected at compile time (the constructor is
+ * constrained, so `std::is_constructible_v<Callback, F>` tells). A
+ * capture that needs more state parks it in an owner's slot table and
+ * captures `{owner, slot}` instead (see `slot_pool.hh`).
  *
- * Trivially-copyable captures (the overwhelming majority: lambdas over
- * pointers, handles, ids, PODs) take a fast path: moves are a fixed-size
- * memcpy and destruction is a no-op, with no indirect calls.
+ * With that contract a move is a 32-byte copy and destruction is a
+ * no-op: there is no heap fallback, no per-type operations table and no
+ * destructor call.
  *
- * Semantics: move-only, nullable, repeatedly invocable. Invoking an empty
- * Callback is undefined (asserts in debug builds).
+ * Semantics: move-only (a moved-from Callback is empty), nullable,
+ * repeatedly invocable. Invoking an empty Callback is undefined
+ * (asserts in debug builds).
  */
 
 #ifndef SONUMA_SIM_CALLBACK_HH
@@ -23,40 +26,55 @@
 
 #include <cassert>
 #include <cstddef>
-#include <cstring>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace sonuma::sim {
 
+class Callback;
+
+/** Bytes of inline storage in a Callback. */
+inline constexpr std::size_t kCallbackInlineBytes = 24;
+
+/** A callable a Callback can hold: small, trivially copyable, void(). */
+template <typename F>
+concept CallbackTarget =
+    !std::is_same_v<std::remove_cvref_t<F>, Callback> &&
+    std::is_invocable_r_v<void, std::decay_t<F> &> &&
+    sizeof(std::decay_t<F>) <= kCallbackInlineBytes &&
+    alignof(std::decay_t<F>) <= alignof(std::uint64_t) &&
+    std::is_trivially_copyable_v<std::decay_t<F>> &&
+    std::is_trivially_destructible_v<std::decay_t<F>>;
+
 class Callback
 {
   public:
-    /** Bytes of inline storage: captures up to this size never allocate. */
-    static constexpr std::size_t kInlineBytes = 48;
+    static constexpr std::size_t kInlineBytes = kCallbackInlineBytes;
 
     Callback() noexcept = default;
     Callback(std::nullptr_t) noexcept {}
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Callback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
-    Callback(F &&f)
+    template <typename F>
+        requires CallbackTarget<F>
+    Callback(F &&f) noexcept
     {
         emplace(std::forward<F>(f));
     }
 
-    Callback(Callback &&o) noexcept { moveFrom(o); }
+    Callback(Callback &&o) noexcept : invoke_(o.invoke_), storage_(o.storage_)
+    {
+        o.invoke_ = nullptr;
+    }
 
     Callback &
     operator=(Callback &&o) noexcept
     {
-        if (this != &o) {
-            reset();
-            moveFrom(o);
-        }
+        const auto invoke = o.invoke_;
+        o.invoke_ = nullptr;
+        storage_ = o.storage_;
+        invoke_ = invoke;
         return *this;
     }
 
@@ -67,14 +85,11 @@ class Callback
         return *this;
     }
 
-    template <typename F,
-              typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, Callback> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+    template <typename F>
+        requires CallbackTarget<F>
     Callback &
-    operator=(F &&f)
+    operator=(F &&f) noexcept
     {
-        reset();
         emplace(std::forward<F>(f));
         return *this;
     }
@@ -82,113 +97,39 @@ class Callback
     Callback(const Callback &) = delete;
     Callback &operator=(const Callback &) = delete;
 
-    ~Callback() { reset(); }
-
-    explicit operator bool() const noexcept { return ops_ != nullptr; }
+    explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
     void
     operator()()
     {
-        assert(ops_ && "invoking an empty Callback");
-        ops_->invoke(target());
+        assert(invoke_ && "invoking an empty Callback");
+        invoke_(storage_.bytes);
     }
 
-    /** True if the callable lives in the inline buffer (test hook). */
-    bool
-    isInline() const noexcept
-    {
-        return ops_ && ops_->inlineStored;
-    }
-
-    /** Drop the held callable (releases its captures immediately). */
-    void
-    reset() noexcept
-    {
-        if (ops_) {
-            if (!ops_->trivial)
-                ops_->destroy(target());
-            ops_ = nullptr;
-        }
-    }
+    /** Drop the held callable. */
+    void reset() noexcept { invoke_ = nullptr; }
 
   private:
-    struct Ops
+    struct Storage
     {
-        void (*invoke)(void *);
-        void (*destroy)(void *);
-        // Moves the callable from src storage into dst storage. For heap
-        // targets this just moves the pointer.
-        void (*relocate)(void *src, void *dst);
-        bool inlineStored;
-        // Trivially copyable and destructible: moves are a plain memcpy
-        // of the inline buffer and destruction is a no-op.
-        bool trivial;
+        alignas(std::uint64_t) unsigned char bytes[kInlineBytes];
     };
 
-    alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
-    const Ops *ops_ = nullptr;
-
-    void *
-    target() noexcept
-    {
-        if (ops_->inlineStored)
-            return storage_;
-        return *reinterpret_cast<void **>(storage_);
-    }
-
-    void
-    moveFrom(Callback &o) noexcept
-    {
-        ops_ = o.ops_;
-        if (ops_) {
-            if (ops_->trivial)
-                std::memcpy(storage_, o.storage_, kInlineBytes);
-            else
-                ops_->relocate(o.storage_, storage_);
-        }
-        o.ops_ = nullptr;
-    }
+    void (*invoke_)(void *) = nullptr;
+    Storage storage_{};
 
     template <typename F>
     void
-    emplace(F &&f)
+    emplace(F &&f) noexcept
     {
         using Fn = std::decay_t<F>;
-        constexpr bool fits = sizeof(Fn) <= kInlineBytes &&
-                              alignof(Fn) <= alignof(std::max_align_t) &&
-                              std::is_nothrow_move_constructible_v<Fn>;
-        if constexpr (fits) {
-            static const Ops ops = {
-                [](void *p) { (*static_cast<Fn *>(p))(); },
-                [](void *p) { static_cast<Fn *>(p)->~Fn(); },
-                [](void *src, void *dst) {
-                    ::new (dst) Fn(std::move(*static_cast<Fn *>(src)));
-                    static_cast<Fn *>(src)->~Fn();
-                },
-                true,
-                std::is_trivially_copyable_v<Fn> &&
-                    std::is_trivially_destructible_v<Fn>,
-            };
-            ::new (static_cast<void *>(storage_))
-                Fn(std::forward<F>(f));
-            ops_ = &ops;
-        } else {
-            static const Ops ops = {
-                [](void *p) { (*static_cast<Fn *>(p))(); },
-                [](void *p) { delete static_cast<Fn *>(p); },
-                [](void *src, void *dst) {
-                    *reinterpret_cast<void **>(dst) =
-                        *reinterpret_cast<void **>(src);
-                },
-                false,
-                false,
-            };
-            *reinterpret_cast<void **>(storage_) =
-                new Fn(std::forward<F>(f));
-            ops_ = &ops;
-        }
+        ::new (static_cast<void *>(storage_.bytes)) Fn(std::forward<F>(f));
+        invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
     }
 };
+
+static_assert(sizeof(Callback) == 32);
+static_assert(std::is_trivially_destructible_v<Callback>);
 
 } // namespace sonuma::sim
 

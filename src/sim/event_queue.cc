@@ -12,7 +12,7 @@ Tick
 EventQueue::runUntil(Tick limit)
 {
     while (const HeapEntry *top = liveTop()) {
-        if (tickOf(top->key) > limit)
+        if (top->tick > limit)
             break;
         step();
     }

@@ -6,15 +6,14 @@
  * tick fire in scheduling order (a monotonic sequence number breaks ties),
  * which makes runs bit-reproducible for a given seed and workload.
  *
- * Zero-allocation design: callbacks are sim::Callback (48 B inline
- * storage, no heap for captures that fit); pending callbacks live in a
- * generation-tagged slot table recycled through a freelist, and the heap
- * holds plain {key, slot, gen} records ordered by a single 128-bit
- * (tick, seq) key. cancel() is an O(1) slot lookup that releases the
- * callback (and its captured resources) eagerly; the heap record is
- * tombstoned by its stale generation and dropped lazily when it
- * surfaces. After warm-up the steady-state schedule / fire / cancel
- * cycle performs no heap allocation at all.
+ * Zero-allocation design: callbacks are sim::Callback (32 B, captures
+ * stored inline) constructed directly in their slot of a
+ * generation-tagged slot table recycled through a freelist. The heap
+ * holds plain 24-byte {tick, seq, slot, gen} records ordered by
+ * (tick, seq). cancel() is an O(1) slot lookup that empties the slot
+ * eagerly; the heap record is tombstoned by its stale generation and
+ * dropped lazily when it surfaces. After warm-up the steady-state
+ * schedule / fire / cancel cycle performs no heap allocation at all.
  *
  * The hot methods (schedule, step, cancel) are defined inline in this
  * header: they sit in the innermost loop of every simulation, and the
@@ -27,6 +26,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/callback.hh"
@@ -54,29 +54,33 @@ class EventQueue
     Tick now() const { return now_; }
 
     /**
-     * Schedule @p fn to run at absolute time @p when.
+     * Schedule @p fn (a Callback or any callable it accepts) to run at
+     * absolute time @p when. The callable is built in its event slot.
      *
      * @pre when >= now()
      * @return an id usable with cancel().
      */
+    template <typename F>
     EventId
-    schedule(Tick when, Callback fn)
+    schedule(Tick when, F &&fn)
     {
         assert(when >= now_ && "cannot schedule into the past");
-        assert(fn && "cannot schedule an empty closure");
-        const std::uint32_t index = allocSlot(std::move(fn));
-        const std::uint32_t gen = slots_[index].gen;
-        heap_.push_back(HeapEntry{makeKey(when, nextSeq_++), index, gen});
+        const std::uint32_t index = allocSlot();
+        Slot &s = slots_[index];
+        s.fn = std::forward<F>(fn);
+        assert(s.fn && "cannot schedule an empty closure");
+        heap_.push_back(HeapEntry{when, nextSeq_++, index, s.gen});
         std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
         ++live_;
-        return (static_cast<EventId>(gen) << 32) | index;
+        return (static_cast<EventId>(s.gen) << 32) | index;
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
+    template <typename F>
     EventId
-    scheduleAfter(Tick delay, Callback fn)
+    scheduleAfter(Tick delay, F &&fn)
     {
-        return schedule(now_ + delay, std::move(fn));
+        return schedule(now_ + delay, std::forward<F>(fn));
     }
 
     /**
@@ -95,12 +99,11 @@ class EventQueue
         if (index >= slots_.size())
             return false;
         Slot &s = slots_[index];
-        if (!s.live || s.gen != gen)
+        if (!s.fn || s.gen != gen)
             return false; // already fired or cancelled
-        // Release the callback (and its captures) right now; the heap
-        // record becomes a tombstone identified by its stale generation.
+        // Empty the slot right now; the heap record becomes a tombstone
+        // identified by its stale generation.
         s.fn.reset();
-        s.live = false;
         ++s.gen;
         freeSlots_.push_back(index);
         --live_;
@@ -117,13 +120,12 @@ class EventQueue
         std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
         heap_.pop_back();
         Slot &s = slots_[top.slot];
-        assert(tickOf(top.key) >= now_);
-        now_ = tickOf(top.key);
+        assert(top.tick >= now_);
+        now_ = top.tick;
         ++executed_;
         // Move the callback out before invoking: the callback may
         // schedule new events that reuse this very slot.
         Callback fn = std::move(s.fn);
-        s.live = false;
         ++s.gen;
         freeSlots_.push_back(top.slot);
         --live_;
@@ -165,39 +167,40 @@ class EventQueue
     std::size_t tombstones() const { return heap_.size() - live_; }
 
   private:
-    /** (tick, seq) packed so heap ordering is one 128-bit compare. */
-    using Key = unsigned __int128;
-
-    static Key
-    makeKey(Tick when, std::uint64_t seq)
-    {
-        return (static_cast<Key>(when) << 64) | seq;
-    }
-
-    static Tick tickOf(Key k) { return static_cast<Tick>(k >> 64); }
-
+    /** Heap record; (tick, seq) is the firing order. */
     struct HeapEntry
     {
-        Key key;
+        Tick tick;
+        std::uint64_t seq;
         std::uint32_t slot;
         std::uint32_t gen;
     };
+    static_assert(sizeof(HeapEntry) == 24);
 
+    /**
+     * (tick, seq) compared as one 128-bit number: a branch-free
+     * compare/subtract-with-borrow. Comparing tick, then seq on a tie,
+     * branches unpredictably when many events share a tick; it halved
+     * bench_sim_core's event rate.
+     */
     struct HeapLater
     {
         bool
         operator()(const HeapEntry &a, const HeapEntry &b) const
         {
-            return a.key > b.key;
+            using U128 = unsigned __int128;
+            return ((U128(a.tick) << 64) | a.seq) >
+                   ((U128(b.tick) << 64) | b.seq);
         }
     };
 
+    /** A pending event; the slot is live while fn is non-empty. */
     struct Slot
     {
         Callback fn;
         std::uint32_t gen = 0;
-        bool live = false;
     };
+    static_assert(sizeof(Slot) == 40);
 
     std::vector<HeapEntry> heap_; //!< min-heap via std::push/pop_heap
     std::vector<Slot> slots_;
@@ -218,7 +221,7 @@ class EventQueue
         while (!heap_.empty()) {
             const HeapEntry &top = heap_.front();
             const Slot &s = slots_[top.slot];
-            if (s.live && s.gen == top.gen)
+            if (s.fn && s.gen == top.gen)
                 return &top;
             std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
             heap_.pop_back();
@@ -227,19 +230,14 @@ class EventQueue
     }
 
     std::uint32_t
-    allocSlot(Callback &&fn)
+    allocSlot()
     {
-        std::uint32_t index;
-        if (!freeSlots_.empty()) {
-            index = freeSlots_.back();
-            freeSlots_.pop_back();
-        } else {
-            index = static_cast<std::uint32_t>(slots_.size());
+        if (freeSlots_.empty()) {
             slots_.emplace_back();
+            return static_cast<std::uint32_t>(slots_.size() - 1);
         }
-        Slot &s = slots_[index];
-        s.fn = std::move(fn);
-        s.live = true;
+        const std::uint32_t index = freeSlots_.back();
+        freeSlots_.pop_back();
         return index;
     }
 };

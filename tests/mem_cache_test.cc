@@ -214,15 +214,13 @@ TEST_F(CacheFixture, ConcurrentMixedTrafficCompletes)
     int done = 0;
     const int kOps = 400;
     for (int i = 0; i < kOps; ++i) {
-        L1Cache &l1 = (i % 3 == 0) ? rmc : core;
-        const std::uint64_t addr = (static_cast<std::uint64_t>(i) % 32) * 64;
-        const bool write = (i % 7 == 0);
-        eq.schedule(static_cast<Tick>(i) * 100,
-                    [&, addr, write, i]() mutable {
-                        L1Cache &target = (i % 3 == 0) ? rmc : core;
-                        (void)l1;
-                        target.access(addr, write, [&] { ++done; });
-                    });
+        eq.schedule(static_cast<Tick>(i) * 100, [this, i, &done] {
+            L1Cache &l1 = (i % 3 == 0) ? rmc : core;
+            const std::uint64_t addr =
+                (static_cast<std::uint64_t>(i) % 32) * 64;
+            const bool write = (i % 7 == 0);
+            l1.access(addr, write, [&done] { ++done; });
+        });
     }
     eq.run();
     EXPECT_EQ(done, kOps);
@@ -248,21 +246,29 @@ TEST_F(CacheFixture, OutOfOrderFillsKeepWaitersFifoAndMshrsPacked)
         std::uint64_t line;
         int waiter;
     };
-    std::vector<Done> log;
-    int firstReads = 0, writes = 0;
-    const sim::Counter &upgrades = *stats.counter("core.l1.upgrades");
+    // Everything the waiters touch, so each captures {state, line, w}.
+    struct Waiters
+    {
+        L1Cache &core;
+        const sim::Counter &upgrades;
+        std::vector<Done> log;
+        int firstReads = 0, writes = 0;
+    } st{core, *stats.counter("core.l1.upgrades"), {}};
+    const std::vector<Done> &log = st.log;
+    const sim::Counter &upgrades = st.upgrades;
     auto issue = [&](std::uint64_t line) {
         for (int w = 0; w < 3; ++w) {
-            core.access(line, w == 1, [&, line, w] {
-                log.push_back({line, w});
-                firstReads += w == 0;
-                writes += w == 1;
+            core.access(line, w == 1, [s = &st, line, w] {
+                s->log.push_back({line, w});
+                s->firstReads += w == 0;
+                s->writes += w == 1;
                 // Open MSHRs: read misses not yet filled, plus the
                 // upgrades (write waiters retried after a read fill)
                 // started and not yet filled.
-                EXPECT_EQ(core.inflight(),
-                          std::size_t(16 - firstReads) +
-                              (upgrades.value() - std::size_t(writes)));
+                EXPECT_EQ(s->core.inflight(),
+                          std::size_t(16 - s->firstReads) +
+                              (s->upgrades.value() -
+                               std::size_t(s->writes)));
             });
         }
     };

@@ -82,16 +82,21 @@ TEST_F(DramFixture, SequentialStreamApproachesPeakBandwidth)
 
 namespace {
 
-/** Issue an access, retrying on controller backpressure. */
-void
-issueWithRetry(EventQueue &eq, DramChannel &d, std::uint64_t addr,
-               std::function<void()> done)
+/** A channel under test and the reads it has completed. */
+struct Pass
 {
-    if (!d.access(addr, false, done)) {
-        eq.scheduleAfter(sim::nsToTicks(5),
-                         [&eq, &d, addr, done = std::move(done)]() mutable {
-                             issueWithRetry(eq, d, addr, std::move(done));
-                         });
+    EventQueue &eq;
+    DramChannel &dram;
+    int done = 0;
+};
+
+/** Issue a read, retrying on controller backpressure. */
+void
+issueWithRetry(Pass &p, std::uint64_t addr)
+{
+    if (!p.dram.access(addr, false, [&p] { ++p.done; })) {
+        p.eq.scheduleAfter(sim::nsToTicks(5),
+                           [&p, addr] { issueWithRetry(p, addr); });
     }
 }
 
@@ -101,11 +106,10 @@ TEST_F(DramFixture, RandomAccessSlowerThanSequential)
 {
     const int kLines = 512;
     // Sequential pass.
-    int done = 0;
+    Pass seq{eq, dram};
     for (int i = 0; i < kLines; ++i)
-        eq.schedule(static_cast<Tick>(i), [&, i] {
-            issueWithRetry(eq, dram, static_cast<std::uint64_t>(i) * 64,
-                           [&] { ++done; });
+        eq.schedule(static_cast<Tick>(i), [&seq, i] {
+            issueWithRetry(seq, static_cast<std::uint64_t>(i) * 64);
         });
     eq.run();
     const double seqNs = sim::ticksToNs(eq.now());
@@ -114,19 +118,18 @@ TEST_F(DramFixture, RandomAccessSlowerThanSequential)
     StatRegistry stats2;
     DramChannel dram2(eq2, stats2, "dram2", DramParams{});
     // Random pass: stride of 17 rows defeats the row buffer.
-    int done2 = 0;
+    Pass rnd{eq2, dram2};
     for (int i = 0; i < kLines; ++i) {
         const std::uint64_t addr =
             (static_cast<std::uint64_t>(i) * 17 * 65536 + (i % 3) * 64) %
             (1ull << 30);
-        eq2.schedule(static_cast<Tick>(i), [&, addr] {
-            issueWithRetry(eq2, dram2, addr, [&] { ++done2; });
-        });
+        eq2.schedule(static_cast<Tick>(i),
+                     [&rnd, addr] { issueWithRetry(rnd, addr); });
     }
     eq2.run();
     const double rndNs = sim::ticksToNs(eq2.now());
-    EXPECT_EQ(done, kLines);
-    EXPECT_EQ(done2, kLines);
+    EXPECT_EQ(seq.done, kLines);
+    EXPECT_EQ(rnd.done, kLines);
     EXPECT_GT(rndNs, seqNs);
 }
 

@@ -136,7 +136,7 @@ TEST_F(MaqFixture, LoadsForwardFromTheLowestSlotStoreToTheirLine)
     sim.run();
 
     std::vector<std::string> order;
-    auto record = [&order](std::string what) {
+    auto record = [&order](const char *what) {
         return [&order, what] { order.push_back(what); };
     };
     maq.submit(y, false, false, record("loadY"));  // slot 0, L1 hit

@@ -1,8 +1,7 @@
 /**
  * @file
- * Unit tests for sim::Callback: inline vs heap storage around the SBO
- * threshold, move-only captures, move semantics, and eager release of
- * captured resources.
+ * Unit tests for sim::Callback: the 24-byte trivially-copyable capture
+ * contract, move semantics and clearing.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "sim/callback.hh"
@@ -17,6 +17,11 @@
 namespace {
 
 using sonuma::sim::Callback;
+
+static_assert(sizeof(Callback) == 32);
+static_assert(Callback::kInlineBytes == 24);
+
+std::uint64_t g_sum;
 
 TEST(Callback, DefaultIsEmpty)
 {
@@ -36,82 +41,44 @@ TEST(Callback, InvokesSmallCapture)
     EXPECT_EQ(hits, 2);
 }
 
-TEST(Callback, CaptureExactlyAtThresholdStaysInline)
+TEST(Callback, TwentyFourByteCaptureIsStoredAndInvoked)
 {
-    // 48-byte capture: exactly kInlineBytes.
-    struct Exactly48
-    {
-        std::array<std::uint64_t, 6> v;
-    };
-    static_assert(sizeof(Exactly48) == Callback::kInlineBytes);
-    std::uint64_t sum = 0;
-    Exactly48 st{{1, 2, 3, 4, 5, 6}};
-    std::uint64_t *out = &sum;
-    Callback cb = [st, out] {
-        for (auto x : st.v)
-            *out += x;
-    };
-    // Capture is st (48) + out (8) = 56 > 48: heap. Shrink to fit:
-    EXPECT_FALSE(cb.isInline());
-
-    static std::uint64_t g_sum;
-    g_sum = 0;
-    struct Exactly40
-    {
-        std::array<std::uint64_t, 5> v;
-    };
-    Exactly40 st40{{1, 2, 3, 4, 5}};
-    Callback cb40 = [st40] {
-        for (auto x : st40.v)
+    const std::array<std::uint64_t, 3> v{1, 2, 3};
+    auto fn = [v] {
+        for (auto x : v)
             g_sum += x;
     };
-    EXPECT_TRUE(cb40.isInline());
-    cb40();
-    EXPECT_EQ(g_sum, 15u);
+    static_assert(sizeof(fn) == Callback::kInlineBytes);
+    g_sum = 0;
+    Callback cb = fn;
+    cb();
+    EXPECT_EQ(g_sum, 6u);
 }
 
-TEST(Callback, CaptureAboveThresholdUsesHeapAndWorks)
+TEST(Callback, RejectsOversizedAndNonTrivialCaptures)
 {
-    struct Big
+    struct Bytes25
     {
-        std::array<std::uint64_t, 16> v{}; // 128 B
+        unsigned char b[25];
     };
-    std::uint64_t sum = 0;
-    Big big;
-    big.v.fill(3);
-    Callback cb = [big, &sum] {
-        for (auto x : big.v)
-            sum += x;
-    };
-    EXPECT_FALSE(cb.isInline());
-    cb();
-    EXPECT_EQ(sum, 48u);
+    auto big = [s = Bytes25{}] { g_sum += s.b[0]; };
+    static_assert(sizeof(big) == 25);
+    static_assert(!std::is_constructible_v<Callback, decltype(big)>);
+
+    auto shared = [p = std::make_shared<int>(1)] { g_sum += *p; };
+    static_assert(sizeof(shared) <= Callback::kInlineBytes);
+    static_assert(!std::is_constructible_v<Callback, decltype(shared)>);
+
+    auto unique = [p = std::make_unique<int>(1)] { g_sum += *p; };
+    static_assert(!std::is_constructible_v<Callback, decltype(unique)>);
+
+    // A Callback is itself move-only, so it cannot be captured either.
+    auto nested = [c = Callback{}]() mutable { c(); };
+    static_assert(!std::is_constructible_v<Callback, decltype(nested)>);
+    SUCCEED();
 }
 
-TEST(Callback, MoveOnlyCaptureInline)
-{
-    auto p = std::make_unique<int>(41);
-    int result = 0;
-    Callback cb = [p = std::move(p), &result] { result = *p + 1; };
-    EXPECT_TRUE(cb.isInline());
-    cb();
-    EXPECT_EQ(result, 42);
-}
-
-TEST(Callback, MoveOnlyCaptureHeap)
-{
-    auto p = std::make_unique<int>(1);
-    std::array<std::uint64_t, 8> pad{};
-    int result = 0;
-    Callback cb = [p = std::move(p), pad, &result] {
-        result = *p + static_cast<int>(pad[0]);
-    };
-    EXPECT_FALSE(cb.isInline());
-    cb();
-    EXPECT_EQ(result, 1);
-}
-
-TEST(Callback, MoveTransfersOwnership)
+TEST(Callback, MoveLeavesSourceEmpty)
 {
     int hits = 0;
     Callback a = [&hits] { ++hits; };
@@ -128,64 +95,25 @@ TEST(Callback, MoveTransfersOwnership)
     EXPECT_EQ(hits, 2);
 }
 
-TEST(Callback, MoveAssignReleasesPreviousTarget)
+TEST(Callback, ReassignReplacesTarget)
 {
-    auto tracked = std::make_shared<int>(7);
-    std::weak_ptr<int> watch = tracked;
-    Callback cb = [tracked] { (void)*tracked; };
-    tracked.reset();
-    EXPECT_FALSE(watch.expired());
-    cb = [] {};
-    EXPECT_TRUE(watch.expired()); // old captures released on reassign
+    int first = 0, second = 0;
+    Callback cb = [&first] { ++first; };
+    cb = [&second] { ++second; };
+    cb();
+    EXPECT_EQ(first, 0);
+    EXPECT_EQ(second, 1);
 }
 
-TEST(Callback, ResetReleasesCapturedResources)
-{
-    auto tracked = std::make_shared<int>(7);
-    std::weak_ptr<int> watch = tracked;
-    Callback cb = [tracked] { (void)*tracked; };
-    tracked.reset();
-    EXPECT_FALSE(watch.expired());
-    cb.reset();
-    EXPECT_TRUE(watch.expired());
-    EXPECT_FALSE(static_cast<bool>(cb));
-}
-
-TEST(Callback, DestructorReleasesHeapTarget)
-{
-    auto tracked = std::make_shared<int>(1);
-    std::weak_ptr<int> watch = tracked;
-    {
-        std::array<std::uint64_t, 8> pad{};
-        Callback cb = [tracked, pad] { (void)pad; };
-        EXPECT_FALSE(cb.isInline());
-        tracked.reset();
-        EXPECT_FALSE(watch.expired());
-    }
-    EXPECT_TRUE(watch.expired());
-}
-
-TEST(Callback, NullptrAssignmentClears)
+TEST(Callback, ResetAndNullptrClear)
 {
     Callback cb = [] {};
+    cb.reset();
+    EXPECT_FALSE(static_cast<bool>(cb));
+    cb = [] {};
     EXPECT_TRUE(static_cast<bool>(cb));
     cb = nullptr;
     EXPECT_FALSE(static_cast<bool>(cb));
-}
-
-TEST(Callback, NonTriviallyCopyableInlineCaptureDestructs)
-{
-    auto tracked = std::make_shared<int>(5);
-    std::weak_ptr<int> watch = tracked;
-    {
-        Callback cb = [tracked] { (void)*tracked; };
-        EXPECT_TRUE(cb.isInline()); // shared_ptr capture fits inline
-        tracked.reset();
-        Callback moved = std::move(cb);
-        EXPECT_FALSE(watch.expired());
-        moved();
-    }
-    EXPECT_TRUE(watch.expired());
 }
 
 } // namespace

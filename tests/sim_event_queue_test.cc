@@ -1,17 +1,23 @@
 /**
  * @file
  * Unit tests for the discrete-event queue: ordering, determinism,
- * cancellation, time-limited runs.
+ * cancellation, time-limited runs, and a seeded random-operation run
+ * checked against a std::set reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 
 namespace {
 
+using sonuma::sim::EventId;
 using sonuma::sim::EventQueue;
 using sonuma::sim::Tick;
 
@@ -145,6 +151,123 @@ TEST(EventQueue, ManyEventsStressOrdering)
     }
     eq.run();
     EXPECT_TRUE(monotonic);
+}
+
+/**
+ * Reference model for the oracle test: pending events are a
+ * std::set of (tick, seq), seq counting schedule calls, so the queue
+ * must fire exactly the set's head every time.
+ */
+struct Oracle
+{
+    EventQueue eq;
+    std::mt19937_64 rng{0x5eed};
+    std::set<std::pair<Tick, std::uint64_t>> pending;
+    std::vector<EventId> ids;  //!< by seq
+    std::vector<Tick> whenOf;  //!< by seq
+    std::uint64_t fired = 0;
+    std::uint64_t mismatches = 0;
+
+    std::uint64_t pick(std::uint64_t n) { return rng() % n; }
+
+    /** Mostly zero or tiny delays, so same-tick ties are common. */
+    Tick
+    delay()
+    {
+        switch (pick(4)) {
+        case 0:
+            return 0;
+        case 1:
+            return pick(3);
+        case 2:
+            return pick(16);
+        default:
+            return pick(1000);
+        }
+    }
+
+    void
+    schedule()
+    {
+        const std::uint64_t seq = ids.size();
+        const Tick d = delay();
+        const Tick when = eq.now() + d;
+        auto fn = [this, seq] { fire(seq); };
+        ids.push_back(pick(2) ? eq.schedule(when, fn)
+                              : eq.scheduleAfter(d, fn));
+        whenOf.push_back(when);
+        pending.emplace(when, seq);
+    }
+
+    /** Cancel any event ever scheduled: pending, fired or cancelled. */
+    void
+    cancel()
+    {
+        if (ids.empty())
+            return;
+        const std::uint64_t seq = pick(ids.size());
+        const bool live = pending.erase({whenOf[seq], seq}) == 1;
+        mismatches += eq.cancel(ids[seq]) != live;
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        ++fired;
+        if (pending.empty() ||
+            *pending.begin() != std::make_pair(eq.now(), seq)) {
+            ++mismatches;
+            return;
+        }
+        pending.erase(pending.begin());
+        // Re-entrant scheduling and cancelling from inside the callback.
+        switch (pick(8)) {
+        case 0:
+        case 1:
+            schedule();
+            break;
+        case 2:
+            schedule();
+            schedule();
+            break;
+        case 3:
+            cancel();
+            break;
+        default:
+            break;
+        }
+    }
+};
+
+TEST(EventQueue, RandomOperationsMatchSetModel)
+{
+    Oracle o;
+    for (int op = 0; op < 100000; ++op) {
+        const std::uint64_t r = o.pick(16);
+        if (r < 6) {
+            o.schedule();
+        } else if (r < 8) {
+            o.cancel();
+        } else if (r < 15) {
+            const bool expectFire = !o.pending.empty();
+            o.mismatches += o.eq.step() != expectFire;
+        } else {
+            const Tick limit = o.eq.now() + o.pick(8);
+            o.eq.runUntil(limit);
+            o.mismatches += o.eq.now() != limit;
+            o.mismatches +=
+                !o.pending.empty() && o.pending.begin()->first <= limit;
+        }
+        o.mismatches += o.eq.pendingEvents() != o.pending.size();
+    }
+    o.eq.run();
+    EXPECT_EQ(o.mismatches, 0u);
+    EXPECT_TRUE(o.pending.empty());
+    EXPECT_EQ(o.fired, o.eq.executedEvents());
+    // The run exercised what it is meant to exercise.
+    EXPECT_GT(o.ids.size(), 50000u);
+    EXPECT_GT(o.fired, 30000u);
+    EXPECT_LT(o.fired, o.ids.size());
 }
 
 } // namespace
