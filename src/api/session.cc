@@ -132,8 +132,18 @@ RmcSession::flush()
     pendingDoorbells_ = 0;
 }
 
-sim::Task
+sim::Step
 RmcSession::reapAvailable(std::uint32_t *reaped)
+{
+    if (cqEntryVisible())
+        return sim::Step(reapVisible(reaped));
+    if (reaped)
+        *reaped = 0;
+    return {};
+}
+
+sim::Task
+RmcSession::reapVisible(std::uint32_t *reaped)
 {
     std::uint32_t n = 0;
     for (std::uint32_t q = 0; q < qpCount(); ++q) {
@@ -217,39 +227,41 @@ RmcSession::pollWait()
         co_await completionEvent_.wait();
 }
 
-sim::Task
-RmcSession::acquireSlot(std::uint32_t qpHint, std::uint32_t *qp,
-                        std::uint32_t *slot)
+std::uint32_t
+RmcSession::pickQp(std::uint32_t qpHint)
 {
-    std::uint32_t q;
     if (qpHint == kAnyQp) {
-        q = rrNext_;
+        const std::uint32_t q = rrNext_;
         rrNext_ = (rrNext_ + 1) % qpCount();
-    } else {
-        if (qpHint >= qpCount())
-            sim::fatal("RmcSession: qp hint " + std::to_string(qpHint) +
-                       " out of range (session has " +
-                       std::to_string(qpCount()) + " queue pairs)");
-        q = qpHint;
+        return q;
     }
-    const std::uint32_t next = qps_[q].wq.index();
-    while (slotBusy_[gslot(q, next)]) {
+    if (qpHint >= qpCount())
+        sim::fatal("RmcSession: qp hint " + std::to_string(qpHint) +
+                   " out of range (session has " +
+                   std::to_string(qpCount()) + " queue pairs)");
+    return qpHint;
+}
+
+sim::Task
+RmcSession::acquireSlot(std::uint32_t q, std::uint32_t slot)
+{
+    do {
         std::uint32_t reaped = 0;
         co_await reapAvailable(&reaped);
-        if (slotBusy_[gslot(q, next)] && reaped == 0)
+        if (slotBusy_[gslot(q, slot)] && reaped == 0)
             co_await pollWait();
-    }
-    *qp = q;
-    *slot = next;
+    } while (slotBusy_[gslot(q, slot)]);
 }
 
 sim::ValueTask<OpHandle>
 RmcSession::postOp(rmc::WqEntry entry, bool atomic, std::uint32_t qpHint)
 {
-    std::uint32_t q = 0, slot = 0;
-    co_await acquireSlot(qpHint, &q, &slot);
+    const std::uint32_t q = pickQp(qpHint);
     QpState &qp = qps_[q];
+    const std::uint32_t slot = qp.wq.index();
     const std::uint32_t g = gslot(q, slot);
+    if (slotBusy_[g])
+        co_await acquireSlot(q, slot);
     assert(slot == qp.wq.index() && !slotBusy_[g]);
 
     // Atomics land their old value in a per-slot scratch line; the slot

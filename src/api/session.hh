@@ -380,8 +380,10 @@ class RmcSession
         return rmc::globalSlot(qp, idx, qpEntries_);
     }
 
-    /** Reap everything currently visible in the CQs (all queue pairs). */
-    sim::Task reapAvailable(std::uint32_t *reaped);
+    /** Reap everything currently visible in the CQs (all queue pairs);
+     *  with nothing visible, completes inline. */
+    sim::Step reapAvailable(std::uint32_t *reaped);
+    sim::Task reapVisible(std::uint32_t *reaped);
 
     /** Functional peek: does any CQ head hold an unreaped entry? */
     bool cqEntryVisible() const;
@@ -393,12 +395,13 @@ class RmcSession
      */
     sim::Task pollWait();
 
-    /**
-     * Pick a queue pair (honoring @p qpHint) and spin (reaping) until
-     * its WQ head slot frees; returns the QP and its head index.
-     */
-    sim::Task acquireSlot(std::uint32_t qpHint, std::uint32_t *qp,
-                          std::uint32_t *slot);
+    /** The queue pair for the next post: @p qpHint, or round-robin
+     *  (advancing rrNext_) for kAnyQp. */
+    std::uint32_t pickQp(std::uint32_t qpHint);
+
+    /** Spin (reaping) until WQ head @p slot of queue pair @p q, which
+     *  is busy, frees. */
+    sim::Task acquireSlot(std::uint32_t q, std::uint32_t slot);
 
     /** Acquire a slot, write + ring one WQ entry, hand out the handle. */
     sim::ValueTask<OpHandle> postOp(rmc::WqEntry entry, bool atomic,

@@ -50,7 +50,7 @@ PhysMem::chunkFor(PAddr addr) const
 }
 
 void
-PhysMem::read(PAddr addr, void *dst, std::uint64_t len) const
+PhysMem::readSlow(PAddr addr, void *dst, std::uint64_t len) const
 {
     checkRange(addr, len);
     auto *out = static_cast<std::uint8_t *>(dst);
@@ -65,7 +65,7 @@ PhysMem::read(PAddr addr, void *dst, std::uint64_t len) const
 }
 
 void
-PhysMem::write(PAddr addr, const void *src, std::uint64_t len)
+PhysMem::writeSlow(PAddr addr, const void *src, std::uint64_t len)
 {
     checkRange(addr, len);
     const auto *in = static_cast<const std::uint8_t *>(src);

@@ -47,11 +47,31 @@ class PhysMem
 
     std::uint64_t size() const { return size_; }
 
-    /** Functional read of @p len bytes at @p addr into @p dst. */
-    void read(PAddr addr, void *dst, std::uint64_t len) const;
+    /**
+     * Functional read of @p len bytes at @p addr into @p dst. An access
+     * that lies inside one already-mapped chunk is one inline memcpy;
+     * the rest (first touch, a chunk crossing, out of range) takes
+     * readSlow.
+     */
+    void
+    read(PAddr addr, void *dst, std::uint64_t len) const
+    {
+        if (const std::uint8_t *p = mappedSpan(addr, len))
+            std::memcpy(dst, p, len);
+        else
+            readSlow(addr, dst, len);
+    }
 
-    /** Functional write of @p len bytes from @p src to @p addr. */
-    void write(PAddr addr, const void *src, std::uint64_t len);
+    /** Functional write of @p len bytes from @p src to @p addr; the
+     *  fast path as for read(). */
+    void
+    write(PAddr addr, const void *src, std::uint64_t len)
+    {
+        if (std::uint8_t *p = mappedSpan(addr, len))
+            std::memcpy(p, src, len);
+        else
+            writeSlow(addr, src, len);
+    }
 
     /** Typed convenience accessors. */
     template <typename T>
@@ -98,6 +118,20 @@ class PhysMem
     // One slot per chunk of the address space, null until first touch.
     mutable std::vector<Chunk> chunks_;
 
+    /** Host bytes of [@p addr, @p addr + @p len) if the range is in
+     *  bounds and inside one chunk that is already mapped, else null. */
+    std::uint8_t *
+    mappedSpan(PAddr addr, std::uint64_t len) const
+    {
+        const std::uint64_t off = addr % kChunkBytes;
+        if (addr >= size_ || len > size_ - addr || off + len > kChunkBytes)
+            return nullptr;
+        std::uint8_t *chunk = chunks_[addr / kChunkBytes].get();
+        return chunk ? chunk + off : nullptr;
+    }
+
+    void readSlow(PAddr addr, void *dst, std::uint64_t len) const;
+    void writeSlow(PAddr addr, const void *src, std::uint64_t len);
     std::uint8_t *chunkFor(PAddr addr) const;
     void checkRange(PAddr addr, std::uint64_t len) const;
 };

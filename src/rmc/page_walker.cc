@@ -16,14 +16,9 @@ PageWalker::PageWalker(sim::StatRegistry &stats, const std::string &name,
 }
 
 sim::Task
-PageWalker::translate(sim::CtxId ctx, vm::VAddr va, mem::PAddr ptRoot,
-                      std::optional<mem::PAddr> *out)
+PageWalker::walk(sim::CtxId ctx, vm::VAddr va, mem::PAddr ptRoot,
+                 std::optional<mem::PAddr> *out)
 {
-    if (auto pa = tlb_.lookup(ctx, va)) {
-        *out = pa;
-        co_return;
-    }
-
     walks_.inc();
     mem::PAddr table = ptRoot;
     for (std::uint32_t level = 0; level < vm::kLevels; ++level) {

@@ -34,18 +34,30 @@ class PageWalker
                mem::PhysMem &phys, Maq &maq, Tlb &tlb);
 
     /**
-     * Translate (ctx, va) using @p ptRoot on a TLB miss.
-     *
-     * Coroutine: suspends for the duration of TLB/walk activity.
-     * @return the physical address, or std::nullopt if unmapped.
+     * Translate (ctx, va) using @p ptRoot on a TLB miss; `co_await` it.
+     * The one TLB lookup runs inline, so a hit completes without
+     * suspending or a coroutine frame; a miss suspends for walk().
+     * *@p out receives the physical address, or std::nullopt if
+     * unmapped.
      */
-    [[nodiscard]] sim::Task
+    sim::Step
     translate(sim::CtxId ctx, vm::VAddr va, mem::PAddr ptRoot,
-              std::optional<mem::PAddr> *out);
+              std::optional<mem::PAddr> *out)
+    {
+        *out = tlb_.lookup(ctx, va);
+        if (*out)
+            return {};
+        return sim::Step(walk(ctx, va, ptRoot, out));
+    }
 
     std::uint64_t walkCount() const { return walks_.value(); }
 
   private:
+    /** The walk after a TLB miss: kLevels dependent PTE loads through
+     *  the MAQ, then the TLB fill. Does not look the TLB up again. */
+    sim::Task walk(sim::CtxId ctx, vm::VAddr va, mem::PAddr ptRoot,
+                   std::optional<mem::PAddr> *out);
+
     mem::PhysMem &phys_;
     Maq &maq_;
     Tlb &tlb_;

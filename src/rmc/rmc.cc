@@ -306,35 +306,50 @@ Rmc::sweepTimeouts()
         scheduleSweep();
 }
 
-sim::Task
-Rmc::charge(sim::ServiceResource *emuThread, sim::Tick hwCost,
-            sim::Tick emuCost)
+sim::Step
+Rmc::sendMessage(const fab::Message &msg)
 {
-    if (params_.emulation())
-        co_await emuThread->use(emuCost);
-    else if (hwCost > 0)
-        co_await sim::Delay(eq_, hwCost);
+    if (ni_.trySend(msg))
+        return {};
+    return sim::Step(sendWhenSpace(msg));
 }
 
 sim::Task
-Rmc::sendMessage(fab::Message msg)
+Rmc::sendWhenSpace(fab::Message msg)
 {
     const auto lane = static_cast<std::size_t>(msg.lane());
-    while (!ni_.trySend(msg))
+    do
         co_await sendSpace_[lane].wait();
+    while (!ni_.trySend(msg));
+}
+
+sim::Step
+Rmc::allocTid(std::uint32_t *out)
+{
+    if (freeTids_.empty())
+        return sim::Step(allocTidWhenFree(out));
+    *out = takeTid();
+    return {};
 }
 
 sim::Task
-Rmc::allocTid(std::uint32_t *out)
+Rmc::allocTidWhenFree(std::uint32_t *out)
 {
-    while (freeTids_.empty())
+    do
         co_await tidAvailable_.wait();
+    while (freeTids_.empty());
+    *out = takeTid();
+}
+
+std::uint32_t
+Rmc::takeTid()
+{
     const std::uint32_t idx = freeTids_.back();
     freeTids_.pop_back();
     ++activeTids_;
     itt_[idx].issuedAt = eq_.now();
     scheduleSweep();
-    *out = idx;
+    return idx;
 }
 
 void

@@ -313,17 +313,53 @@ class Rmc
     // Shared helpers (rmc.cc)
     //
 
+    /**
+     * Awaiter of charge(). Emulation always submits to the software
+     * thread, even at cost 0 (its FIFO order is the model); hardware
+     * is ready at cost 0 and otherwise resumes @p cost later.
+     */
+    struct Charge
+    {
+        sim::EventQueue &eq;
+        sim::ServiceResource *emuThread; //!< null on hardware
+        sim::Tick cost;
+
+        bool await_ready() const noexcept { return !emuThread && cost == 0; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            if (emuThread)
+                emuThread->submit(cost, [h] { h.resume(); });
+            else
+                eq.scheduleAfter(cost, [h] { h.resume(); });
+        }
+
+        void await_resume() const noexcept {}
+    };
+
     /** Charge pipeline occupancy: hardware stage cycles or emulated
      *  software service time on @p emuThread, depending on the
      *  platform. */
-    sim::Task charge(sim::ServiceResource *emuThread, sim::Tick hwCost,
-                     sim::Tick emuCost);
+    [[nodiscard]] Charge
+    charge(sim::ServiceResource *emuThread, sim::Tick hwCost,
+           sim::Tick emuCost)
+    {
+        if (params_.emulation())
+            return {eq_, emuThread, emuCost};
+        return {eq_, nullptr, hwCost};
+    }
 
-    /** Inject @p msg, waiting for NI space. */
-    sim::Task sendMessage(fab::Message msg);
+    /** Inject @p msg, waiting for NI space only if it has none. */
+    sim::Step sendMessage(const fab::Message &msg);
+    sim::Task sendWhenSpace(fab::Message msg);
 
-    /** Allocate a transfer id, waiting if the ITT is full. */
-    sim::Task allocTid(std::uint32_t *out);
+    /** Allocate a transfer id, waiting only if the ITT is full. */
+    sim::Step allocTid(std::uint32_t *out);
+    sim::Task allocTidWhenFree(std::uint32_t *out);
+    /** Take the top free tid: count it active, start its timeout
+     *  clock and make sure a sweep is scheduled. */
+    std::uint32_t takeTid();
     void freeTid(std::uint32_t tidIndex);
 
     /** Arm (ctx, qp) for the RGP if it is not already queued. */

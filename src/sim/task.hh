@@ -162,6 +162,39 @@ class Task
 };
 
 /**
+ * Awaitable result of a step whose common path does not suspend.
+ *
+ * The step runs its fast path inline when it is called and returns a
+ * default Step, which `co_await` passes without suspending and without
+ * a coroutine frame. Only when the step must wait does it return a
+ * Step holding a Task with the waiting tail, which `co_await` joins
+ * exactly like the Task itself. The rule and its reasons are in
+ * src/sim/README.md.
+ */
+class [[nodiscard]] Step
+{
+  public:
+    /** The step already completed inline. */
+    Step() = default;
+
+    /** The step continues in @p tail. */
+    explicit Step(Task tail) : tail_(std::move(tail)) {}
+
+    bool await_ready() const noexcept { return !tail_.valid(); }
+
+    std::coroutine_handle<>
+    await_suspend(std::coroutine_handle<> parent) noexcept
+    {
+        return tail_.operator co_await().await_suspend(parent);
+    }
+
+    void await_resume() const { tail_.operator co_await().await_resume(); }
+
+  private:
+    Task tail_;
+};
+
+/**
  * A lazily-started coroutine that computes a value of type T.
  *
  * The value-bearing sibling of Task, used by the access library for

@@ -48,6 +48,17 @@ PageTable::PageTable(mem::PhysMem &mem, FrameAllocator &frames)
     mem_.fill(root_, 0, kPageBytes);
 }
 
+void
+PageTable::invalidateMemo()
+{
+    // On wrap-around, clear the table so no entry from an earlier lap
+    // can match the reused generation.
+    if (++memoGen_ == 0) {
+        memo_.fill(MemoEntry{});
+        memoGen_ = 1;
+    }
+}
+
 mem::PAddr
 PageTable::allocNode()
 {
@@ -80,6 +91,7 @@ PageTable::map(VAddr va, mem::PAddr frame)
     assert(frame % kPageBytes == 0 && "map requires page-aligned frame");
     assert(va < (1ull << kVaBits) && "VA exceeds addressable range");
 
+    invalidateMemo();
     mem::PAddr table = root_;
     for (std::uint32_t level = 0; level + 1 < kLevels; ++level) {
         const mem::PAddr slot = pteAddr(table, level, va);
@@ -99,6 +111,7 @@ void
 PageTable::unmap(VAddr va)
 {
     assert(pageOffset(va) == 0);
+    invalidateMemo();
     mem::PAddr table = root_;
     for (std::uint32_t level = 0; level + 1 < kLevels; ++level) {
         const std::uint64_t pte =
@@ -113,7 +126,15 @@ PageTable::unmap(VAddr va)
 std::optional<mem::PAddr>
 PageTable::translate(VAddr va) const
 {
-    return walk(mem_, root_, va);
+    const std::uint64_t vpn = va >> kPageBits;
+    MemoEntry &m = memo_[vpn % kMemoEntries];
+    if (m.gen == memoGen_ && m.vpn == vpn)
+        return m.frame + pageOffset(va);
+    const std::optional<mem::PAddr> pa = walk(mem_, root_, va);
+    if (pa)
+        m = MemoEntry{memoGen_, static_cast<std::uint32_t>(vpn),
+                      pageBase(*pa)};
+    return pa;
 }
 
 std::optional<mem::PAddr>

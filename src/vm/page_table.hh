@@ -15,6 +15,7 @@
 #ifndef SONUMA_VM_PAGE_TABLE_HH
 #define SONUMA_VM_PAGE_TABLE_HH
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -93,7 +94,7 @@ class PageTable
     /** Remove the mapping for @p va if present. */
     void unmap(VAddr va);
 
-    /** Functional translation (no timing). */
+    /** Functional translation (no timing); memoized, see memo_. */
     std::optional<mem::PAddr> translate(VAddr va) const;
 
     /** translate() for any table: walks @p root in @p phys (the RMC's
@@ -137,7 +138,31 @@ class PageTable
     mem::PAddr root_;
     std::uint64_t tableNodes_ = 1;
 
+    //
+    // Functional translation memo: a direct-mapped VPN -> frame table
+    // that spares translate() its three PTE loads on a repeat page.
+    // It is host-only. translate() is the simulator's own backdoor
+    // (software models moving bytes, a core finding the line of a
+    // timed load), so it has no simulated cost to model; the RMC's
+    // modeled TLB and page walker read the PTEs from memory through
+    // walk()/pteAddr() and never see this table, so no simulated
+    // value depends on it. Only map() and unmap() write PTEs, and
+    // each bumps memoGen_, which invalidates every entry at once (an
+    // entry is live only while its gen matches), so the many map()
+    // calls of AddressSpace::alloc clear nothing. Gen 0 marks empty.
+    //
+    struct MemoEntry
+    {
+        std::uint32_t gen = 0;
+        std::uint32_t vpn = 0;  //!< a 43-bit VA has a 30-bit VPN
+        mem::PAddr frame = 0;
+    };
+    static constexpr std::uint32_t kMemoEntries = 32;
+    mutable std::array<MemoEntry, kMemoEntries> memo_{};
+    std::uint32_t memoGen_ = 1;
+
     mem::PAddr allocNode();
+    void invalidateMemo();
 };
 
 } // namespace sonuma::vm

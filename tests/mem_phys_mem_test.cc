@@ -156,9 +156,9 @@ TEST(PhysMem, FillSetsRange)
 TEST(PhysMemDeathTest, OutOfRangePanics)
 {
     PhysMem m(1024);
-    std::uint8_t b = 0;
-    EXPECT_DEATH(m.read(1024, &b, 1), "out of range");
-    EXPECT_DEATH(m.write(1020, &b, 8), "out of range");
+    std::uint64_t w = 0;
+    EXPECT_DEATH(m.read(1024, &w, 1), "out of range");
+    EXPECT_DEATH(m.write(1020, &w, 8), "out of range");
     PhysMem partial((1ull << 20) + 100);
     EXPECT_DEATH(partial.fill((1ull << 20) + 96, 0, 5), "out of range");
     EXPECT_DEATH(partial.readT<std::uint64_t>(~0ull - 3), "out of range");

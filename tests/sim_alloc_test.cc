@@ -7,7 +7,9 @@
  * coroutine spawn cycle, fabric message path, cache hit and miss paths
  * (MSHR compaction, L2 transactions), MAQ store-to-load forwarding and
  * the RRPP dedup window perform zero allocations per event. It also bounds the
- * heap a node takes to build.
+ * heap a node takes to build, checks that the pipeline steps whose
+ * common path does not suspend take no coroutine frame on it, and pins
+ * the frames of one warm remote read.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "mem/cache.hh"
 #include "mem/dram.hh"
 #include "rmc/maq.hh"
+#include "rmc/rmc.hh"
 #include "sim/event_queue.hh"
 #include "sim/flat_map.hh"
 #include "sim/frame_pool.hh"
@@ -81,6 +85,36 @@ operator delete[](void *p, std::size_t) noexcept
 }
 
 #pragma GCC diagnostic pop
+
+namespace sonuma::rmc {
+
+/** Reaches the RMC's private pipeline steps (Rmc befriends it). */
+class RmcTestPeer
+{
+  public:
+    static PageWalker &walker(Rmc &r) { return r.walker_; }
+
+    static Rmc::Charge
+    charge(Rmc &r, sim::Tick hwCost)
+    {
+        return r.charge(r.emuFrontend_.get(), hwCost, 0);
+    }
+
+    static sim::Step allocTid(Rmc &r, std::uint32_t *out)
+    {
+        return r.allocTid(out);
+    }
+
+    static void freeTid(Rmc &r, std::uint32_t tid) { r.freeTid(tid); }
+
+    static sim::Step
+    sendMessage(Rmc &r, const fab::Message &msg)
+    {
+        return r.sendMessage(msg);
+    }
+};
+
+} // namespace sonuma::rmc
 
 namespace {
 
@@ -440,6 +474,112 @@ TEST(AllocCounting, RrppDedupWindowChurnIsAllocationFree)
     EXPECT_GT(kMeasured, int(rmc::RmcParams{}.dedupWindow));
     EXPECT_EQ(a1 - a0, 0u)
         << "RRPP writes past the dedup window must not allocate";
+}
+
+/** Coroutine frames allocated so far (all sizes, pooled or not). */
+std::uint64_t
+framesAllocated()
+{
+    return sim::FramePool::instance().stats().allocs;
+}
+
+TEST(AllocCounting, NonSuspendingStepsTakeNoFrame)
+{
+    api::TestBed bed(api::ClusterSpec{}.nodes(2));
+    auto &s = bed.session(1);
+    rmc::Rmc &r = s.rmc();
+    ASSERT_FALSE(r.params().emulation());
+    const vm::VAddr buf = s.allocBuffer(64);
+    const mem::PAddr root = s.process().addressSpace().pageTable().root();
+
+    struct Frames
+    {
+        std::uint64_t tlbHit = ~0ull, chargeZero = ~0ull,
+                      chargeCycles = ~0ull, allocTid = ~0ull,
+                      send = ~0ull, post = ~0ull;
+    } f;
+    std::uint64_t walks = 0;
+    std::optional<mem::PAddr> pa;
+    auto client = [&]() -> sim::Task {
+        // Warm-up: TLB, CT$, caches and the frame pool's freelists.
+        for (int i = 0; i < 64; ++i)
+            co_await s.read(0, std::uint64_t(i) * 64, buf, 64);
+
+        // The RCP translated buf for every reply: a TLB hit now.
+        walks = rmc::RmcTestPeer::walker(r).walkCount();
+        std::uint64_t a0 = framesAllocated();
+        co_await rmc::RmcTestPeer::walker(r).translate(s.ctx(), buf, root,
+                                                       &pa);
+        f.tlbHit = framesAllocated() - a0;
+        walks = rmc::RmcTestPeer::walker(r).walkCount() - walks;
+
+        a0 = framesAllocated();
+        co_await rmc::RmcTestPeer::charge(r, 0);
+        f.chargeZero = framesAllocated() - a0;
+        a0 = framesAllocated();
+        co_await rmc::RmcTestPeer::charge(r, r.params().cycles(10));
+        f.chargeCycles = framesAllocated() - a0;
+
+        std::uint32_t tid = 0;
+        a0 = framesAllocated();
+        co_await rmc::RmcTestPeer::allocTid(r, &tid);
+        f.allocTid = framesAllocated() - a0;
+        rmc::RmcTestPeer::freeTid(r, tid);
+
+        // Every slot is free: the post takes only its own two frames
+        // (readAsync and postOp), none to wait for a slot.
+        a0 = framesAllocated();
+        api::OpHandle h = co_await s.readAsync(0, 0, buf, 64);
+        f.post = framesAllocated() - a0;
+        EXPECT_TRUE((co_await h).ok());
+
+        // Sent last, so the RMC work it causes runs after every
+        // measured span. A read request for a tid the ITT never issued:
+        // node 0 serves it and node 1's RCP drops the reply as stale.
+        fab::Message msg;
+        msg.op = fab::Op::kReadReq;
+        msg.srcNid = 1;
+        msg.dstNid = 0;
+        msg.ctxId = s.ctx();
+        msg.tid = 0xffff;
+        a0 = framesAllocated();
+        co_await rmc::RmcTestPeer::sendMessage(r, msg);
+        f.send = framesAllocated() - a0;
+    };
+    bed.spawn(client());
+    bed.run();
+    ASSERT_TRUE(pa.has_value());
+    EXPECT_EQ(*pa, s.process().addressSpace().translate(buf));
+    EXPECT_EQ(walks, 0u) << "the translate must be a TLB hit";
+    EXPECT_EQ(f.tlbHit, 0u) << "TLB-hit translate";
+    EXPECT_EQ(f.chargeZero, 0u) << "hardware charge of 0 cycles";
+    EXPECT_EQ(f.chargeCycles, 0u) << "hardware charge of 10 cycles";
+    EXPECT_EQ(f.allocTid, 0u) << "allocTid with a free tid";
+    EXPECT_EQ(f.send, 0u) << "sendMessage with NI space";
+    EXPECT_EQ(f.post, 2u) << "post into a free WQ slot";
+}
+
+TEST(AllocCounting, WarmRemoteReadFrameCountIsPinned)
+{
+    // Every coroutine frame one warm 64 B remote read takes on both
+    // nodes, api to RMC and back. Pinned exactly, so a frame added to
+    // the op path shows up here as a diff.
+    constexpr std::uint64_t kFramesPerWarmRead = 14;
+    api::TestBed bed(api::ClusterSpec{}.nodes(2));
+    auto &s = bed.session(1);
+    const vm::VAddr buf = s.allocBuffer(64);
+    std::uint64_t frames = 0;
+    auto client = [&]() -> sim::Task {
+        for (int i = 0; i < 64; ++i)
+            co_await s.read(0, 64, buf, 64);
+        const std::uint64_t a0 = framesAllocated();
+        const api::OpResult res = co_await s.read(0, 64, buf, 64);
+        frames = framesAllocated() - a0;
+        EXPECT_TRUE(res.ok());
+    };
+    bed.spawn(client());
+    bed.run();
+    EXPECT_EQ(frames, kFramesPerWarmRead);
 }
 
 TEST(AllocCounting, NodeConstructionHeapIsBounded)

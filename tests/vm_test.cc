@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/phys_mem.hh"
@@ -184,6 +186,68 @@ TEST_F(VmFixture, RandomMappingsAgreeWithReference)
         ASSERT_TRUE(pa.has_value());
         EXPECT_EQ(*pa, frame + 42);
     }
+}
+
+// Property test: translate() stays exact across unmaps and remaps.
+// 64 pages, so pages 32 apart share a slot of the 32-entry translation
+// memo; every step first translates its page (memoizing it), then maps
+// it to a fresh frame, unmaps it or only translates again. After every
+// step the page and one random page must agree with the reference map
+// and with the uncached static walk.
+TEST_F(VmFixture, InterleavedUnmapAndRemapAgreeWithReference)
+{
+    PageTable pt(mem, frames);
+    std::unordered_map<vm::VAddr, mem::PAddr> ref;
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    auto rnd = [&] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    constexpr std::uint64_t kPages = 64;
+    constexpr vm::VAddr kBase = 0x4000000;
+    auto pageVa = [&] { return kBase + (rnd() % kPages) * vm::kPageBytes; };
+    auto check = [&](vm::VAddr page, int step) {
+        const vm::VAddr va = page + 42;
+        const std::optional<mem::PAddr> got = pt.translate(va);
+        ASSERT_EQ(got, PageTable::walk(mem, pt.root(), va))
+            << "step " << step;
+        const auto it = ref.find(page);
+        if (it == ref.end())
+            ASSERT_FALSE(got.has_value()) << "step " << step;
+        else
+            ASSERT_EQ(got, it->second + 42) << "step " << step;
+    };
+    int remaps = 0;
+    int unmaps = 0;
+    for (int step = 0; step < 4'000; ++step) {
+        const vm::VAddr page = pageVa();
+        check(page, step);
+        switch (rnd() % 4) {
+          case 0:
+          case 1: {
+            remaps += ref.count(page) != 0;
+            const mem::PAddr frame = frames.alloc();
+            pt.map(page, frame);
+            ref[page] = frame;
+            break;
+          }
+          case 2:
+            unmaps += ref.erase(page) != 0;
+            pt.unmap(page);
+            break;
+          default:
+            break;
+        }
+        check(page, step);
+        check(pageVa(), step);
+        if (HasFatalFailure())
+            return;
+    }
+    // The sequence must exercise both invalidations on live mappings.
+    EXPECT_GT(remaps, 500);
+    EXPECT_GT(unmaps, 300);
 }
 
 } // namespace
