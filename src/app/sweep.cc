@@ -377,7 +377,7 @@ SweepDriver::torusDimsFor(std::uint32_t nodes, std::uint32_t ndims)
 {
     // Peel off the largest divisor <= nodes^(1/remaining) each round:
     // radices come out ascending and as near-equal as the node count's
-    // factorization allows (primes degrade to {1, ..., n}).
+    // factorization allows. Radix-1 dimensions are dropped.
     std::vector<std::uint32_t> dims;
     std::uint32_t rest = nodes;
     for (std::uint32_t d = ndims; d >= 1; --d) {
@@ -394,6 +394,7 @@ SweepDriver::torusDimsFor(std::uint32_t nodes, std::uint32_t ndims)
         dims.push_back(a);
         rest /= a;
     }
+    std::erase(dims, 1u);
     return dims;
 }
 

@@ -211,13 +211,15 @@ class SweepDriver
 
     /**
      * Near-square 2D torus factorization for @p nodes, e.g. 64 ->
-     * {8, 8}, 32 -> {4, 8}. Falls back to {1, n} for primes.
+     * {8, 8}, 32 -> {4, 8}. Falls back to the ring {n} for primes.
      */
     static std::vector<std::uint32_t> torusDimsFor(std::uint32_t nodes);
 
     /**
      * Near-cubic factorization into @p ndims radices, largest last:
-     * 64 -> {4, 4, 4}, 256 -> {4, 8, 8}, 512 -> {8, 8, 8}.
+     * 64 -> {4, 4, 4}, 256 -> {4, 8, 8}, 512 -> {8, 8, 8}. A count
+     * with too few factors gets fewer dimensions (7 -> {7}), since a
+     * radix-1 dimension has no link and node::validate rejects it.
      */
     static std::vector<std::uint32_t> torusDimsFor(std::uint32_t nodes,
                                                    std::uint32_t ndims);

@@ -48,22 +48,23 @@ TorusRouting::TorusRouting(std::vector<std::uint32_t> dims)
     total_ = 1;
     strides_.reserve(dims_.size());
     for (auto k : dims_) {
-        assert(k >= 2 && "torus radix must be >= 2");
         strides_.push_back(total_);
         total_ *= k;
+    }
+    // Every node's digits, so the per-hop calls never divide.
+    coords_.reserve(std::size_t(total_) * dims_.size());
+    for (std::uint32_t id = 0; id < total_; ++id) {
+        for (std::size_t d = 0; d < dims_.size(); ++d)
+            coords_.push_back((id / strides_[d]) % dims_[d]);
     }
 }
 
 std::vector<std::uint32_t>
 TorusRouting::coords(sim::NodeId id) const
 {
-    std::vector<std::uint32_t> c(dims_.size());
-    std::uint32_t rest = id;
-    for (std::size_t d = 0; d < dims_.size(); ++d) {
-        c[d] = rest % dims_[d];
-        rest /= dims_[d];
-    }
-    return c;
+    const auto first = coords_.begin() +
+        static_cast<std::ptrdiff_t>(std::size_t(id) * dims_.size());
+    return {first, first + static_cast<std::ptrdiff_t>(dims_.size())};
 }
 
 sim::NodeId
@@ -90,10 +91,8 @@ TorusRouting::nextDir(sim::NodeId here, sim::NodeId dst) const
         if (a == b)
             continue;
         const std::uint32_t k = dims_[d];
-        const std::uint32_t fwd = (b + k - a) % k;  // hops going +
-        const std::uint32_t bwd = (a + k - b) % k;  // hops going -
         return static_cast<std::uint32_t>(
-            fwd <= bwd ? 2 * d : 2 * d + 1);
+            ringHops(a, b, k) <= ringHops(b, a, k) ? 2 * d : 2 * d + 1);
     }
     assert(false && "here == dst");
     return 0;
@@ -106,7 +105,8 @@ TorusRouting::neighbor(sim::NodeId id, std::uint32_t dir) const
     const bool positive = (dir % 2) == 0;
     const std::uint32_t k = dims_[d];
     const std::uint32_t c = digit(id, d);
-    const std::uint32_t next = positive ? (c + 1) % k : (c + k - 1) % k;
+    const std::uint32_t next =
+        positive ? (c + 1 == k ? 0 : c + 1) : (c == 0 ? k - 1 : c - 1);
     return static_cast<sim::NodeId>(id + (next - c) * strides_[d]);
 }
 
@@ -118,9 +118,7 @@ TorusRouting::hopCount(sim::NodeId a, sim::NodeId b) const
         const std::uint32_t k = dims_[d];
         const std::uint32_t ca = digit(a, d);
         const std::uint32_t cb = digit(b, d);
-        const std::uint32_t fwd = (cb + k - ca) % k;
-        const std::uint32_t bwd = (ca + k - cb) % k;
-        hops += std::min(fwd, bwd);
+        hops += std::min(ringHops(ca, cb, k), ringHops(cb, ca, k));
     }
     return hops;
 }

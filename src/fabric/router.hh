@@ -46,7 +46,11 @@ bool parseRoutingMode(const std::string &name, RoutingMode *out,
  *
  * Directions are encoded as 2*dim (positive) and 2*dim+1 (negative).
  * The forwarding decision is table-free (paper §6: "directly maps
- * destination addresses to outgoing router ports").
+ * destination addresses to outgoing router ports"); the only table is
+ * a host-side cache of every node's coordinates.
+ *
+ * @pre every radix is at least 2 (node::validate enforces it): a
+ * radix-1 ring has no link, and its node would be its own neighbor.
  */
 class TorusRouting
 {
@@ -100,12 +104,20 @@ class TorusRouting
     std::vector<std::uint32_t> dims_;
     std::vector<std::uint32_t> strides_; //!< mixed-radix place values
     std::uint32_t total_;
+    std::vector<std::uint32_t> coords_; //!< [id * dimensions() + d]
 
     /** Digit of @p id in dimension @p d, without materializing coords. */
     std::uint32_t
     digit(sim::NodeId id, std::size_t d) const
     {
-        return (id / strides_[d]) % dims_[d];
+        return coords_[std::size_t(id) * dims_.size() + d];
+    }
+
+    /** Hops from digit @p a to digit @p b going + round a ring of @p k. */
+    static std::uint32_t
+    ringHops(std::uint32_t a, std::uint32_t b, std::uint32_t k)
+    {
+        return b >= a ? b - a : b + k - a;
     }
 };
 

@@ -279,20 +279,11 @@ L2Cache::L2Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
       evictions_(stats, name_ + ".evictions", "L2 evictions"),
       dramRetries_(stats, name_ + ".dramRetries", "DRAM queue-full retries")
 {
-    const std::uint64_t lines = params_.sizeBytes / sim::kCacheLineBytes;
-    setFill_.resize(sets_.count());
-    // A set's fill list tops out at the associativity; reserving it now
-    // keeps first-touch line installs off the allocator.
-    for (auto &f : setFill_)
-        f.reserve(params_.assoc);
-    // Directory sizing derives from the cache capacity: pre-size the
-    // flat map so a fully resident L2 (at most `lines` tracked entries)
-    // reaches its steady state without rehashing. 2x covers the 0.7
-    // load factor; the clamp bounds host memory for large L2s in
-    // many-hundred-node sweeps (beyond it the map still grows on
-    // demand, an amortized warm-up cost).
-    lines_ = sim::FlatMap<PAddr, DirEntry>(
-        std::min<std::uint64_t>(2 * lines, 65536));
+    setLines_.resize(sets_.count());
+    for (SetLines &set : setLines_) {
+        set.tags.reserve(params_.assoc);
+        set.dirs.reserve(params_.assoc);
+    }
 }
 
 int
@@ -376,7 +367,10 @@ L2Cache::process(std::uint32_t slot)
 {
     const ParkedReq &parked = reqSlots_.peek(slot);
     const PAddr line = parked.line;
-    DirEntry *entry = lines_.find(line);
+    SetLines &set = setLines_[sets_(line)];
+    const auto tag = std::find(set.tags.begin(), set.tags.end(), line);
+    DirEntry *entry =
+        tag == set.tags.end() ? nullptr : &set.dirs[tag - set.tags.begin()];
 
     if (parked.req.isPutback) {
         const int requester = reqSlots_.take(slot).req.requester;
@@ -418,12 +412,11 @@ L2Cache::fillMissingLine(PAddr line, std::uint32_t slot)
 void
 L2Cache::installLine(PAddr line, std::uint32_t slot)
 {
-    DirEntry entry;
-    entry.lastUse = eq_.now();
+    SetLines &set = setLines_[sets_(line)];
+    set.tags.push_back(line);
+    DirEntry &dir = set.dirs.emplace_back();
     // Write-validate allocation.
-    entry.dirtyInL2 = reqSlots_.peek(slot).req.fullLine;
-    DirEntry &dir = lines_.insert(line, entry);
-    setFill_[sets_(line)].push_back(line);
+    dir.dirtyInL2 = reqSlots_.peek(slot).req.fullLine;
     finishRequest(slot, dir);
 }
 
@@ -453,7 +446,7 @@ L2Cache::finishRequest(std::uint32_t slot, DirEntry &dir)
             }
         }
         dir.sharers = 0;
-        dir.owner = req.requester;
+        dir.owner = static_cast<std::int8_t>(req.requester);
     } else {
         // GetS: downgrade a remote owner if present.
         if (dir.owner != -1 && dir.owner != req.requester) {
@@ -488,27 +481,22 @@ L2Cache::fireCompletion(std::uint32_t slot)
 void
 L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
 {
-    auto &fill = setFill_[sets_(line)];
-    if (fill.size() < params_.assoc) {
+    SetLines &set = setLines_[sets_(line)];
+    const std::size_t n = set.tags.size();
+    if (n < params_.assoc) {
         fillMissingLine(line, slot);
         return;
     }
 
-    // Evict the LRU line in the set that is not locked or awaited.
-    PAddr victim = 0;
-    bool found = false;
-    sim::Tick best = 0;
-    for (PAddr cand : fill) {
-        if (findLock(cand))
-            continue;
-        const sim::Tick use = lines_.get(cand).lastUse;
-        if (!found || use < best) {
-            victim = cand;
-            best = use;
-            found = true;
-        }
+    // Evict the LRU line in the set that is not locked or awaited; the
+    // first in install order wins a tie.
+    std::size_t at = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!findLock(set.tags[i]) &&
+            (at == n || set.dirs[i].lastUse < set.dirs[at].lastUse))
+            at = i;
     }
-    if (!found) {
+    if (at == n) {
         // Every line in the set is mid-transaction; retry shortly.
         eq_.scheduleAfter(params_.latency(), [this, line, slot] {
             ensureCapacity(line, slot);
@@ -517,7 +505,8 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
     }
 
     evictions_.inc();
-    DirEntry &dir = lines_.get(victim);
+    const PAddr victim = set.tags[at];
+    DirEntry &dir = set.dirs[at];
     // Inclusive hierarchy: back-invalidate all L1 copies.
     for (std::size_t i = 0; i < l1s_.size(); ++i) {
         const std::uint32_t bit = 1u << i;
@@ -528,8 +517,8 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
     }
     if (dir.dirtyInL2)
         writebackToDram(victim);
-    lines_.erase(victim);
-    fill.erase(std::find(fill.begin(), fill.end(), victim));
+    set.tags.erase(set.tags.begin() + at);
+    set.dirs.erase(set.dirs.begin() + at);
     fillMissingLine(line, slot);
 }
 

@@ -25,7 +25,6 @@
 
 #include "mem/dram.hh"
 #include "sim/callback.hh"
-#include "sim/flat_map.hh"
 #include "sim/slot_pool.hh"
 #include "mem/phys_mem.hh"
 #include "sim/event_queue.hh"
@@ -317,11 +316,12 @@ class L2Cache
   private:
     struct DirEntry
     {
-        std::uint32_t sharers = 0; //!< bitmask over L1 ids
-        int owner = -1;            //!< L1 id holding M, or -1
-        bool dirtyInL2 = false;
         sim::Tick lastUse = 0;
+        std::uint32_t sharers = 0; //!< bitmask over L1 ids
+        std::int8_t owner = -1;    //!< L1 id holding M, or -1
+        bool dirtyInL2 = false;
     };
+    static_assert(sizeof(DirEntry) == 16);
 
     struct PendingReq
     {
@@ -339,13 +339,16 @@ class L2Cache
     std::vector<L1Cache *> l1s_;
 
     SetIndex sets_;
-    // Inclusive tag+directory state, keyed by line address. A line present
-    // here is present in the L2; set occupancy enforced via setFill_.
-    // Flat map, not unordered_map: directory inserts happen on every
-    // cold line and must not churn heap nodes once the working set is
-    // resident.
-    sim::FlatMap<PAddr, DirEntry> lines_;
-    std::vector<std::vector<PAddr>> setFill_; //!< lines per set (for LRU)
+    // Inclusive tag+directory state per set, in install order (the LRU
+    // scan's tie order); parallel arrays, so a hit scans only tags.
+    // Reserved at assoc, so hits, misses and evictions never allocate;
+    // only concurrent misses over-fill a set past it (ROADMAP item 9).
+    struct SetLines
+    {
+        std::vector<PAddr> tags;
+        std::vector<DirEntry> dirs;
+    };
+    std::vector<SetLines> setLines_;
 
     /**
      * Per-line transaction serialization. Concurrently locked lines are

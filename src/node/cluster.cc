@@ -85,11 +85,12 @@ validate(const ClusterParams &params)
                 "for an 8x8x8 3D torus");
         std::uint64_t cap = 1;
         for (auto d : dims) {
-            if (d == 0)
+            if (d < 2)
                 throw std::invalid_argument(
                     "ClusterParams: torus dims " + dimsString(dims) +
-                    " contain a zero radix; every dimension needs "
-                    "radix >= 1");
+                    " contain a radix of " + std::to_string(d) +
+                    "; every dimension needs radix >= 2, since a "
+                    "radix-1 ring has no link");
             cap *= d;
         }
         if (cap != params.nodes)

@@ -93,6 +93,27 @@ TEST(ClusterParamsValidation, ZeroRadixMessagePrintsTheDimsVector)
     }
 }
 
+TEST(ClusterParamsValidation, RadixOneRingIsRejected)
+{
+    // A radix-1 dimension would give each node ports that loop back to
+    // itself, which adaptive misrouting could pick.
+    node::ClusterParams p;
+    p.nodes = 8;
+    p.topology = node::Topology::kTorus;
+    p.torus.dims = {1, 8};
+    try {
+        node::validate(p);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "ClusterParams: torus dims 1x8 contain a radix of 1; "
+                     "every dimension needs radix >= 2, since a radix-1 "
+                     "ring has no link");
+    }
+    p.torus.dims = {2, 4};
+    EXPECT_NO_THROW(node::validate(p));
+}
+
 TEST(ClusterParamsValidation, DeriveCapacitiesScalesIttAndEjectRing)
 {
     node::ClusterParams p;

@@ -293,6 +293,57 @@ TEST(TorusRouting, DimensionOrderReachesDestination)
     }
 }
 
+TEST(TorusRouting, CoordinateTableMatchesTheDivisionFormula)
+{
+    // The routing calls read digits from a per-node coordinate table;
+    // each answer must equal the mixed-radix division it replaced.
+    const std::vector<std::vector<std::uint32_t>> shapes = {
+        {2, 4}, {4, 4, 4}, {4, 4, 8}, {3, 5}};
+    for (const auto &dims : shapes) {
+        TorusRouting r(dims);
+        std::vector<std::uint32_t> strides;
+        std::uint32_t total = 1;
+        for (auto k : dims) {
+            strides.push_back(total);
+            total *= k;
+        }
+        ASSERT_EQ(r.nodeCount(), total);
+        const auto digit = [&](std::uint32_t id, std::size_t d) {
+            return (id / strides[d]) % dims[d];
+        };
+        for (std::uint32_t a = 0; a < total; ++a) {
+            for (std::uint32_t b = 0; b < total; ++b) {
+                std::uint32_t hops = 0;
+                std::uint32_t dir = 2 * dims.size(); // none yet
+                for (std::size_t d = 0; d < dims.size(); ++d) {
+                    const std::uint32_t k = dims[d];
+                    const std::uint32_t ca = digit(a, d);
+                    const std::uint32_t cb = digit(b, d);
+                    const std::uint32_t fwd = (cb + k - ca) % k;
+                    const std::uint32_t bwd = (ca + k - cb) % k;
+                    hops += std::min(fwd, bwd);
+                    if (fwd != 0 && dir == 2 * dims.size())
+                        dir = static_cast<std::uint32_t>(
+                            fwd <= bwd ? 2 * d : 2 * d + 1);
+                }
+                EXPECT_EQ(r.hopCount(a, b), hops) << a << "->" << b;
+                if (a != b) {
+                    EXPECT_EQ(r.nextDir(a, b), dir) << a << "->" << b;
+                }
+            }
+            for (std::uint32_t dir = 0; dir < r.portCount(); ++dir) {
+                const std::size_t d = dir / 2;
+                const std::uint32_t k = dims[d];
+                const std::uint32_t c = digit(a, d);
+                const std::uint32_t next =
+                    dir % 2 == 0 ? (c + 1) % k : (c + k - 1) % k;
+                EXPECT_EQ(r.neighbor(a, dir), a + (next - c) * strides[d])
+                    << a << " dir " << dir;
+            }
+        }
+    }
+}
+
 TEST(TorusRouting, WrapAroundUsesShortPath)
 {
     TorusRouting r({8});

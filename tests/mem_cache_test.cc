@@ -4,7 +4,8 @@
  * and limits, upgrades, cache-to-cache transfers (the mechanism behind
  * the paper's low-latency queue-pair polling), writebacks, inclusion,
  * probe/writeback races, out-of-order fills through the packed MSHRs,
- * and replacement on both set-index paths against a reference LRU.
+ * and replacement on both set-index paths against a reference LRU, also
+ * when concurrent misses over-fill an L2 set.
  */
 
 #include <gtest/gtest.h>
@@ -412,6 +413,157 @@ TEST(CacheReference, L2MatchesReferenceLruOnBothSetIndexPaths)
         EXPECT_EQ(l2.misses(), ref.misses);
         EXPECT_EQ(st.counter("l2.evictions")->value(), ref.evictions);
     }
+}
+
+/**
+ * Reference for one L2 set under concurrent requests. A miss makes room
+ * only if the set is full when the L2 processes it: it evicts the least
+ * recently used line no transaction holds (the first installed on a
+ * tie). Its line is installed when its DRAM fill returns. Misses whose
+ * fetches overlap all see room, so the set over-fills past its
+ * associativity and stays over-full (ROADMAP item 9).
+ */
+class OverfillingSet
+{
+  public:
+    explicit OverfillingSet(std::size_t assoc) : assoc_(assoc) {}
+
+    bool
+    resident(std::uint64_t line)
+    {
+        return find(line) != lines_.end();
+    }
+
+    /** Make room for a miss while @p held lines are mid-transaction. */
+    void
+    makeRoom(const std::vector<std::uint64_t> &held)
+    {
+        if (lines_.size() < assoc_)
+            return;
+        auto victim = lines_.end();
+        for (auto it = lines_.begin(); it != lines_.end(); ++it) {
+            if (std::find(held.begin(), held.end(), it->addr) != held.end())
+                continue;
+            if (victim == lines_.end() || it->lastUse < victim->lastUse)
+                victim = it;
+        }
+        ASSERT_NE(victim, lines_.end()) << "no victim: the L2 would retry";
+        victims.push_back(victim->addr);
+        lines_.erase(victim);
+    }
+
+    /** A request for @p line completed at @p now: a hit or an install. */
+    void
+    complete(std::uint64_t line, Tick now)
+    {
+        if (const auto it = find(line); it != lines_.end())
+            it->lastUse = now;
+        else
+            lines_.push_back({line, now});
+    }
+
+    std::size_t size() const { return lines_.size(); }
+
+    std::vector<std::uint64_t>
+    lines() const
+    {
+        std::vector<std::uint64_t> out;
+        for (const auto &l : lines_)
+            out.push_back(l.addr);
+        return out;
+    }
+
+    std::vector<std::uint64_t> victims;
+
+  private:
+    struct Line
+    {
+        std::uint64_t addr;
+        Tick lastUse;
+    };
+
+    std::vector<Line>::iterator
+    find(std::uint64_t line)
+    {
+        return std::find_if(lines_.begin(), lines_.end(),
+                            [line](const Line &l) { return l.addr == line; });
+    }
+
+    std::size_t assoc_;
+    std::vector<Line> lines_; //!< install order
+};
+
+TEST(CacheReference, ConcurrentMissesOverfillOneL2SetLikeTheReference)
+{
+    // A one-set, 4-way L2 gets bursts of 1-4 distinct reads issued in
+    // one tick, drawn from 12 lines. Every burst must agree with the
+    // reference on hits, misses and evictions; a wrong victim shows up
+    // as a later hit/miss mismatch.
+    constexpr std::uint32_t kAssoc = 4;
+    EventQueue eq;
+    StatRegistry st;
+    DramChannel dram(eq, st, "dram", DramParams{});
+    L2Cache::Params params;
+    params.assoc = kAssoc;
+    params.sizeBytes = kAssoc * 64;
+    L2Cache l2(eq, st, "l2", params, dram);
+    L1Cache l1(eq, st, "l1", CacheParams{}, l2); // directory id 0
+    OverfillingSet ref(kAssoc);
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::size_t largest = 0;
+    sim::Rng rng(23);
+
+    const auto burst = [&](const std::vector<std::uint64_t> &lines) {
+        std::vector<std::pair<std::uint64_t, Tick>> done;
+        for (const auto line : lines) {
+            l2.request(0, line, false, false, [&done, &eq, line] {
+                done.push_back({line, eq.now()});
+            });
+            if (ref.resident(line)) {
+                ++hits;
+            } else {
+                ++misses;
+                ref.makeRoom(lines);
+            }
+        }
+        eq.run();
+        ASSERT_EQ(done.size(), lines.size());
+        for (const auto &[line, at] : done)
+            ref.complete(line, at);
+        largest = std::max(largest, ref.size());
+        ASSERT_EQ(l2.hits(), hits);
+        ASSERT_EQ(l2.misses(), misses);
+        ASSERT_EQ(st.counter("l2.evictions")->value(), ref.victims.size());
+    };
+
+    for (int round = 0; round < 400; ++round) {
+        std::vector<std::uint64_t> lines;
+        const auto n = 1 + rng.below(4);
+        while (lines.size() < n) {
+            const std::uint64_t line = 0x40000 + rng.below(12) * 64;
+            if (std::find(lines.begin(), lines.end(), line) == lines.end())
+                lines.push_back(line);
+        }
+        burst(lines);
+    }
+    EXPECT_GT(largest, kAssoc) << "the bursts never over-filled the set";
+    EXPECT_GT(ref.victims.size(), 100u);
+
+    // Final contents: each line the reference holds hits, one request
+    // at a time, and each line it does not hold then misses.
+    const std::uint64_t missesBefore = misses;
+    const auto resident = ref.lines();
+    for (const auto line : resident)
+        burst({line});
+    EXPECT_EQ(l2.misses(), missesBefore);
+    for (std::uint64_t i = 0; i < 12; ++i) {
+        const std::uint64_t line = 0x40000 + i * 64;
+        if (std::find(resident.begin(), resident.end(), line) ==
+            resident.end())
+            burst({line});
+    }
+    EXPECT_EQ(l2.misses(), missesBefore + 12 - resident.size());
 }
 
 TEST(CacheReference, L1MatchesReferenceLruOnBothSetIndexPaths)

@@ -1,11 +1,11 @@
 /**
  * @file
- * sim::FlatMap unit tests: the open-addressed map behind the L2
- * directory and the RRPP dedup index. Correctness across
- * insert/find/erase (backward shift, including runs that wrap the table
- * end) and growth, plus the fixed-capacity contract under churn that
- * it exists for. Zero allocations under churn are asserted in
- * sim_alloc_test, which counts them.
+ * sim::FlatMap unit tests: the open-addressed map behind the RRPP
+ * dedup index. Correctness across insert/find/erase (backward shift,
+ * including runs that wrap the table end) and growth, plus the
+ * fixed-capacity contract under churn that it exists for. Zero
+ * allocations under churn are asserted in sim_alloc_test, which counts
+ * them.
  */
 
 #include <gtest/gtest.h>

@@ -98,8 +98,11 @@ TEST(SweepDriverTest, TorusFactorizationIsNearSquare)
               (std::vector<std::uint32_t>{4, 8}));
     EXPECT_EQ(SweepDriver::torusDimsFor(16),
               (std::vector<std::uint32_t>{4, 4}));
+    // No radix-1 dimension: it has no link, and validate rejects it.
     EXPECT_EQ(SweepDriver::torusDimsFor(7),
-              (std::vector<std::uint32_t>{1, 7}));
+              (std::vector<std::uint32_t>{7}));
+    EXPECT_EQ(SweepDriver::torusDimsFor(2),
+              (std::vector<std::uint32_t>{2}));
 }
 
 TEST(SweepDriverTest, CellMeasuresAndRendersSchemaStableJson)
