@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Resolve and summarize the samples pcprof.cc wrote.
 
-    python3 bench/pcprof/report.py PREFIX
+    python3 bench/pcprof/report.py [--lines] PREFIX
 
 Reads PREFIX.pcs and PREFIX.maps, maps every PC to the object file it
 falls in, turns it into that file's ELF address (program headers read
@@ -13,7 +13,12 @@ the one that was really called. Prints:
   * the share of each src/<dir> of the repo, by the outermost frame's
     source file (so the event loop inlined into api::Workload::run
     counts for src/api). Samples outside src/ count under their object's
-    file name.
+    file name;
+  * with --lines, also the top 25 innermost functions and the top 25
+    innermost source lines (file:line, repo files relative to the repo
+    root, others by base name): where the sampled instruction itself
+    sits, which names the load that stalls rather than the function it
+    was inlined into.
 
 Each addr2line record is found by the address that -a echoes in front
 of it, never by counting lines, so a frame that does not resolve
@@ -81,7 +86,7 @@ def to_elf_address(pc, mapping, segments):
 
 
 def addr2line(path, addresses):
-    """{address: [(function, file), ...]} innermost first."""
+    """{address: [(function, file, line), ...]} innermost first."""
     proc = subprocess.run(
         ["addr2line", "-a", "-f", "-C", "-i", "-e", path],
         input="".join(f"{a:#x}\n" for a in addresses),
@@ -100,7 +105,8 @@ def addr2line(path, addresses):
             i += 1
             continue
         source = lines[i + 1] if i + 1 < len(lines) else "??:0"
-        frames[current].append((lines[i], source.rsplit(":", 1)[0]))
+        path, _, line = source.split(" (discriminator")[0].rpartition(":")
+        frames[current].append((lines[i], path, line))
         i += 2
     return frames
 
@@ -112,9 +118,32 @@ def source_key(source, obj):
     return os.path.basename(obj)
 
 
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def line_key(path, line, obj):
+    """file:line, repo files relative to the repo root."""
+    if path == "??":
+        return f"?? ({os.path.basename(obj)})"
+    if path.startswith(REPO + os.sep):
+        path = os.path.relpath(path, REPO)
+    else:
+        path = os.path.basename(path)
+    return f"{path}:{line}"
+
+
+def print_top(counter, total, title, n=25):
+    print(f"\n# {title}")
+    for key, count in counter.most_common(n):
+        print(f"{100.0 * count / total:6.2f}%  {key}")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("prefix")
+    ap.add_argument("--lines", action="store_true",
+                    help="also report innermost functions and source lines")
     args = ap.parse_args()
 
     pcs = read_pcs(args.prefix + ".pcs")
@@ -146,25 +175,31 @@ def main():
         for addr, frames in addr2line(obj, sorted(addrs)).items():
             resolved[(obj, addr)] = frames
 
+    def label(name, obj):
+        return f"?? ({os.path.basename(obj)})" if name == "??" else name
+
     outer = collections.Counter()
     outer_dir = collections.Counter()
+    inner = collections.Counter()
+    inner_line = collections.Counter()
     for pc in pcs:
         obj, addr = located[pc]
-        frames = resolved.get((obj, addr)) or [("??", "??")]
-        name = frames[-1][0]
-        if name == "??":
-            name = f"?? ({os.path.basename(obj)})"
-        outer[name] += 1
+        frames = resolved.get((obj, addr)) or [("??", "??", "0")]
+        outer[label(frames[-1][0], obj)] += 1
         outer_dir[source_key(frames[-1][1], obj)] += 1
+        inner[label(frames[0][0], obj)] += 1
+        inner_line[line_key(frames[0][1], frames[0][2], obj)] += 1
 
     total = len(pcs)
     print(f"# {total} samples; share of all samples, outermost function "
           f"(inlined callees counted in their caller)")
     for name, n in outer.most_common(25):
         print(f"{100.0 * n / total:6.2f}%  {name}")
-    print("\n# share by source dir of the outermost function")
-    for key, n in outer_dir.most_common():
-        print(f"{100.0 * n / total:6.2f}%  {key}")
+    print_top(outer_dir, total, "share by source dir of the outermost "
+              "function", n=None)
+    if args.lines:
+        print_top(inner, total, "share by innermost function")
+        print_top(inner_line, total, "share by innermost source line")
     return 0
 
 

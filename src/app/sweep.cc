@@ -41,7 +41,8 @@ SweepCellResult::label() const
 {
     std::string out = "n";
     out += std::to_string(nodes);
-    out += "_" + topologyName();
+    out += '_';
+    out += topologyName();
     out += "_rs" + std::to_string(requestBytes);
     out += "_qd" + std::to_string(qpDepth);
     if (qpCount != 1)

@@ -14,7 +14,8 @@ namespace sonuma::fab {
 CrossbarFabric::CrossbarFabric(sim::EventQueue &eq,
                                sim::StatRegistry &stats,
                                const CrossbarParams &params)
-    : Fabric(eq, stats, "fabric", params.creditsPerLane), params_(params)
+    : Fabric(eq, stats, "fabric", params.creditsPerLane), params_(params),
+      ser_(params.linkBandwidth)
 {
 }
 
@@ -52,8 +53,7 @@ void
 CrossbarFabric::launch(const Message &msg)
 {
     // Serialize on the per-lane egress pipe, then propagate (flat).
-    const sim::Tick ser = static_cast<sim::Tick>(
-        static_cast<double>(msg.wireBytes()) / params_.linkBandwidth * 1e12);
+    const sim::Tick ser = ser_(msg);
     const sim::NodeId srcId = msg.srcNid;
     const Lane lane = msg.lane();
     auto &link = egress_[srcId][li(lane)];

@@ -53,6 +53,7 @@ class CrossbarFabric : public Fabric
     using Egress = std::array<sim::SerializedLink<Message>, kNumLanes>;
 
     CrossbarParams params_;
+    SerializationTable ser_;
     // Indexed by node id, grown at attach() like the base's endpoints.
     std::vector<Egress> egress_;
     // Per-node egress probes (utilization + queue depth), created at

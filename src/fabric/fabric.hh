@@ -13,6 +13,8 @@
 #ifndef SONUMA_FABRIC_FABRIC_HH
 #define SONUMA_FABRIC_FABRIC_HH
 
+#include <array>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +30,34 @@
 namespace sonuma::fab {
 
 class NetworkInterface;
+
+/**
+ * A link's serialization ticks for every payloadLen, built once: the
+ * per-hop path then reads a table instead of dividing by the bandwidth.
+ * Each entry is the same double expression the division gave.
+ */
+class SerializationTable
+{
+  public:
+    explicit SerializationTable(double bytesPerSec)
+    {
+        for (std::size_t len = 0; len < ticks_.size(); ++len)
+            ticks_[len] = static_cast<sim::Tick>(
+                static_cast<double>(Message::kHeaderBytes + len) /
+                bytesPerSec * 1e12);
+    }
+
+    /** Ticks to serialize @p msg's wireBytes(). */
+    sim::Tick operator()(const Message &msg) const
+    {
+        return ticks_[msg.payloadLen];
+    }
+
+  private:
+    std::array<sim::Tick,
+               std::numeric_limits<decltype(Message::payloadLen)>::max() + 1>
+        ticks_;
+};
 
 /**
  * The fabric core every topology shares: endpoints, per-(source, lane)

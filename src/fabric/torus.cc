@@ -15,14 +15,16 @@ TorusFabric::TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
                          const TorusParams &params)
     : Fabric(eq, stats, "torus", params.creditsPerLane,
              TorusRouting(params.dims).nodeCount()),
-      params_(params), routing_(params.dims)
+      params_(params), routing_(params.dims), ser_(params.linkBandwidth)
 {
+    if (routing_.portCount() > 32)
+        throw std::invalid_argument(
+            "torus with " + std::to_string(routing_.dimensions()) +
+            " dimensions: a router's link-state masks hold 32 ports, "
+            "16 dimensions");
     routers_.resize(routing_.nodeCount());
-    for (auto &r : routers_) {
+    for (auto &r : routers_)
         r.ports.resize(routing_.portCount() * kNumLanes);
-        r.linkUp.assign(routing_.portCount(), true);
-        r.lossy.assign(routing_.portCount(), false);
-    }
     // Misrouting around failures must terminate: a packet that crossed
     // far more links than any minimal-plus-detour path could need is
     // dropped (and counted) rather than allowed to livelock.
@@ -97,19 +99,18 @@ TorusFabric::forward(sim::NodeId here, const Message &msg,
             dir = adaptiveDir(r, here, msg);
     } else {
         const std::uint32_t d = routing_.nextDir(here, msg.dstNid);
-        if (r.linkUp[d])
+        if (r.up(d))
             dir = d;
     }
     // No usable link (dead dor link, adaptive hop cap or dead end), or
     // a transient drop window: the link looks up to routing but loses
     // the packet, with no notification; the sender's timeout recovers.
-    if (dir == kNoDir || r.lossy[dir]) {
+    if (dir == kNoDir || r.drops(dir)) {
         drop(msg);
         return;
     }
     const sim::NodeId next = routing_.neighbor(here, dir);
-    const sim::Tick ser = static_cast<sim::Tick>(
-        static_cast<double>(msg.wireBytes()) / params_.linkBandwidth * 1e12);
+    const sim::Tick ser = ser_(msg);
     const std::uint32_t portIdx =
         dir * static_cast<std::uint32_t>(kNumLanes) +
         static_cast<std::uint32_t>(msg.lane());
@@ -131,15 +132,15 @@ TorusFabric::adaptiveDir(const Router &r, sim::NodeId here,
     const std::uint32_t avoid =
         msg.lastDir == kNoDir ? kNoDir : (msg.lastDir ^ 1u);
     for (std::uint32_t dir = 0; dir < ports; ++dir) {
-        if (r.linkUp[dir] && dir != avoid &&
+        if (r.up(dir) && dir != avoid &&
             routing_.productive(here, msg.dstNid, dir))
             return dir;
     }
     for (std::uint32_t dir = 0; dir < ports; ++dir) {
-        if (r.linkUp[dir] && dir != avoid)
+        if (r.up(dir) && dir != avoid)
             return dir;
     }
-    if (avoid != kNoDir && r.linkUp[avoid])
+    if (avoid != kNoDir && r.up(avoid))
         return avoid;
     return kNoDir;
 }
@@ -183,13 +184,17 @@ TorusFabric::validateLink(sim::NodeId from, sim::NodeId to) const
 void
 TorusFabric::setLinkUp(sim::NodeId from, sim::NodeId to, bool up)
 {
-    routers_[from].linkUp[dirTo(from, to)] = up;
+    const std::uint32_t bit = 1u << dirTo(from, to);
+    std::uint32_t &down = routers_[from].linkDown;
+    down = up ? down & ~bit : down | bit;
 }
 
 void
 TorusFabric::setLossy(sim::NodeId from, sim::NodeId to, bool lossy)
 {
-    routers_[from].lossy[dirTo(from, to)] = lossy;
+    const std::uint32_t bit = 1u << dirTo(from, to);
+    std::uint32_t &mask = routers_[from].lossy;
+    mask = lossy ? mask | bit : mask & ~bit;
 }
 
 } // namespace sonuma::fab

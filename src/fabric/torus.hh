@@ -66,11 +66,16 @@ class TorusFabric : public Fabric
     {
         // One serializing link per outgoing port per lane.
         std::vector<sim::SerializedLink<InFlight>> ports;
-        // Physical link state per outgoing port (lanes share a link). On
-        // a radix-2 dimension two ports reach the same neighbour, so the
-        // state is per port, not per (from, to) pair.
-        std::vector<bool> linkUp;
-        std::vector<bool> lossy;
+        // Physical link state per outgoing port (lanes share a link),
+        // one bit per port. On a radix-2 dimension two ports reach the
+        // same neighbour, so the state is per port, not per (from, to)
+        // pair. A NodeId-sized torus has at most 16 dimensions of
+        // radix >= 2, so 32 ports (the constructor checks).
+        std::uint32_t linkDown = 0;
+        std::uint32_t lossy = 0;
+
+        bool up(std::uint32_t dir) const { return !(linkDown >> dir & 1); }
+        bool drops(std::uint32_t dir) const { return lossy >> dir & 1; }
     };
 
     /** Sentinel "no usable direction" value (also Message::lastDir unset). */
@@ -78,6 +83,7 @@ class TorusFabric : public Fabric
 
     TorusParams params_;
     TorusRouting routing_;
+    SerializationTable ser_;
     std::vector<Router> routers_;
     std::uint32_t hopCap_; //!< adaptive-misroute livelock backstop
 

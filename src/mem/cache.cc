@@ -13,15 +13,30 @@
 
 namespace sonuma::mem {
 
+namespace {
+
+/** Host cache-line size the L1 tag array is aligned to. */
+constexpr std::uintptr_t kHostLineBytes = 64;
+
+static_assert(sizeof(L1Cache::LineInfo) == 16);
+static_assert(kHostLineBytes % sizeof(L1Cache::LineInfo) == 0);
+
+} // namespace
+
 //
 // ------------------------------- L1 -----------------------------------
 //
 
 L1Cache::L1Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
                  std::string name, const CacheParams &params, L2Cache &l2)
-    : eq_(eq), name_(std::move(name)), params_(params), l2_(l2),
+    : eq_(eq), name_(std::move(name)), params_(params),
+      latency_(params.latency()), l2_(l2),
       sets_(params.sizeBytes, params.assoc),
-      ways_(std::size_t(sets_.count()) * params.assoc),
+      ways_(std::size_t(sets_.count()) * params.assoc +
+            kHostLineBytes / sizeof(LineInfo) - 1),
+      set0_(ways_.data() +
+            (-reinterpret_cast<std::uintptr_t>(ways_.data()) &
+             (kHostLineBytes - 1)) / sizeof(LineInfo)),
       hits_(stats, name_ + ".hits", "L1 hits"),
       misses_(stats, name_ + ".misses", "L1 misses"),
       writebacks_(stats, name_ + ".writebacks", "L1 dirty evictions"),
@@ -71,9 +86,9 @@ L1Cache::erasePendingPutback(PAddr line)
 }
 
 std::span<L1Cache::LineInfo>
-L1Cache::waysOf(PAddr line)
+L1Cache::waysOf(PAddr line) const
 {
-    return {ways_.data() + std::size_t(sets_(line)) * params_.assoc,
+    return {set0_ + std::size_t(sets_(line)) * params_.assoc,
             params_.assoc};
 }
 
@@ -81,10 +96,21 @@ L1Cache::LineInfo *
 L1Cache::findLine(PAddr line)
 {
     for (auto &way : waysOf(line)) {
-        if (way.valid && way.tag == line)
+        if (way.holds(line))
             return &way;
     }
     return nullptr;
+}
+
+L1Cache::State
+L1Cache::stateOf(PAddr addr) const
+{
+    const PAddr line = lineOf(addr);
+    for (const LineInfo &way : waysOf(line)) {
+        if (way.holds(line))
+            return way.state();
+    }
+    return State::kInvalid;
 }
 
 L1Cache::LineInfo *
@@ -96,7 +122,7 @@ L1Cache::allocLine(PAddr line)
     const std::span<LineInfo> set = waysOf(line);
     LineInfo *victim = nullptr;
     for (auto &way : set) {
-        if (!way.valid) {
+        if (!way.valid()) {
             victim = &way;
             break;
         }
@@ -104,7 +130,7 @@ L1Cache::allocLine(PAddr line)
     if (!victim) {
         for (auto &way : set) {
             // Never victimize a line with an outstanding transaction.
-            if (findMshr(way.tag))
+            if (findMshr(way.tag()))
                 continue;
             if (!victim || way.lastUse < victim->lastUse)
                 victim = &way;
@@ -112,14 +138,12 @@ L1Cache::allocLine(PAddr line)
     }
     assert(victim && "no evictable way (all have pending MSHRs)");
 
-    if (victim->valid && victim->state == State::kModified) {
+    if (victim->state() == State::kModified) {
         writebacks_.inc();
-        pendingPutbacks_.push_back(victim->tag);
-        l2_.putback(l1Id_, victim->tag);
+        pendingPutbacks_.push_back(victim->tag());
+        l2_.putback(l1Id_, victim->tag());
     }
-    victim->valid = false;
-    victim->state = State::kInvalid;
-    victim->tag = line;
+    victim->set(line, State::kInvalid);
     return victim;
 }
 
@@ -139,9 +163,11 @@ void
 L1Cache::accessImpl(PAddr addr, bool write, bool fullLine,
                     sim::Callback done)
 {
+    const PAddr line = lineOf(addr);
     const std::uint32_t slot = accessSlots_.put(
-        PendingAccess{lineOf(addr), write, fullLine, std::move(done)});
-    eq_.scheduleAfter(params_.latency(), [this, slot] { fireAccess(slot); });
+        PendingAccess{line, write, fullLine, std::move(done)});
+    eq_.scheduleAfter(latency_, [this, slot] { fireAccess(slot); },
+                      waysOf(line).data());
 }
 
 void
@@ -152,14 +178,14 @@ L1Cache::fireAccess(std::uint32_t slot)
     LineInfo *info = findLine(line);
     const bool read_hit = info && !p.write;
     const bool write_hit = info && p.write &&
-                           info->state == State::kModified;
+                           info->state() == State::kModified;
     if (read_hit || write_hit) {
         hits_.inc();
         info->lastUse = eq_.now();
         p.done();
         return;
     }
-    if (info && p.write && info->state == State::kShared)
+    if (info && p.write && info->state() == State::kShared)
         upgrades_.inc();
     misses_.inc();
     startMiss(line, p.write, p.fullLine, std::move(p.done));
@@ -191,8 +217,7 @@ void
 L1Cache::handleFill(PAddr line, bool grantedWrite)
 {
     LineInfo *info = allocLine(line);
-    info->valid = true;
-    info->state = grantedWrite ? State::kModified : State::kShared;
+    info->setState(grantedWrite ? State::kModified : State::kShared);
     info->lastUse = eq_.now();
 
     Mshr *mshr = findMshr(line);
@@ -255,13 +280,11 @@ L1Cache::handleProbe(PAddr line, bool invalidate)
     LineInfo *info = findLine(line);
     if (!info)
         return false;
-    const bool wasDirty = info->state == State::kModified;
-    if (invalidate) {
-        info->valid = false;
-        info->state = State::kInvalid;
-    } else if (wasDirty) {
-        info->state = State::kShared;
-    }
+    const bool wasDirty = info->state() == State::kModified;
+    if (invalidate)
+        info->setState(State::kInvalid);
+    else if (wasDirty)
+        info->setState(State::kShared);
     return wasDirty;
 }
 
@@ -271,7 +294,9 @@ L1Cache::handleProbe(PAddr line, bool invalidate)
 
 L2Cache::L2Cache(sim::EventQueue &eq, sim::StatRegistry &stats,
                  std::string name, const Params &params, DramChannel &dram)
-    : eq_(eq), name_(std::move(name)), params_(params), dram_(dram),
+    : eq_(eq), name_(std::move(name)), params_(params),
+      latency_(params.latency()), probeLatency_(params.probeLatency()),
+      dram_(dram),
       sets_(params.sizeBytes, params.assoc),
       hits_(stats, name_ + ".hits", "L2 hits"),
       misses_(stats, name_ + ".misses", "L2 misses"),
@@ -327,7 +352,8 @@ L2Cache::startTransaction(PAddr line, PendingReq req)
 {
     const std::uint32_t slot =
         reqSlots_.put(ParkedReq{line, std::move(req)});
-    eq_.scheduleAfter(params_.latency(), [this, slot] { process(slot); });
+    eq_.scheduleAfter(latency_, [this, slot] { process(slot); },
+                      setLines_[sets_(line)].tags.data());
 }
 
 void
@@ -465,8 +491,11 @@ L2Cache::finishRequest(std::uint32_t slot, DirEntry &dir)
         dir.sharers |= reqBit;
     }
 
-    const sim::Tick extra = probed ? params_.probeLatency() : 0;
-    eq_.scheduleAfter(extra, [this, slot] { fireCompletion(slot); });
+    // The completion fills the requester's L1 set.
+    const sim::Tick extra = probed ? probeLatency_ : 0;
+    eq_.scheduleAfter(
+        extra, [this, slot] { fireCompletion(slot); },
+        l1s_[static_cast<std::size_t>(req.requester)]->waysOf(line).data());
 }
 
 void
@@ -498,7 +527,7 @@ L2Cache::ensureCapacity(PAddr line, std::uint32_t slot)
     }
     if (at == n) {
         // Every line in the set is mid-transaction; retry shortly.
-        eq_.scheduleAfter(params_.latency(), [this, line, slot] {
+        eq_.scheduleAfter(latency_, [this, line, slot] {
             ensureCapacity(line, slot);
         });
         return;

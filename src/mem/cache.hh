@@ -141,22 +141,46 @@ class L1Cache
     /** Number of in-flight MSHRs (for tests). */
     std::size_t inflight() const { return mshrsInUse_; }
 
+    enum class State : std::uint8_t { kInvalid, kShared, kModified };
+
+    /**
+     * One way of a set, 16 bytes: the line address with its State
+     * packed into the low 6 bits (a line address's offset bits, always
+     * zero), and the LRU stamp. A 2-way set is then 32 B, inside one
+     * host line.
+     */
+    class LineInfo
+    {
+      public:
+        PAddr tag() const { return bits_ & ~kStateMask; }
+        State state() const { return static_cast<State>(bits_ & kStateMask); }
+        bool valid() const { return state() != State::kInvalid; }
+        bool holds(PAddr line) const { return valid() && tag() == line; }
+
+        void
+        set(PAddr line, State s)
+        {
+            assert((line & kStateMask) == 0 && "tag must be line-aligned");
+            bits_ = line | static_cast<PAddr>(s);
+        }
+        void setState(State s) { set(tag(), s); }
+
+        sim::Tick lastUse = 0;
+
+      private:
+        static constexpr PAddr kStateMask = sim::kCacheLineBytes - 1;
+        PAddr bits_ = 0;
+    };
+
+    /** Coherence state of the line holding @p addr (for tests). */
+    State stateOf(PAddr addr) const;
+
     const std::string &name() const { return name_; }
     std::uint64_t hits() const { return hits_.value(); }
     std::uint64_t misses() const { return misses_.value(); }
 
   private:
     friend class L2Cache;
-
-    enum class State : std::uint8_t { kInvalid, kShared, kModified };
-
-    struct LineInfo
-    {
-        PAddr tag = 0;
-        sim::Tick lastUse = 0;
-        State state = State::kInvalid;
-        bool valid = false;
-    };
 
     static constexpr std::uint32_t kNoWaiter = ~std::uint32_t(0);
 
@@ -212,11 +236,16 @@ class L1Cache
     sim::EventQueue &eq_;
     std::string name_;
     CacheParams params_;
+    sim::Tick latency_; //!< params_.latency(), computed once
     L2Cache &l2_;
     int l1Id_ = -1;
 
     SetIndex sets_;
-    std::vector<LineInfo> ways_; //!< flat tag array: [set * assoc + way]
+    // Flat tag array, [set * assoc + way] from set0_. ways_ is
+    // over-allocated by one host line so set0_ can start on a 64-byte
+    // boundary; no set then straddles two host lines.
+    std::vector<LineInfo> ways_;
+    LineInfo *set0_;
     std::vector<Mshr> mshrs_;    //!< fixed slots (CAM), busy ones packed
     std::size_t mshrsInUse_ = 0;
     sim::SlotPool<Waiter> waiters_; //!< every MSHR's merged accesses
@@ -233,7 +262,7 @@ class L1Cache
     sim::Counter upgrades_;
 
     static PAddr lineOf(PAddr addr) { return addr & ~PAddr(63); }
-    std::span<LineInfo> waysOf(PAddr line);
+    std::span<LineInfo> waysOf(PAddr line) const;
     LineInfo *findLine(PAddr line);
     LineInfo *allocLine(PAddr line); //!< may trigger victim writeback
 
@@ -335,6 +364,8 @@ class L2Cache
     sim::EventQueue &eq_;
     std::string name_;
     Params params_;
+    sim::Tick latency_;      //!< params_.latency(), computed once
+    sim::Tick probeLatency_; //!< params_.probeLatency(), computed once
     DramChannel &dram_;
     std::vector<L1Cache *> l1s_;
 

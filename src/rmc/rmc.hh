@@ -330,9 +330,9 @@ class Rmc
         await_suspend(std::coroutine_handle<> h)
         {
             if (emuThread)
-                emuThread->submit(cost, [h] { h.resume(); });
+                emuThread->submit(cost, [h] { h.resume(); }, h.address());
             else
-                eq.scheduleAfter(cost, [h] { h.resume(); });
+                eq.scheduleAfter(cost, [h] { h.resume(); }, h.address());
         }
 
         void await_resume() const noexcept {}

@@ -18,6 +18,15 @@
  * The hot methods (schedule, step, cancel) are defined inline in this
  * header: they sit in the innermost loop of every simulation, and the
  * call out of a separate translation unit costs more than the work.
+ *
+ * Touch hints: schedule() optionally takes the first host line the
+ * event will read (a cache set, a coroutine frame, a link's head
+ * packet). step() prefetches the next event's hint before it invokes
+ * the current one, so the load that would stall the next event
+ * overlaps this one's work. A hint is advisory only: nothing reads it
+ * for semantics, a null, stale or freed pointer is harmless (a
+ * prefetch never faults), and the firing order is (tick, seq) either
+ * way.
  */
 
 #ifndef SONUMA_SIM_EVENT_QUEUE_HH
@@ -56,18 +65,20 @@ class EventQueue
     /**
      * Schedule @p fn (a Callback or any callable it accepts) to run at
      * absolute time @p when. The callable is built in its event slot.
+     * @p touch is the event's touch hint (see the file comment).
      *
      * @pre when >= now()
      * @return an id usable with cancel().
      */
     template <typename F>
     EventId
-    schedule(Tick when, F &&fn)
+    schedule(Tick when, F &&fn, const void *touch = nullptr)
     {
         assert(when >= now_ && "cannot schedule into the past");
         const std::uint32_t index = allocSlot();
         Slot &s = slots_[index];
         s.fn = std::forward<F>(fn);
+        s.touch = touch;
         assert(s.fn && "cannot schedule an empty closure");
         heap_.push_back(HeapEntry{when, nextSeq_++, index, s.gen});
         std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
@@ -78,9 +89,9 @@ class EventQueue
     /** Schedule @p fn to run @p delay ticks from now. */
     template <typename F>
     EventId
-    scheduleAfter(Tick delay, F &&fn)
+    scheduleAfter(Tick delay, F &&fn, const void *touch = nullptr)
     {
-        return schedule(now_ + delay, std::forward<F>(fn));
+        return schedule(now_ + delay, std::forward<F>(fn), touch);
     }
 
     /**
@@ -129,6 +140,10 @@ class EventQueue
         ++s.gen;
         freeSlots_.push_back(top.slot);
         --live_;
+        // Start the next event's first load now; a tombstone's hint is
+        // stale, which a prefetch tolerates.
+        if (!heap_.empty())
+            __builtin_prefetch(slots_[heap_.front().slot].touch);
         fn();
         return true;
     }
@@ -198,9 +213,11 @@ class EventQueue
     struct Slot
     {
         Callback fn;
+        const void *touch = nullptr; //!< touch hint, advisory only
         std::uint32_t gen = 0;
+        // 4 bytes of padding left.
     };
-    static_assert(sizeof(Slot) == 40);
+    static_assert(sizeof(Slot) == 48);
 
     std::vector<HeapEntry> heap_; //!< min-heap via std::push/pop_heap
     std::vector<Slot> slots_;

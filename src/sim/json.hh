@@ -84,7 +84,8 @@ class JsonWriter
     appendChars(T v)
     {
         char buf[32];
-        out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+        const char *end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+        out_.append(buf, static_cast<std::size_t>(end - buf));
     }
 };
 

@@ -61,7 +61,8 @@ class SerializedLink
      * Schedule @p drainEvent at the head's arrival tick unless a drain
      * is already pending. @p drainEvent must call drain() on this link.
      * A credit returned mid-drain can re-arm while the head is already
-     * due, so the schedule tick is clamped to now.
+     * due, so the schedule tick is clamped to now. The drain event's
+     * touch hint is the head entry, the packet drain() delivers first.
      */
     template <typename DrainEvent>
     void
@@ -70,8 +71,9 @@ class SerializedLink
         if (drainArmed_ || q_.empty())
             return;
         drainArmed_ = true;
-        eq.schedule(std::max(q_.front().arriveAt, eq.now()),
-                    std::forward<DrainEvent>(drainEvent));
+        const Entry &head = q_.front();
+        eq.schedule(std::max(head.arriveAt, eq.now()),
+                    std::forward<DrainEvent>(drainEvent), &head);
     }
 
     /**

@@ -37,19 +37,21 @@ class ServiceResource
 
     /**
      * Submit a job needing @p serviceTime of the resource; @p done fires at
-     * its completion time.
+     * its completion time. @p touch is the completion event's touch
+     * hint (sim/event_queue.hh).
      *
      * @return the completion tick.
      */
     Tick
-    submit(Tick serviceTime, Callback done = nullptr)
+    submit(Tick serviceTime, Callback done = nullptr,
+           const void *touch = nullptr)
     {
         const Tick start = std::max(eq_.now(), busyUntil_);
         busyUntil_ = start + serviceTime;
         totalBusy_ += serviceTime;
         ++jobs_;
         if (done)
-            eq_.schedule(busyUntil_, std::move(done));
+            eq_.schedule(busyUntil_, std::move(done), touch);
         return busyUntil_;
     }
 
@@ -67,7 +69,7 @@ class ServiceResource
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                res.submit(serviceTime, [h] { h.resume(); });
+                res.submit(serviceTime, [h] { h.resume(); }, h.address());
             }
 
             void await_resume() const noexcept {}

@@ -38,7 +38,7 @@ class OneShotEvent
             return;
         set_ = true;
         for (auto h : waiters_)
-            eq_.scheduleAfter(0, [h] { h.resume(); });
+            eq_.scheduleAfter(0, [h] { h.resume(); }, h.address());
         waiters_.clear();
     }
 
@@ -90,7 +90,7 @@ class Semaphore
         while (count_ > 0 && !waiters_.empty()) {
             --count_;
             auto h = waiters_.popFront();
-            eq_.scheduleAfter(0, [h] { h.resume(); });
+            eq_.scheduleAfter(0, [h] { h.resume(); }, h.address());
         }
     }
 
@@ -160,7 +160,7 @@ class Condition
     notifyAll()
     {
         for (auto h : waiters_)
-            eq_.scheduleAfter(0, [h] { h.resume(); });
+            eq_.scheduleAfter(0, [h] { h.resume(); }, h.address());
         waiters_.clear();
     }
 

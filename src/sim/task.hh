@@ -348,7 +348,7 @@ class Delay
     void
     await_suspend(std::coroutine_handle<> h)
     {
-        eq_.scheduleAfter(delay_, [h] { h.resume(); });
+        eq_.scheduleAfter(delay_, [h] { h.resume(); }, h.address());
     }
 
     void await_resume() const noexcept {}

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -269,8 +270,9 @@ TEST(TorusRouting, HopCountsSymmetricAndBounded)
         for (sim::NodeId b = 0; b < 16; ++b) {
             EXPECT_EQ(r.hopCount(a, b), r.hopCount(b, a));
             EXPECT_LE(r.hopCount(a, b), 4u); // 2+2 max in a 4x4 torus
-            if (a != b)
+            if (a != b) {
                 EXPECT_GE(r.hopCount(a, b), 1u);
+            }
         }
     }
 }
@@ -426,6 +428,17 @@ TEST(TorusRouting3D, MessagesCrossA2x2x2Fabric)
     ASSERT_TRUE(nis[7]->hasMessage(Lane::kRequest));
     EXPECT_EQ(nis[7]->pop(Lane::kRequest).srcNid, 0);
     EXPECT_DOUBLE_EQ(torus.meanHops(), 3.0);
+}
+
+TEST(TorusRouting3D, MorePortsThanTheLinkMasksHoldAreRejected)
+{
+    // 17 radix-2 dimensions: 34 ports per router, past the 32-bit
+    // link-state masks (and past a 16-bit NodeId's 65,536 nodes).
+    EventQueue eq;
+    StatRegistry stats;
+    TorusParams params;
+    params.dims.assign(17, 2);
+    EXPECT_THROW(TorusFabric(eq, stats, params), std::invalid_argument);
 }
 
 struct TorusFixture : public ::testing::Test

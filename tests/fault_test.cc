@@ -2,11 +2,11 @@
  * @file
  * Fault-injection tests: FaultPlan and routing-mode parsing (grammar +
  * did-you-mean), FaultInjector arm-time validation, fault-aware
- * adaptive torus routing (100% delivery around a failed link), lossy
- * windows, and end-to-end degraded-mode runs through the SweepDriver
- * (recovery by RMC retransmission alone, determinism, a fault that
- * touches no traffic costing nothing, and the permanent-fault stall
- * diagnostic).
+ * adaptive torus routing (100% delivery around a failed link), per-port
+ * link state on a radix-2 ring, lossy windows, and end-to-end
+ * degraded-mode runs through the SweepDriver (recovery by RMC
+ * retransmission alone, determinism, a fault that touches no traffic
+ * costing nothing, and the permanent-fault stall diagnostic).
  */
 
 #include <gtest/gtest.h>
@@ -200,13 +200,13 @@ struct Torus444 : public ::testing::Test
     int received = 0;
 
     void
-    build(RoutingMode mode)
+    build(RoutingMode mode, std::vector<std::uint32_t> dims = {4, 4, 4})
     {
         TorusParams p;
-        p.dims = {4, 4, 4};
+        p.dims = std::move(dims);
         p.routing = mode;
         torus = std::make_unique<TorusFabric>(eq, stats, p);
-        for (sim::NodeId i = 0; i < 64; ++i) {
+        for (sim::NodeId i = 0; i < torus->routing().nodeCount(); ++i) {
             nis.push_back(std::make_unique<NetworkInterface>(
                 eq, stats, "fni" + std::to_string(i), i, *torus));
             auto *ni = nis.back().get();
@@ -223,8 +223,9 @@ struct Torus444 : public ::testing::Test
     sendAllPairs()
     {
         int sent = 0;
-        for (sim::NodeId a = 0; a < 64; ++a)
-            for (sim::NodeId b = 0; b < 64; ++b) {
+        const auto n = static_cast<sim::NodeId>(nis.size());
+        for (sim::NodeId a = 0; a < n; ++a)
+            for (sim::NodeId b = 0; b < n; ++b) {
                 if (a == b)
                     continue;
                 Message m;
@@ -270,6 +271,37 @@ TEST_F(Torus444, RecoveredLinkCarriesTrafficAgain)
     eq.run();
     EXPECT_EQ(received, sent);
     EXPECT_EQ(torus->droppedMessages(), 0u);
+}
+
+TEST_F(Torus444, RadixTwoPortsReachingOneNeighbourKeepSeparateState)
+{
+    // On the radix-2 x ring of a 2x4 torus, ports +x and -x of node 0
+    // both reach node 1. failLink(0, 1) and setLinkLossy(0, 1) name the
+    // first of them (+x); the -x port must keep carrying traffic, so
+    // every packet still takes a minimal path (a detour through the y
+    // ring would add two hops).
+    build(RoutingMode::kAdaptive, {2, 4});
+    ASSERT_EQ(torus->routing().neighbor(0, 0), 1);
+    ASSERT_EQ(torus->routing().neighbor(0, 1), 1);
+    torus->failLink(0, 1);
+    torus->setLinkLossy(0, 1, true);
+    int sent = sendAllPairs();
+    eq.run();
+    EXPECT_EQ(received, sent) << "the -x port must carry 0 -> 1 traffic";
+    EXPECT_EQ(torus->droppedMessages(), 0u);
+    double minimalHops = 0;
+    for (sim::NodeId a = 0; a < 8; ++a)
+        for (sim::NodeId b = 0; b < 8; ++b)
+            minimalHops += torus->routing().hopCount(a, b);
+    EXPECT_DOUBLE_EQ(torus->meanHops(), minimalHops / sent);
+
+    // Bring +x back while it is still lossy: adaptive routing prefers it
+    // again (lowest productive port), and it loses what it carries.
+    torus->recoverLink(0, 1);
+    sent += sendAllPairs();
+    eq.run();
+    EXPECT_GT(torus->droppedMessages(), 0u);
+    EXPECT_EQ(received + static_cast<int>(torus->droppedMessages()), sent);
 }
 
 TEST_F(Torus444, LossyWindowDropsSilently)

@@ -5,7 +5,8 @@
  * the paper's low-latency queue-pair polling), writebacks, inclusion,
  * probe/writeback races, out-of-order fills through the packed MSHRs,
  * and replacement on both set-index paths against a reference LRU, also
- * when concurrent misses over-fill an L2 set.
+ * when concurrent misses over-fill an L2 set; the L1's packed tag/state
+ * word through every state change.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +164,49 @@ TEST_F(CacheFixture, DirtyEvictionWritesBack)
     // The evicted line's data must still be readable (from L2, clean).
     const double ns = timedAccess(core, 0, false);
     EXPECT_LT(ns, 15.0); // L2 hit: no DRAM re-fetch
+}
+
+// The state lives in the tag's low 6 bits; a way is 16 bytes.
+static_assert(sizeof(L1Cache::LineInfo) == 16);
+
+TEST_F(CacheFixture, PackedLineStateRoundTripsThroughEveryTransition)
+{
+    using State = L1Cache::State;
+    // Line 0 and a line with high tag bits (in another set), each with
+    // two set-mates: the tag must survive the state bits, and a zero
+    // tag must not read as a resident line.
+    const std::uint64_t setStride = 256 * 64;
+    const std::uint64_t high = 0x7fff'ffff'0000 + 7 * 64;
+    for (const std::uint64_t a : {std::uint64_t{0}, high}) {
+        SCOPED_TRACE(a);
+        EXPECT_EQ(core.stateOf(a), State::kInvalid);
+        timedAccess(core, a + 8, false); // fill, read
+        EXPECT_EQ(core.stateOf(a), State::kShared);
+        timedAccess(core, a, true); // upgrade
+        EXPECT_EQ(core.stateOf(a + 63), State::kModified);
+        timedAccess(rmc, a, false); // probe-downgrade of core's copy
+        EXPECT_EQ(core.stateOf(a), State::kShared);
+        EXPECT_EQ(rmc.stateOf(a), State::kShared);
+        timedAccess(rmc, a, true); // probe-invalidate of core's copy
+        EXPECT_EQ(core.stateOf(a), State::kInvalid);
+        EXPECT_EQ(rmc.stateOf(a), State::kModified);
+        timedAccess(core, a, true); // refill in M, invalidating rmc
+        EXPECT_EQ(core.stateOf(a), State::kModified);
+        EXPECT_EQ(rmc.stateOf(a), State::kInvalid);
+        // Eviction: two set-mates push a out (LRU), dirty, so written
+        // back; the set-mates keep their own tags and states.
+        const std::uint64_t wb = core.misses();
+        timedAccess(core, a + setStride, false);
+        timedAccess(core, a + 2 * setStride, true);
+        EXPECT_EQ(core.stateOf(a), State::kInvalid);
+        EXPECT_EQ(core.stateOf(a + setStride), State::kShared);
+        EXPECT_EQ(core.stateOf(a + 2 * setStride), State::kModified);
+        EXPECT_EQ(core.misses(), wb + 2);
+        const double ns = timedAccess(core, a, false); // L2 hit
+        EXPECT_LT(ns, 15.0);
+        EXPECT_EQ(core.stateOf(a), State::kShared);
+    }
+    EXPECT_EQ(stats.counter("core.l1.writebacks")->value(), 2u);
 }
 
 TEST_F(CacheFixture, ProbeDuringPendingWritebackResolves)

@@ -141,14 +141,18 @@ TEST(AllocCounting, SteadyStateEventLoopIsAllocationFree)
         std::uint64_t fired = 0;
         std::uint64_t target = 0;
 
+        // Scheduled with a touch hint, the form every hot site uses.
         void
         arm()
         {
-            eq.scheduleAfter(1, [this] {
-                ++fired;
-                if (fired < target)
-                    arm();
-            });
+            eq.scheduleAfter(
+                1,
+                [this] {
+                    ++fired;
+                    if (fired < target)
+                        arm();
+                },
+                this);
         }
     } chain{eq};
 

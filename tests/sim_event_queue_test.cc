@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the discrete-event queue: ordering, determinism,
  * cancellation, time-limited runs, and a seeded random-operation run
- * checked against a std::set reference model.
+ * checked against a std::set reference model, with and without touch
+ * hints.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <set>
 #include <utility>
@@ -157,18 +159,53 @@ TEST(EventQueue, ManyEventsStressOrdering)
  * Reference model for the oracle test: pending events are a
  * std::set of (tick, seq), seq counting schedule calls, so the queue
  * must fire exactly the set's head every time.
+ *
+ * With @p hinted, every schedule passes a touch hint drawn from its own
+ * generator (so the operation stream is the same either way): null, a
+ * live pointer, or a pointer to a block already freed.
  */
 struct Oracle
 {
+    explicit Oracle(bool hinted = false) : hinted(hinted)
+    {
+        for (int i = 0; i < 8; ++i) {
+            const auto block = std::make_unique<Tick[]>(8);
+            freedBlocks.push_back(block.get());
+        }
+    }
+
     EventQueue eq;
     std::mt19937_64 rng{0x5eed};
+    bool hinted;
+    std::mt19937_64 hintRng{0x70c4};
+    std::vector<const void *> freedBlocks; //!< each already freed
+    std::uint64_t freedHints = 0;
     std::set<std::pair<Tick, std::uint64_t>> pending;
     std::vector<EventId> ids;  //!< by seq
     std::vector<Tick> whenOf;  //!< by seq
+    std::vector<std::uint64_t> order; //!< seqs in firing order
     std::uint64_t fired = 0;
     std::uint64_t mismatches = 0;
 
     std::uint64_t pick(std::uint64_t n) { return rng() % n; }
+
+    const void *
+    hint()
+    {
+        if (!hinted)
+            return nullptr;
+        switch (hintRng() % 3) {
+        case 0:
+            return nullptr;
+        case 1:
+            // Live now; freed once whenOf reallocates.
+            return whenOf.empty() ? nullptr
+                                  : &whenOf[hintRng() % whenOf.size()];
+        default:
+            ++freedHints;
+            return freedBlocks[hintRng() % freedBlocks.size()];
+        }
+    }
 
     /** Mostly zero or tiny delays, so same-tick ties are common. */
     Tick
@@ -193,8 +230,8 @@ struct Oracle
         const Tick d = delay();
         const Tick when = eq.now() + d;
         auto fn = [this, seq] { fire(seq); };
-        ids.push_back(pick(2) ? eq.schedule(when, fn)
-                              : eq.scheduleAfter(d, fn));
+        ids.push_back(pick(2) ? eq.schedule(when, fn, hint())
+                              : eq.scheduleAfter(d, fn, hint()));
         whenOf.push_back(when);
         pending.emplace(when, seq);
     }
@@ -214,6 +251,7 @@ struct Oracle
     fire(std::uint64_t seq)
     {
         ++fired;
+        order.push_back(seq);
         if (pending.empty() ||
             *pending.begin() != std::make_pair(eq.now(), seq)) {
             ++mismatches;
@@ -239,9 +277,10 @@ struct Oracle
     }
 };
 
-TEST(EventQueue, RandomOperationsMatchSetModel)
+/** Drive @p o through the seeded 100k-operation run. */
+void
+runRandomOperations(Oracle &o)
 {
-    Oracle o;
     for (int op = 0; op < 100000; ++op) {
         const std::uint64_t r = o.pick(16);
         if (r < 6) {
@@ -261,6 +300,12 @@ TEST(EventQueue, RandomOperationsMatchSetModel)
         o.mismatches += o.eq.pendingEvents() != o.pending.size();
     }
     o.eq.run();
+}
+
+TEST(EventQueue, RandomOperationsMatchSetModel)
+{
+    Oracle o;
+    runRandomOperations(o);
     EXPECT_EQ(o.mismatches, 0u);
     EXPECT_TRUE(o.pending.empty());
     EXPECT_EQ(o.fired, o.eq.executedEvents());
@@ -268,6 +313,20 @@ TEST(EventQueue, RandomOperationsMatchSetModel)
     EXPECT_GT(o.ids.size(), 50000u);
     EXPECT_GT(o.fired, 30000u);
     EXPECT_LT(o.fired, o.ids.size());
+}
+
+TEST(EventQueue, TouchHintsChangeNeitherOrderNorIds)
+{
+    Oracle plain;
+    Oracle hinted(true);
+    runRandomOperations(plain);
+    runRandomOperations(hinted);
+    EXPECT_EQ(hinted.mismatches, 0u);
+    EXPECT_TRUE(hinted.pending.empty());
+    EXPECT_EQ(hinted.order, plain.order);
+    EXPECT_EQ(hinted.ids, plain.ids);
+    EXPECT_EQ(hinted.eq.now(), plain.eq.now());
+    EXPECT_GT(hinted.freedHints, 10000u);
 }
 
 } // namespace
