@@ -10,10 +10,10 @@
       OBS sidecar must have sampled at period N.
 
   check_artifacts.py --compare OLD NEW
-      Value-level diff for a re-baseline: every simulated value must
-      agree at the 6 significant digits schema 1 printed; host-time
-      fields and fields present on one side only are listed, and
-      non-JSON tables must be byte-identical.
+      Value-level diff for a re-baseline and for the pin_* ctests:
+      every simulated value must be identical and non-JSON tables
+      byte-identical; a field or an artifact on one side only fails;
+      host-time fields are only listed.
 
 Exit status 1 on any violation.
 """
@@ -181,28 +181,24 @@ def compare_file(name, old, new):
         return 0 if same else 1
     a = leaves(json.loads(old.read_text()), "")
     b = leaves(json.loads(new.read_text()), "")
-    exact, rounded, host, changed = 0, 0, set(), []
+    exact, host, changed = 0, set(), []
     for p in sorted(a.keys() & b.keys() - {"schema"}):
         x, y = a[p], b[p]
         if field(p) in HOST_FIELDS:
             host |= {field(p)} if x != y else set()
         elif x == y:
             exact += 1
-        elif (isinstance(x, (int, float)) and isinstance(y, (int, float))
-              and f"{x:.6g}" == f"{y:.6g}"):
-            rounded += 1
         else:
             changed.append(f"  CHANGED {p}: {x!r} -> {y!r}")
     line = (f"{name}: schema {a.get('schema')} -> {b.get('schema')}, "
-            f"{exact} values identical, {rounded} equal at 6 significant "
-            f"digits, {len(changed)} changed")
+            f"{exact} values identical, {len(changed)} changed")
     for label, names in (("host-time differs", host),
                          ("added", {field(p) for p in b.keys() - a.keys()}),
                          ("removed", {field(p) for p in a.keys() - b.keys()})):
         if names:
             line += f"; {label}: {', '.join(sorted(names))}"
     print("\n".join([line] + changed))
-    return len(changed)
+    return len(changed) + len(a.keys() ^ b.keys())
 
 
 def compare(old_root, new_root):
@@ -215,11 +211,12 @@ def compare(old_root, new_root):
     changes = sum(compare_file(k, old[k], new[k])
                   for k in sorted(old.keys() & new.keys()))
     for k in sorted(new.keys() - old.keys()):
-        print(f"{k}: new artifact")
+        print(f"{k}: NEW")
     for k in sorted(old.keys() - new.keys()):
         print(f"{k}: REMOVED")
-        changes += 1
-    print(f"{changes} simulated value(s), table(s) or artifact(s) changed")
+    changes += len(old.keys() ^ new.keys())
+    print(f"{changes} simulated value(s), field(s), table(s) or "
+          f"artifact(s) changed")
     return 1 if changes else 0
 
 

@@ -9,10 +9,12 @@
 #ifndef SONUMA_BENCH_COMMON_HH
 #define SONUMA_BENCH_COMMON_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -106,11 +108,20 @@ class Args
         return def;
     }
 
+    /**
+     * Unsigned value flags, @p def when absent. A value parseUnsigned
+     * rejects prints an error naming the flag and exits(2).
+     */
     std::uint64_t
     getU64(const std::string &name, std::uint64_t def) const
     {
-        const auto s = get(name, "");
-        return s.empty() ? def : std::stoull(s);
+        return getUnsigned(name, def);
+    }
+
+    std::uint32_t
+    getU32(const std::string &name, std::uint32_t def) const
+    {
+        return getUnsigned(name, def);
     }
 
     /**
@@ -133,7 +144,7 @@ class Args
                                     : comma - pos);
             if (!tok.empty()) {
                 std::uint32_t v = 0;
-                if (!parseU32(tok, &v)) {
+                if (!parseUnsigned(tok, &v)) {
                     std::fprintf(stderr,
                                  "--%s: '%s' is not a uint32 (expected a "
                                  "comma-separated list like 64,512)\n",
@@ -190,7 +201,7 @@ class Args
                 s.substr(pos, x == std::string::npos ? std::string::npos
                                                      : x - pos);
             std::uint32_t v = 0;
-            if (!parseU32(tok, &v) || v == 0) {
+            if (!parseUnsigned(tok, &v) || v == 0) {
                 bad = tok;
                 failed = true;
                 break;
@@ -215,33 +226,44 @@ class Args
         return false;
     }
 
-  private:
-    std::vector<std::string> args_;
-
     /**
-     * Strict uint32 token parse shared by getList and parseDims:
-     * digits only (no signs/whitespace stoul would accept), no
-     * overflow past 2^32-1.
+     * Strict unsigned parse shared by every numeric flag: digits only
+     * (no signs/whitespace stoull would accept), no overflow past T's
+     * maximum. Leaves @p out alone on failure. Exposed for tests.
      */
+    template <typename T>
     static bool
-    parseU32(const std::string &s, std::uint32_t *out)
+    parseUnsigned(const std::string &s, T *out)
     {
         if (s.empty())
             return false;
+        T v = 0;
         for (const char c : s) {
             if (c < '0' || c > '9')
                 return false;
+            const T digit = c - '0';
+            if (v > (std::numeric_limits<T>::max() - digit) / 10)
+                return false;
+            v = v * 10 + digit;
         }
-        unsigned long long v = 0;
-        try {
-            v = std::stoull(s);
-        } catch (const std::exception &) {
-            return false;
-        }
-        if (v > 0xffffffffULL)
-            return false;
-        *out = static_cast<std::uint32_t>(v);
+        *out = v;
         return true;
+    }
+
+  private:
+    std::vector<std::string> args_;
+
+    template <typename T>
+    T
+    getUnsigned(const std::string &name, T def) const
+    {
+        const auto s = get(name, "");
+        if (!s.empty() && !parseUnsigned(s, &def)) {
+            std::fprintf(stderr, "--%s: '%s' is not a uint%zu\n",
+                         name.c_str(), s.c_str(), sizeof(T) * 8);
+            std::exit(2);
+        }
+        return def;
     }
 
     /**

@@ -1,66 +1,40 @@
 #!/usr/bin/env bash
-# Pin one family of checked-in artifacts (the table2_pin and
-# degraded_pin ctests): rerun the bench commands that write the family
-# exactly as bench/run_benches.sh does, into OUT_DIR, and compare every
-# file they write with the checked-in copy through
-# `check_artifacts.py --compare`. Any moved simulated value, or a
-# missing or extra file, fails.
+# Pin one row of bench/artifacts.txt (the pin_ROW ctest): run its
+# command into OUT_DIR/new and `check_artifacts.py --compare` that tree
+# with the checked-in files the row's OUTPUTS match, linked into
+# OUT_DIR/pinned. A moved simulated value, a changed table, or a
+# missing or extra file fails.
 #
-#   table2    Table 2 (crossbar cells plus their OBS_ sidecars, which
-#             hold the crossbar egress probes)
-#   degraded  the four DEGRADED_* torus cells (node kill, link kill
-#             under adaptive routing, incast, drop window) and the
-#             node-kill cell's OBS_ sidecar
-#
-# Usage: bench/pin.sh table2|degraded BENCH_BIN_DIR OUT_DIR [PYTHON]
+# Usage: bench/pin.sh BENCH_BIN_DIR OUT_DIR ROW [PYTHON]
 
 set -euo pipefail
 
-FAMILY="$1"
-BIN="$2"
-OUT_DIR="$3"
+BIN="$1"
+OUT_DIR="$2"
+ROW="$3"
 PYTHON="${4:-python3}"
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-CHECK="$REPO_ROOT/bench/check_artifacts.py"
-SWEEP=(--nodes=64 --topo=4x4x4 --sizes=64 --depths=16 --ops=64
-       --out-dir="$OUT_DIR")
+
+# One line per row: ROW LABELS OUTPUTS COMMAND.
+row="$(awk '/^[^#[:space:]]/ { if (r) print r; r = $0 }
+            /^[[:space:]]+[^[:space:]]/ { r = r $0 } END { print r }' \
+           "$REPO_ROOT/bench/artifacts.txt" | grep "^$ROW ")" ||
+    { echo "no row '$ROW' in bench/artifacts.txt" >&2; exit 2; }
+read -r _ _ outputs cmd <<<"$row"
 
 rm -rf "$OUT_DIR"
-mkdir -p "$OUT_DIR"
-case "$FAMILY" in
-  table2)
-    "$BIN/bench_table2_comparison" --obs-period-ns=10000 \
-        --out="$OUT_DIR/BENCH_table2_comparison.json" \
-        --out-dir="$OUT_DIR" >/dev/null
-    pinned=("$REPO_ROOT/BENCH_table2_comparison.json"
-            "$REPO_ROOT"/BENCH_sweep/TABLE2_*.json
-            "$REPO_ROOT"/BENCH_sweep/OBS_TABLE2_*.json)
-    ;;
-  degraded)
-    "$BIN/bench_sweep" "${SWEEP[@]}" --faults=node-kill@10us+100us \
-        --obs-period-ns=10000 >/dev/null
-    "$BIN/bench_sweep" "${SWEEP[@]}" --routing=adaptive \
-        --faults=link-kill@2us >/dev/null
-    "$BIN/bench_sweep" "${SWEEP[@]}" --faults=incast >/dev/null
-    "$BIN/bench_sweep" "${SWEEP[@]}" --faults=drop@10us+100us \
-        --max-attempts=6 >/dev/null
-    pinned=("$REPO_ROOT"/BENCH_sweep/DEGRADED_*.json
-            "$REPO_ROOT"/BENCH_sweep/OBS_*_node-kill.json)
-    ;;
-  *)
-    echo "unknown family '$FAMILY' (expected table2 or degraded)" >&2
-    exit 2
-    ;;
-esac
-
-written=("$OUT_DIR"/*.json)
-if [[ ${#written[@]} -ne ${#pinned[@]} ]]; then
-    echo "wrote ${#written[@]} files, ${#pinned[@]} are checked in" >&2
-    exit 1
-fi
-status=0
-for old in "${pinned[@]}"; do
-    "$PYTHON" "$CHECK" --compare "$old" "$OUT_DIR/$(basename "$old")" ||
-        status=1
+mkdir -p "$OUT_DIR/pinned/BENCH_sweep" "$OUT_DIR/new/BENCH_sweep"
+IFS=, read -ra globs <<<"$outputs"
+for glob in "${globs[@]}"; do
+    for f in "$REPO_ROOT"/$glob; do
+        if [[ ! -e "$f" ]]; then
+            echo "row '$ROW': no checked-in file matches $glob" >&2
+            exit 1
+        fi
+        ln -s "$f" "$OUT_DIR/pinned/${f#"$REPO_ROOT"/}"
+    done
 done
-exit "$status"
+
+eval "\"\$BIN\"/${cmd//\{out\}/$(printf %q "$OUT_DIR/new")}" >/dev/null
+"$PYTHON" "$REPO_ROOT/bench/check_artifacts.py" \
+    --compare "$OUT_DIR/pinned" "$OUT_DIR/new"

@@ -60,14 +60,12 @@ main(int argc, char **argv)
     cfg.qpDepths = args.getList("depths", quick ? "16" : "16,64");
     cfg.qpCounts = args.getList("qps", "1");
     cfg.doorbellBatching = args.getU64("batching", 0) != 0;
-    cfg.opsPerNode = static_cast<std::uint32_t>(
-        args.getU64("ops", quick ? 32 : 128));
+    cfg.opsPerNode = args.getU32("ops", quick ? 32 : 128);
     cfg.outDir = args.get("out-dir", "");
     cfg.obsPeriodNs = args.getU64("obs-period-ns", 0);
     cfg.torusDims = args.getDims("topo");
-    cfg.torusNdims = static_cast<std::uint32_t>(
-        args.getU64("ndims", cfg.torusDims.empty() ? 2
-                                                   : cfg.torusDims.size()));
+    cfg.torusNdims = args.getU32(
+        "ndims", cfg.torusDims.empty() ? 2 : cfg.torusDims.size());
 
     // Degraded-mode axis: fault scenario, routing policy, attempt budget.
     // The routing name is checked here; SweepDriver::run checks the
@@ -84,14 +82,12 @@ main(int argc, char **argv)
     }
 
     // RMC-level reliable delivery: per-transfer attempt budget.
-    cfg.rmcParams.maxAttempts = static_cast<std::uint32_t>(args.getU64(
-        "max-attempts", cfg.rmcParams.maxAttempts));
+    cfg.rmcParams.maxAttempts =
+        args.getU32("max-attempts", cfg.rmcParams.maxAttempts);
 
     // PageRank axis (paper Fig. 9; see src/app/README.md).
-    cfg.pagerank.vertices = static_cast<std::uint32_t>(
-        args.getU64("pr-vertices", quick ? 1024 : 16384));
-    cfg.pagerank.degree = static_cast<std::uint32_t>(
-        args.getU64("pr-degree", quick ? 4 : 8));
+    cfg.pagerank.vertices = args.getU32("pr-vertices", quick ? 1024 : 16384);
+    cfg.pagerank.degree = args.getU32("pr-degree", quick ? 4 : 8);
 
     // The sweep studies the rack-scale torus; the crossbar's paper
     // tables are the fig benches.

@@ -5,6 +5,7 @@
 
 #include "node/cluster.hh"
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,10 @@
 namespace sonuma::node {
 
 namespace {
+
+/** Node ids are sim::NodeId, so ids 0 .. 65535 name every node. */
+constexpr std::uint64_t kMaxNodes =
+    std::uint64_t(std::numeric_limits<sim::NodeId>::max()) + 1;
 
 /** Render a dims vector the way users write it: "8x8x8". */
 std::string
@@ -56,6 +61,11 @@ validate(const ClusterParams &params)
     if (params.nodes == 0)
         throw std::invalid_argument(
             "ClusterParams: nodes must be >= 1 (got 0)");
+    if (params.nodes > kMaxNodes)
+        throw std::invalid_argument(
+            "ClusterParams: nodes " + std::to_string(params.nodes) +
+            " exceeds " + std::to_string(kMaxNodes) +
+            "; every node needs its own 16-bit sim::NodeId");
     rmc::validate(params.node.rmc);
     const NodeParams &node = params.node;
     validateCacheGeometry("l1", node.l1.sizeBytes, node.l1.assoc);

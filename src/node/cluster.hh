@@ -48,7 +48,8 @@ struct ClusterParams
 
 /**
  * Eager configuration check: throws std::invalid_argument with a
- * precise message on nodes == 0, torus dims whose product differs from
+ * precise message on nodes == 0 or more nodes than a 16-bit
+ * sim::NodeId can name (65536), torus dims whose product differs from
  * the node count (instead of misbehaving deep in fab::Torus routing),
  * bad RmcParams, or a cache geometry the model cannot index: a size
  * that is not a non-zero whole number of assoc x 64 B sets, assoc or

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "bench/common.hh"
 
 namespace {
@@ -58,6 +60,41 @@ TEST(BenchArgs, ValueFormsParse)
     EXPECT_TRUE(args.has("quick"));
     EXPECT_FALSE(args.has("platform"));
     EXPECT_EQ(args.get("missing", "dflt"), "dflt");
+}
+
+TEST(BenchArgs, UnsignedValuesParseStrictly)
+{
+    std::uint32_t v32 = 7;
+    ASSERT_TRUE(Args::parseUnsigned("4294967295", &v32));
+    EXPECT_EQ(v32, 4294967295u);
+    std::uint64_t v64 = 7;
+    ASSERT_TRUE(Args::parseUnsigned("18446744073709551615", &v64));
+    EXPECT_EQ(v64, UINT64_MAX);
+    // Past the type's range, e.g. --max-attempts=4294967299, which a
+    // cast to uint32 would turn into 3.
+    v32 = 7;
+    EXPECT_FALSE(Args::parseUnsigned("4294967296", &v32));
+    EXPECT_FALSE(Args::parseUnsigned("4294967299", &v32));
+    EXPECT_FALSE(Args::parseUnsigned("18446744073709551616", &v64));
+    // Signs, whitespace and non-digits, e.g. --ops=abc, which stoull
+    // threw on, and --max-attempts=-1, which it wrapped to 2^64-1.
+    for (const char *bad : {"abc", "-1", "+5", " 5", "5 ", "0x10", "1e3",
+                            ""})
+        EXPECT_FALSE(Args::parseUnsigned(bad, &v32)) << bad;
+    EXPECT_EQ(v32, 7u) << "a rejected value must not be stored";
+}
+
+TEST(BenchArgs, BadNumericValueExitsNamingTheFlag)
+{
+    const char *argv[] = {"bench", "--ops=abc", "--max-attempts=4294967299"};
+    Args args(3, const_cast<char **>(argv), {"ops", "max-attempts"});
+    EXPECT_EXIT(args.getU64("ops", 1), ::testing::ExitedWithCode(2),
+                "--ops: 'abc' is not a uint64");
+    EXPECT_EXIT(args.getU32("max-attempts", 4),
+                ::testing::ExitedWithCode(2),
+                "--max-attempts: '4294967299' is not a uint32");
+    // The same value fits a uint64 flag.
+    EXPECT_EQ(args.getU64("max-attempts", 4), 4294967299u);
 }
 
 TEST(BenchArgs, TypoInValueFlagIsCaught)

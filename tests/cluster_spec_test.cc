@@ -114,6 +114,23 @@ TEST(ClusterParamsValidation, RadixOneRingIsRejected)
     EXPECT_NO_THROW(node::validate(p));
 }
 
+TEST(ClusterParamsValidation, MoreNodesThanNodeIdsIsRejected)
+{
+    // Validation only: no cluster of this size is ever built.
+    node::ClusterParams p;
+    p.nodes = 65537;
+    try {
+        node::validate(p);
+        FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_STREQ(e.what(),
+                     "ClusterParams: nodes 65537 exceeds 65536; every "
+                     "node needs its own 16-bit sim::NodeId");
+    }
+    p.nodes = 65536;
+    EXPECT_NO_THROW(node::validate(p));
+}
+
 TEST(ClusterParamsValidation, DeriveCapacitiesScalesIttAndEjectRing)
 {
     node::ClusterParams p;
