@@ -99,7 +99,9 @@ struct RmcParams
     // of executing it again — the exactly-once half of the protocol
     // (reads are idempotent and are never deduplicated). 0 disables the
     // window. Purely functional: lookups charge no cycles, so the
-    // no-loss path is timing-identical with the window on or off.
+    // no-loss path is timing-identical with the window on or off. Host
+    // memory: 24 B per entry plus bit_ceil(2 * dedupWindow) 4-byte
+    // table slots per node (32 KiB at 1024).
     //
     std::uint32_t dedupWindow = 1024;
 

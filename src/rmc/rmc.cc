@@ -62,10 +62,7 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
       unrecoverable_(stats, name + ".unrecoverable",
                      "transfers given up as unrecoverable (attempt "
                      "budget exhausted)"),
-      dedupRing_(params.dedupWindow),
-      // 4x the live window keeps probe runs short; FIFO eviction
-      // never grows the index, whose size tracks live keys only.
-      dedupIndex_(std::size_t(params.dedupWindow) * 4)
+      dedup_(params.dedupWindow)
 {
     freeTids_.reserve(params.maxTids);
     for (std::uint32_t i = 0; i < params.maxTids; ++i)

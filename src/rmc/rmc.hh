@@ -42,6 +42,7 @@
 #include "mem/cache.hh"
 #include "mem/phys_mem.hh"
 #include "rmc/context_table.hh"
+#include "rmc/dedup_window.hh"
 #include "rmc/maq.hh"
 #include "rmc/page_walker.hh"
 #include "rmc/params.hh"
@@ -49,7 +50,6 @@
 #include "rmc/tlb.hh"
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/service.hh"
 #include "sim/stats.hh"
@@ -252,27 +252,8 @@ class Rmc
     sim::Counter dupSuppressed_;
     sim::Counter unrecoverable_;
 
-    //
-    // RRPP replay-dedup window: a FIFO ring of the last dedupWindow
-    // mutating requests keyed by (srcNid, tid, offset), indexed by a
-    // pre-sized FlatMap from a 64-bit packed key to the ring slot. The
-    // triple is verified at the ring entry on every hit, so packed-key
-    // collisions degrade to a miss, never to a wrong suppression. Both
-    // structures are sized at construction; steady state is
-    // allocation-free.
-    //
-    struct DedupEntry
-    {
-        bool valid = false;
-        sim::NodeId srcNid = 0;
-        std::uint32_t tid = 0;
-        std::uint64_t offset = 0;
-        fab::Op replyOp = fab::Op::kWriteReply;
-        std::uint64_t oldValue = 0; //!< atomic replies replay this
-    };
-    std::vector<DedupEntry> dedupRing_;
-    sim::FlatMap<std::uint64_t, std::uint32_t> dedupIndex_;
-    std::uint32_t dedupNext_ = 0;
+    // RRPP replay-dedup window (README "Exactly-once execution").
+    DedupWindow dedup_;
 
     //
     // Pipelines (one .cc file each).
@@ -376,19 +357,6 @@ class Rmc
      * silently if the entry is freed or re-bumped while suspended.
      */
     sim::FireAndForget retransmitTransfer(std::uint32_t tidIndex); // rgp.cc
-
-    /** RRPP replay-dedup window (rrpp.cc). */
-    const DedupEntry *dedupLookup(const fab::Message &msg) const;
-    void dedupRecord(const fab::Message &msg, fab::Op replyOp,
-                     std::uint64_t oldValue);
-
-    /** Packed (srcNid, tid, offset) key; collisions verified at the ring. */
-    static std::uint64_t
-    dedupKey(sim::NodeId src, std::uint32_t tid, std::uint64_t offset)
-    {
-        return (std::uint64_t(src) << 48) ^ (std::uint64_t(tid) << 16) ^
-               offset;
-    }
 
     /** Abort one transfer with a (functional) error completion. */
     void abortTransfer(std::uint32_t tidIndex, CqStatus status);

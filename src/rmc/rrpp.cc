@@ -104,8 +104,9 @@ Rmc::serve(const fab::Message &msg, fab::Message *reply)
     // Purely functional (no cycles charged), so the no-loss path is
     // timing-identical.
     const bool mutating = msg.op != fab::Op::kReadReq;
-    if (mutating && params_.dedupWindow > 0) {
-        if (const DedupEntry *d = dedupLookup(msg)) {
+    if (mutating) {
+        if (const DedupWindow::Entry *d =
+                dedup_.find(msg.srcNid, msg.tid, msg.offset)) {
             dupSuppressed_.inc();
             *reply = msg.makeReply(d->replyOp);
             if (d->replyOp == fab::Op::kAtomicReply)
@@ -158,54 +159,11 @@ Rmc::serve(const fab::Message &msg, fab::Message *reply)
         // Local memory changed: wake software polling for unsolicited
         // messages (§5.3).
         remoteWriteEvent_.notifyAll();
-        if (params_.dedupWindow > 0) {
-            std::uint64_t old = 0;
-            if (reply->op == fab::Op::kAtomicReply)
-                std::memcpy(&old, reply->payload.data(), sizeof(old));
-            dedupRecord(msg, reply->op, old);
-        }
+        std::uint64_t old = 0;
+        if (reply->op == fab::Op::kAtomicReply)
+            std::memcpy(&old, reply->payload.data(), sizeof(old));
+        dedup_.record(msg.srcNid, msg.tid, msg.offset, reply->op, old);
     }
-}
-
-const Rmc::DedupEntry *
-Rmc::dedupLookup(const fab::Message &msg) const
-{
-    const std::uint32_t *slot =
-        dedupIndex_.find(dedupKey(msg.srcNid, msg.tid, msg.offset));
-    if (!slot)
-        return nullptr;
-    const DedupEntry &d = dedupRing_[*slot];
-    // Verify the full triple: a packed-key collision or a recycled ring
-    // slot behind a stale index entry must read as a miss, never as a
-    // wrong suppression.
-    if (!d.valid || d.srcNid != msg.srcNid || d.tid != msg.tid ||
-        d.offset != msg.offset)
-        return nullptr;
-    return &d;
-}
-
-void
-Rmc::dedupRecord(const fab::Message &msg, fab::Op replyOp,
-                 std::uint64_t oldValue)
-{
-    const std::uint32_t slot = dedupNext_;
-    DedupEntry &d = dedupRing_[slot];
-    if (d.valid) {
-        // FIFO eviction: drop the index entry of the request this slot
-        // held — unless a colliding key already replaced it.
-        const std::uint64_t oldKey = dedupKey(d.srcNid, d.tid, d.offset);
-        const std::uint32_t *p = dedupIndex_.find(oldKey);
-        if (p && *p == slot)
-            dedupIndex_.erase(oldKey);
-    }
-    d.valid = true;
-    d.srcNid = msg.srcNid;
-    d.tid = msg.tid;
-    d.offset = msg.offset;
-    d.replyOp = replyOp;
-    d.oldValue = oldValue;
-    dedupIndex_.insert(dedupKey(msg.srcNid, msg.tid, msg.offset), slot);
-    dedupNext_ = (slot + 1) % std::uint32_t(dedupRing_.size());
 }
 
 } // namespace sonuma::rmc

@@ -27,10 +27,10 @@
 #include "fabric/torus.hh"
 #include "mem/cache.hh"
 #include "mem/dram.hh"
+#include "rmc/dedup_window.hh"
 #include "rmc/maq.hh"
 #include "rmc/rmc.hh"
 #include "sim/event_queue.hh"
-#include "sim/flat_map.hh"
 #include "sim/frame_pool.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
@@ -268,29 +268,33 @@ TEST(AllocCounting, SteadyStateL1HitPathIsAllocationFree)
     EXPECT_EQ(done, 5'004u);
 }
 
-TEST(AllocCounting, FlatMapFifoChurnKeepsItsCapacity)
+TEST(AllocCounting, DedupWindowFifoChurnIsAllocationFree)
 {
-    // The RRPP dedup pattern: a 1024-key FIFO window over a 4096-slot
-    // index, one erase and one insert of a fresh key per record.
-    constexpr std::uint64_t kLive = 1'024;
-    sim::FlatMap<std::uint64_t, std::uint32_t> m(4 * kLive);
-    const std::size_t capacity = m.capacity();
-    auto key = [](std::uint64_t r) { return (1ull << 48) ^ (r * 64); };
-    std::uint64_t r = 0;
-    for (; r < kLive; ++r)
-        m.insert(key(r), std::uint32_t(r));
-
+    // The RRPP pattern: a default 1024-record window, then 1 M records
+    // of fresh triples past it, each one evicting the oldest.
     const std::uint64_t a0 = g_allocCount;
-    for (; r < kLive + (1u << 20); ++r) {
-        ASSERT_TRUE(m.erase(key(r - kLive)));
-        m.insert(key(r), std::uint32_t(r));
-    }
-    EXPECT_EQ(g_allocCount - a0, 0u)
-        << "a bounded live set must not grow the table";
-    EXPECT_EQ(m.capacity(), capacity);
-    EXPECT_EQ(m.size(), kLive);
-    for (std::uint64_t k = r - kLive; k < r; ++k)
-        ASSERT_NE(m.find(key(k)), nullptr) << k;
+    rmc::DedupWindow none(0);
+    EXPECT_EQ(g_allocCount - a0, 0u) << "a zero window must not allocate";
+
+    constexpr std::uint32_t kWindow = 1'024;
+    rmc::DedupWindow w(kWindow);
+    auto record = [&w](std::uint64_t r) {
+        w.record(1, std::uint32_t(r), r * 64, fab::Op::kWriteReply, r);
+    };
+    std::uint64_t r = 0;
+    for (; r < kWindow; ++r)
+        record(r);
+
+    const std::uint64_t a1 = g_allocCount;
+    for (; r < kWindow + (1u << 20); ++r)
+        record(r);
+    EXPECT_EQ(g_allocCount - a1, 0u)
+        << "FIFO eviction must not touch the allocator";
+    EXPECT_EQ(w.size(), kWindow);
+    const std::uint64_t gone = r - kWindow - 1;
+    EXPECT_EQ(w.find(1, std::uint32_t(gone), gone * 64), nullptr);
+    for (std::uint64_t k = r - kWindow; k < r; ++k)
+        ASSERT_NE(w.find(1, std::uint32_t(k), k * 64), nullptr) << k;
 }
 
 /**
@@ -596,9 +600,12 @@ TEST(AllocCounting, NodeConstructionHeapIsBounded)
     // chunks and one waiter pool per L1; 1 084 829 with mapped chunks
     // but 64 waiters reserved per MSHR again; 664 719 with the L2
     // directory in a flat hash map presized to 2x the line count;
-    // 380 366 with the directory in its sets. The bound is the last
-    // figure plus under 10%.
-    constexpr std::uint64_t kBoundBytes = 408 * 1024;
+    // 380 366 with the directory in its sets; 372 262 with 16-byte L1
+    // ways and bitmask torus link state; 273 922 with the RRPP dedup
+    // window in a ring of 24-byte entries and a table of ring-slot
+    // indices instead of a FlatMap of packed keys (32 KiB, was 128 KiB).
+    // The bound is the last figure plus under 10%.
+    constexpr std::uint64_t kBoundBytes = 294 * 1024;
     constexpr std::uint32_t kNodes = 64;
     const std::uint64_t b0 = g_allocBytes;
     api::TestBed bed(api::ClusterSpec{}
