@@ -33,6 +33,9 @@ HOST_FIELDS = {"host_seconds", "wall_seconds", "peak_rss_bytes",
                "speedup_vs_legacy", "coro_switches_per_sec",
                "fabric_hops_per_sec"}
 
+# Deterministic host-cost counts: every sweep cell, figure row and
+# Table 2 entry carries them, and --compare pins them exactly.
+EVENTS = ["events", "events_per_op", "peak_pending_events"]
 FIG7_ROW = ["size_bytes", "lat_1sided_ns", "lat_2sided_ns"]
 FIG8_ROW = ["size_bytes", "tuned_threshold_bytes", "lat_pull_ns",
             "lat_push_ns", "lat_tuned_ns"]
@@ -46,14 +49,15 @@ KINDS = {
         "ops", "mops", "gbps", "goodput_mops", "mean_latency_ns",
         "p50_latency_ns", "p95_latency_ns", "p99_latency_ns", "ok_ops",
         "failed_ops", "dropped_messages", "retransmits", "dup_suppressed",
-        "unrecoverable", "sim_us", "host_seconds"], {}),
+        "unrecoverable", *EVENTS, "sim_us", "host_seconds"], {}),
     "obs": (["label", "period_ns", "series_elided", "series",
              "series_count"],
             {"series": ["name", "unit", "dropped", "samples"]}),
     "table2_iops_vs_qps": (["qp_count", "qp_depth", "doorbell_batching",
-                            "request_bytes", "mops"], {}),
+                            "request_bytes", "mops", *EVENTS], {}),
     "table2_comparison": (["platforms"], {"platforms": [
-        "platform", "max_bw_gbps", "read_rtt_us", "fetch_add_us", "mops"]}),
+        "platform", "max_bw_gbps", "read_rtt_us", "fetch_add_us", "mops",
+        *EVENTS]}),
     "sim_core": ([
         "events_per_sec", "ns_per_event", "legacy_events_per_sec",
         "speedup_vs_legacy", "allocs_per_event_steady_state",
@@ -61,14 +65,17 @@ KINDS = {
         "allocs_per_coro_spawn", "fabric_hops_per_sec",
         "allocs_per_hop_steady_state", "peak_rss_bytes"], {}),
     "fig1_netpipe": (["rows"], {"rows": [
-        "size_bytes", "latency_us", "bandwidth_gbps"]}),
+        "size_bytes", "latency_us", "bandwidth_gbps", *EVENTS]}),
     "fig7_remote_read": (["local_dram_ns", "hw", "emu"], {
-        "hw": FIG7_ROW + ["bw_1sided_gbps", "bw_2sided_gbps", "mops_1sided"],
-        "emu": FIG7_ROW}),
+        "hw": FIG7_ROW + ["bw_1sided_gbps", "bw_2sided_gbps", "mops_1sided",
+                          *EVENTS],
+        "emu": FIG7_ROW + EVENTS}),
     "fig8_send_receive": (["hw", "emu"], {
-        "hw": FIG8_ROW + ["bw_pull_gbps", "bw_push_gbps", "bw_tuned_gbps"],
-        "emu": FIG8_ROW}),
-    "fig9_pagerank": (["hw", "emu"], {"hw": FIG9_ROW, "emu": FIG9_ROW}),
+        "hw": FIG8_ROW + ["bw_pull_gbps", "bw_push_gbps", "bw_tuned_gbps",
+                          *EVENTS],
+        "emu": FIG8_ROW + EVENTS}),
+    "fig9_pagerank": (["hw", "emu"], {"hw": FIG9_ROW + EVENTS,
+                                      "emu": FIG9_ROW + EVENTS}),
 }
 PAGERANK_FIELDS = ["vertices", "edges", "supersteps", "cross_edge_fraction"]
 

@@ -27,38 +27,40 @@ using baseline::TcpParams;
 
 /** Netpipe reports one-way latency = RTT/2 for the ping-pong test. */
 double
-latencyUs(std::uint32_t size)
+latencyUs(std::uint32_t size, node::EventCounts *events)
 {
     sim::Simulation sim;
     TcpPair tcp(sim.eq(), sim.stats(), TcpParams{});
     double us = 0;
+    const int iters = 8;
     sim.spawn([](sim::Simulation *sim, TcpPair *tcp, std::uint32_t size,
-                 double *out) -> sim::Task {
-        const int iters = 8;
+                 int iters, double *out) -> sim::Task {
         const sim::Tick t0 = sim->now();
         for (int i = 0; i < iters; ++i)
             co_await tcp->pingPong(size);
         *out = sim::ticksToUs(sim->now() - t0) / (2.0 * iters);
-    }(&sim, &tcp, size, &us));
+    }(&sim, &tcp, size, iters, &us));
     sim.run();
+    events->add(sim.eq(), iters);
     return us;
 }
 
 double
-bandwidthGbps(std::uint32_t size)
+bandwidthGbps(std::uint32_t size, node::EventCounts *events)
 {
     sim::Simulation sim;
     TcpPair tcp(sim.eq(), sim.stats(), TcpParams{});
     double gbps = 0;
+    const int count = size >= 65536 ? 24 : 64;
     sim.spawn([](sim::Simulation *sim, TcpPair *tcp, std::uint32_t size,
-                 double *out) -> sim::Task {
-        const int count = size >= 65536 ? 24 : 64;
+                 int count, double *out) -> sim::Task {
         const sim::Tick t0 = sim->now();
         co_await tcp->stream(size, count);
         const double secs = sim::ticksToUs(sim->now() - t0) * 1e-6;
         *out = static_cast<double>(count) * size * 8.0 / secs / 1e9;
-    }(&sim, &tcp, size, &gbps));
+    }(&sim, &tcp, size, count, &gbps));
     sim.run();
+    events->add(sim.eq(), count);
     return gbps;
 }
 
@@ -81,14 +83,16 @@ main(int argc, char **argv)
                 "bandwidth(Gbps)");
     for (std::uint32_t size :
          {64u, 256u, 1024u, 4096u, 16384u, 65536u, 262144u}) {
-        const double us = latencyUs(size);
-        const double gbps = bandwidthGbps(size);
+        node::EventCounts events;
+        const double us = latencyUs(size, &events);
+        const double gbps = bandwidthGbps(size, &events);
         std::printf("%-10u %14.1f %16.2f\n", size, us, gbps);
         w.beginObject()
             .field("size_bytes", size)
             .field("latency_us", us)
-            .field("bandwidth_gbps", gbps)
-            .endObject();
+            .field("bandwidth_gbps", gbps);
+        events.write(w);
+        w.endObject();
     }
     std::printf("# paper shape: >40 us small-message latency, "
                 "<2 Gbps large-message bandwidth\n");

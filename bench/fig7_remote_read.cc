@@ -81,6 +81,7 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
 
     for (const std::uint32_t size : sizes) {
         const int iters = size <= 512 ? 300 : 100;
+        node::EventCounts events;
 
         // (a) single-sided latency.
         double lat1 = 0;
@@ -91,6 +92,7 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
             bed.spawn(latencyWorker(&s, buf, bed.segBytes(), size, iters,
                                     &lat1));
             bed.run();
+            events.add(bed.cluster());
         }
 
         // (a) double-sided latency: both nodes read from each other.
@@ -114,6 +116,7 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
                 *sink = g;
             }(&ss, bufS, bed.segBytes(), size, iters + 64, &other));
             bed.run();
+            events.add(bed.cluster());
         }
 
         double bw1 = 0, mops1 = 0, bw2 = 0;
@@ -127,6 +130,7 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
                 bed.spawn(bandwidthWorker(&s, buf, bed.segBytes(), 0,
                                           size, ops, &bw1, &mops1));
                 bed.run();
+                events.add(bed.cluster());
             }
             {
                 TestBed bed = bench::twoNodeBed(params);
@@ -140,6 +144,7 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
                 bed.spawn(bandwidthWorker(&ss, bufS, bed.segBytes(), 1,
                                           size, ops, &bwb, &m2));
                 bed.run();
+                events.add(bed.cluster());
                 bw2 = bwa + bwb;
             }
         }
@@ -155,6 +160,7 @@ runPlatform(const rmc::RmcParams &params, bool bandwidth_too,
                 .field("bw_2sided_gbps", bw2)
                 .field("mops_1sided", mops1);
         }
+        events.write(w);
         w.endObject();
         std::printf("\n");
     }

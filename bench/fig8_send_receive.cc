@@ -52,7 +52,7 @@ makeEndpoints(TestBed &bed, const MsgParams &mp)
 /** Half-duplex (one-way) latency via ping-pong, as netpipe reports. */
 double
 pingPongLatencyNs(const rmc::RmcParams &rp, const MsgParams &mp,
-                  std::uint32_t size, int iters)
+                  std::uint32_t size, int iters, node::EventCounts *events)
 {
     TestBed bed = bench::twoNodeBed(
         rp, std::max<std::uint64_t>(64ull << 20,
@@ -83,13 +83,14 @@ pingPongLatencyNs(const rmc::RmcParams &rp, const MsgParams &mp,
         }
     }(e.e1.get(), size, iters));
     bed.run();
+    events->add(bed.cluster());
     return oneWayNs;
 }
 
 /** Streaming bandwidth: sender pushes messages back to back. */
 double
 streamGbps(const rmc::RmcParams &rp, const MsgParams &mp,
-           std::uint32_t size, int count)
+           std::uint32_t size, int count, node::EventCounts *events)
 {
     TestBed bed = bench::twoNodeBed(
         rp, std::max<std::uint64_t>(64ull << 20,
@@ -113,6 +114,7 @@ streamGbps(const rmc::RmcParams &rp, const MsgParams &mp,
         *out = static_cast<double>(count) * size * 8.0 / secs / 1e9;
     }(&bed.sim(), e.e1.get(), size, count, &gbps));
     bed.run();
+    events->add(bed.cluster());
     return gbps;
 }
 
@@ -138,10 +140,11 @@ runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
         pull.pushThreshold = 0;
         push.pushThreshold = kInf;
         tuned.pushThreshold = tunedThreshold;
+        node::EventCounts events;
 
-        const double lp = pingPongLatencyNs(rp, pull, size, iters);
-        const double lh = pingPongLatencyNs(rp, push, size, iters);
-        const double lt = pingPongLatencyNs(rp, tuned, size, iters);
+        const double lp = pingPongLatencyNs(rp, pull, size, iters, &events);
+        const double lh = pingPongLatencyNs(rp, push, size, iters, &events);
+        const double lt = pingPongLatencyNs(rp, tuned, size, iters, &events);
         std::printf("%-8u | %10.0f %10.0f %10.0f", size, lp, lh, lt);
         w.beginObject()
             .field("size_bytes", size)
@@ -152,14 +155,15 @@ runPlatform(const rmc::RmcParams &rp, std::uint32_t tunedThreshold,
 
         if (bandwidth_too) {
             const int count = size >= 4096 ? 400 : 800;
-            const double bp = streamGbps(rp, pull, size, count);
-            const double bh = streamGbps(rp, push, size, count);
-            const double bt = streamGbps(rp, tuned, size, count);
+            const double bp = streamGbps(rp, pull, size, count, &events);
+            const double bh = streamGbps(rp, push, size, count, &events);
+            const double bt = streamGbps(rp, tuned, size, count, &events);
             std::printf(" | %9.2f %9.2f %9.2f", bp, bh, bt);
             w.field("bw_pull_gbps", bp)
                 .field("bw_push_gbps", bh)
                 .field("bw_tuned_gbps", bt);
         }
+        events.write(w);
         w.endObject();
         std::printf("\n");
     }

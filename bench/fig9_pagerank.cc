@@ -69,8 +69,12 @@ runSide(const char *title, const Graph &g, const PageRankConfig &cfg,
             .field("speedup_shm", shmX)
             .field("speedup_bulk", bulkX)
             .field("speedup_fine", fineX)
-            .field("fine_remote_ops", fine.remoteOps)
-            .endObject();
+            .field("fine_remote_ops", fine.remoteOps);
+        node::EventCounts events;
+        for (const auto *run : {&shm, &bulk, &fine})
+            events.add(run->events);
+        events.write(w);
+        w.endObject();
     }
 }
 

@@ -36,6 +36,7 @@ struct Metrics
     double readRttUs = 0;
     double fetchAddUs = 0;
     double mops = 0;
+    node::EventCounts events;
 };
 
 Metrics
@@ -64,6 +65,7 @@ measureSonuma(const rmc::RmcParams &params)
             m->fetchAddUs = sim::ticksToUs(sim->now() - t0) / iters;
         }(&bed.sim(), &s, buf, &m));
         bed.run();
+        m.events.add(bed.cluster());
     }
 
     // Max BW: pipelined 8 KB reads. IOPS: pipelined 64 B reads.
@@ -96,6 +98,7 @@ measureSonuma(const rmc::RmcParams &params)
             m->mops = iops / secs / 1e6;
         }(&bed.sim(), &s, buf, bed.segBytes(), emu, &m));
         bed.run();
+        m.events.add(bed.cluster());
     }
     return m;
 }
@@ -107,9 +110,9 @@ measureRdma()
     {
         sim::Simulation sim;
         baseline::RdmaPair rdma(sim.eq(), sim.stats(), {});
-        sim.spawn([](sim::Simulation *sim, baseline::RdmaPair *r,
+        const int iters = 100;
+        sim.spawn([](sim::Simulation *sim, baseline::RdmaPair *r, int iters,
                      Metrics *m) -> sim::Task {
-            const int iters = 100;
             sim::Tick t0 = sim->now();
             for (int i = 0; i < iters; ++i)
                 co_await r->read(64);
@@ -118,34 +121,37 @@ measureRdma()
             for (int i = 0; i < iters; ++i)
                 co_await r->fetchAdd();
             m->fetchAddUs = sim::ticksToUs(sim->now() - t0) / iters;
-        }(&sim, &rdma, &m));
+        }(&sim, &rdma, iters, &m));
         sim.run();
+        m.events.add(sim.eq(), 2 * iters);
     }
     {
         sim::Simulation sim;
         baseline::RdmaPair rdma(sim.eq(), sim.stats(), {});
-        sim.spawn([](sim::Simulation *sim, baseline::RdmaPair *r,
+        const int ops = 256;
+        sim.spawn([](sim::Simulation *sim, baseline::RdmaPair *r, int ops,
                      Metrics *m) -> sim::Task {
-            const int ops = 256;
             const sim::Tick t0 = sim->now();
             co_await r->stream(64 * 1024, ops);
             const double secs = sim::ticksToNs(sim->now() - t0) * 1e-9;
             m->maxBwGbps = ops * 65536.0 * 8.0 / secs / 1e9;
-        }(&sim, &rdma, &m));
+        }(&sim, &rdma, ops, &m));
         sim.run();
+        m.events.add(sim.eq(), ops);
     }
     {
         sim::Simulation sim;
         baseline::RdmaPair rdma(sim.eq(), sim.stats(), {});
-        sim.spawn([](sim::Simulation *sim, baseline::RdmaPair *r,
+        const int ops = 20000;
+        sim.spawn([](sim::Simulation *sim, baseline::RdmaPair *r, int ops,
                      Metrics *m) -> sim::Task {
-            const int ops = 20000;
             const sim::Tick t0 = sim->now();
             co_await r->stream(8, ops);
             const double secs = sim::ticksToNs(sim->now() - t0) * 1e-9;
             m->mops = ops / secs / 1e6;
-        }(&sim, &rdma, &m));
+        }(&sim, &rdma, ops, &m));
         sim.run();
+        m.events.add(sim.eq(), ops);
     }
     return m;
 }
@@ -159,7 +165,7 @@ measureRdma()
  */
 double
 measureIopsAtQps(std::uint32_t qpCount, std::uint64_t obsPeriodNs,
-                 std::string *obsJson)
+                 std::string *obsJson, node::EventCounts *events)
 {
     auto params = sonuma::rmc::RmcParams::simulatedHardware();
     params.qpEntries = 8;
@@ -196,6 +202,7 @@ measureIopsAtQps(std::uint32_t qpCount, std::uint64_t obsPeriodNs,
         *out = ops / secs / 1e6;
     }(&bed.sim(), &s, buf, bed.segBytes(), &mops));
     bed.run();
+    events->add(bed.cluster());
     if (obsPeriodNs > 0 && obsJson) {
         *obsJson = sim::renderObsJson(
             bed.sim().stats(),
@@ -213,7 +220,9 @@ runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
     std::printf("%-8s %14s %14s\n", "QPs", "Mops/s", "Mops/s-per-QP");
     for (const auto n : qps) {
         std::string obsJson;
-        const double mops = measureIopsAtQps(n, obsPeriodNs, &obsJson);
+        node::EventCounts events;
+        const double mops =
+            measureIopsAtQps(n, obsPeriodNs, &obsJson, &events);
         std::printf("%-8u %14.2f %14.2f\n", n, mops, mops / n);
         if (outDir.empty())
             continue;
@@ -224,8 +233,9 @@ runQpCurve(const std::string &outDir, std::uint64_t obsPeriodNs)
             .field("qp_depth", 8)
             .field("doorbell_batching", 1)
             .field("request_bytes", 64)
-            .field("mops", mops)
-            .endObject();
+            .field("mops", mops);
+        events.write(w);
+        w.endObject();
         sim::writeFile(outDir + "/" + label + ".json", w.str());
         if (!obsJson.empty())
             sim::writeFile(outDir + "/OBS_" + label + ".json", obsJson);
@@ -280,8 +290,9 @@ main(int argc, char **argv)
                 .field("max_bw_gbps", m.maxBwGbps)
                 .field("read_rtt_us", m.readRttUs)
                 .field("fetch_add_us", m.fetchAddUs)
-                .field("mops", m.mops)
-                .endObject();
+                .field("mops", m.mops);
+            m.events.write(w);
+            w.endObject();
         }
         w.endArray().endObject();
         sim::writeFile(out, w.str());

@@ -158,6 +158,7 @@ runPageRankShm(const Graph &g, std::uint32_t threads,
     PageRankRun run;
     run.elapsed = end - start;
     run.remoteOps = 0;
+    run.events.add(cluster);
     run.ranks.resize(g.numVertices);
     const int finalPar = static_cast<int>(
         (cfg.warmupSupersteps + cfg.supersteps) % 2);
@@ -471,7 +472,9 @@ runPageRankFine(const Graph &g, const Partition &part,
     api::Workload wl(bed, "pagerank");
     pr.install(bed, wl);
     wl.run();
-    return pr.collect(bed);
+    PageRankRun run = pr.collect(bed);
+    run.events.add(bed.cluster());
+    return run;
 }
 
 //
@@ -596,6 +599,7 @@ runPageRankBulk(const Graph &g, const Partition &part,
     run.remoteOps = remoteOps;
     run.measuredRemoteOps = measuredRemoteOps;
     collectRmcErrors(bed.sim(), P, &run);
+    run.events.add(bed.cluster());
     run.ranks = gatherRanks(
         bed, g, part, vtxOff,
         static_cast<int>((cfg.warmupSupersteps + cfg.supersteps) % 2));

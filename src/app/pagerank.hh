@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "app/graph.hh"
+#include "node/cluster.hh"
 #include "rmc/params.hh"
 #include "sim/types.hh"
 
@@ -86,6 +87,7 @@ struct PageRankRun
 
     std::uint64_t aborts = 0;   //!< aborted transfers (budget spent or flushed)
     std::uint64_t errors = 0;   //!< RRPP-reported request errors
+    node::EventCounts events;   //!< the runner's whole simulation
 };
 
 /** SHM(pthreads) baseline on one node with @p threads cores. */

@@ -88,6 +88,7 @@ SweepCellResult::json() const
         .field("unrecoverable", unrecoverable);
     for (const auto &[key, value] : extra)
         w.field(key, value);
+    events.write(w);
     w.field("sim_us", simMicros).field("host_seconds", hostSeconds);
     w.endObject();
     return w.str();
@@ -477,6 +478,8 @@ SweepDriver::runCell(std::uint32_t nodes, node::Topology topo,
                            .count();
     const auto outcome = body->finish(bed, cell, cfg_);
     cell.ops = outcome.ops;
+    cell.events.add(bed.cluster().modelEvents(),
+                    bed.cluster().peakPendingModelEvents(), cell.ops);
     cell.simMicros =
         sim::ticksToUs(outcome.measured ? outcome.measured : wl.elapsed());
     const double secs = cell.simMicros * 1e-6;

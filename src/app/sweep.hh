@@ -134,6 +134,7 @@ struct SweepCellResult
     double meanLatencyNs = 0;       //!< post -> completion, per op
     double p99LatencyNs = 0;
     double simMicros = 0;           //!< measured region, simulated time
+    node::EventCounts events;       //!< whole run; events_per_op uses ops
     double hostSeconds = 0;         //!< wall time to simulate the cell
 
     // Degraded-mode accounting. okOps + failedOps == ops holds for

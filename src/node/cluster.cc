@@ -143,9 +143,9 @@ Cluster::Cluster(sim::Simulation &sim, const ClusterParams &params)
     // Observability: enable sampling *before* any model construction so
     // every series registered below gets its fixed ring slots at add()
     // time — no allocation ever happens on the sampling path itself.
+    eq_ = &sim.eq();
+    stats_ = &sim.stats();
     if (params_.obs.periodNs > 0) {
-        eq_ = &sim.eq();
-        stats_ = &sim.stats();
         obsPeriod_ = params_.obs.periodNs * sim::kTicksPerNs;
         stats_->enableSampling(params_.obs.slots);
     }
@@ -185,6 +185,7 @@ Cluster::armSampler()
     samplerArmed_ = true;
     samplerEvent_ = eq_->scheduleAfter(obsPeriod_, [this] {
         samplerArmed_ = false;
+        ++samplerFirings_;
         stats_->sampleAll(eq_->now());
         // Re-arm only while model events remain: probes are read-only,
         // so once the model quiesces the sampler lets run() terminate
@@ -192,6 +193,48 @@ Cluster::armSampler()
         if (eq_->pendingEvents() > 0)
             armSampler();
     });
+}
+
+std::uint64_t
+Cluster::modelEvents() const
+{
+    return eq_->executedEvents() - samplerFirings_;
+}
+
+std::uint64_t
+Cluster::peakPendingModelEvents() const
+{
+    // The sampler keeps exactly one event pending from construction
+    // until the model quiesces, so it adds one to every peak after it.
+    return eq_->peakPendingEvents() - (obsPeriod_ > 0 ? 1 : 0);
+}
+
+std::uint64_t
+Cluster::rmcTransfers() const
+{
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < nodes_.size(); ++i)
+        if (const auto *c = stats_->counter(
+                "node" + std::to_string(i) + ".rmc.rgp.wqEntries"))
+            total += c->value();
+    return total;
+}
+
+void
+EventCounts::add(const Cluster &cluster)
+{
+    add(cluster.modelEvents(), cluster.peakPendingModelEvents(),
+        cluster.rmcTransfers());
+}
+
+void
+EventCounts::write(sim::JsonWriter &w) const
+{
+    w.field("events", events)
+        .field("events_per_op",
+               ops ? static_cast<double>(events) / static_cast<double>(ops)
+                   : 0.0)
+        .field("peak_pending_events", peakPending);
 }
 
 void

@@ -7,6 +7,8 @@
 #ifndef SONUMA_NODE_CLUSTER_HH
 #define SONUMA_NODE_CLUSTER_HH
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "fabric/torus.hh"
 #include "node/node.hh"
 #include "os/context_registry.hh"
+#include "sim/json.hh"
 #include "sim/simulation.hh"
 
 namespace sonuma::node {
@@ -101,6 +104,19 @@ class Cluster
      */
     void createSharedContext(sim::CtxId ctx, os::UserId owner = 0);
 
+    /**
+     * Events the model executed: the queue's count without sampler
+     * firings. Sampling is read-only, so a sampled run counts the same
+     * as its unsampled twin.
+     */
+    std::uint64_t modelEvents() const;
+
+    /** The queue's peak of pending events without the sampler's one. */
+    std::uint64_t peakPendingModelEvents() const;
+
+    /** RMC transfers (WQ entries the RGPs processed) on every node. */
+    std::uint64_t rmcTransfers() const;
+
   private:
     ClusterParams params_;
     os::ContextRegistry registry_;
@@ -115,8 +131,50 @@ class Cluster
     sim::Tick obsPeriod_ = 0;
     sim::EventId samplerEvent_{};
     bool samplerArmed_ = false;
+    std::uint64_t samplerFirings_ = 0;
 
     void armSampler();
+};
+
+/**
+ * Deterministic host-cost counts behind one artifact entry, summed over
+ * the simulations that produced it: executed events (sampler firings
+ * left out), the highest peak of pending events, and the ops the
+ * entry's events are divided by. Every count is a property of the
+ * simulated schedule, so artifacts pin them exactly.
+ */
+struct EventCounts
+{
+    std::uint64_t events = 0;
+    std::uint64_t peakPending = 0;
+    std::uint64_t ops = 0;
+
+    void
+    add(std::uint64_t ev, std::uint64_t peak, std::uint64_t n)
+    {
+        events += ev;
+        peakPending = std::max(peakPending, peak);
+        ops += n;
+    }
+
+    /** A simulation without a cluster that performed @p n ops. */
+    void
+    add(const sim::EventQueue &eq, std::uint64_t n)
+    {
+        add(eq.executedEvents(), eq.peakPendingEvents(), n);
+    }
+
+    /** A cluster's model events; its ops are its RMC transfers. */
+    void add(const Cluster &cluster);
+
+    void
+    add(const EventCounts &other)
+    {
+        add(other.events, other.peakPending, other.ops);
+    }
+
+    /** Write events, events_per_op (0 without ops), peak_pending_events. */
+    void write(sim::JsonWriter &w) const;
 };
 
 } // namespace sonuma::node

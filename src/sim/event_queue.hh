@@ -82,7 +82,7 @@ class EventQueue
         assert(s.fn && "cannot schedule an empty closure");
         heap_.push_back(HeapEntry{when, nextSeq_++, index, s.gen});
         std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
-        ++live_;
+        peakLive_ = std::max(peakLive_, ++live_);
         return (static_cast<EventId>(s.gen) << 32) | index;
     }
 
@@ -172,6 +172,9 @@ class EventQueue
     /** Total events executed so far (for stats / debugging). */
     std::uint64_t executedEvents() const { return executed_; }
 
+    /** Most events ever pending at once (the heap's high-water mark). */
+    std::size_t peakPendingEvents() const { return peakLive_; }
+
     /**
      * Pre-size internal storage for @p events concurrently pending events
      * so the steady state never reallocates (benchmark warm-up hook).
@@ -223,6 +226,7 @@ class EventQueue
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> freeSlots_;
     std::size_t live_ = 0;
+    std::size_t peakLive_ = 0;
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;

@@ -138,6 +138,24 @@ TEST(EventQueue, ExecutedCountTracksFiredOnly)
     EXPECT_EQ(eq.executedEvents(), 2u);
 }
 
+TEST(EventQueue, PeakPendingIsTheHighWaterMark)
+{
+    EventQueue eq;
+    eq.schedule(1, [] {});
+    auto id = eq.schedule(2, [] {});
+    eq.cancel(id);
+    eq.schedule(3, [] {});
+    EXPECT_EQ(eq.peakPendingEvents(), 2u); // a cancel frees its place
+    eq.schedule(4, [&] {
+        for (int i = 0; i < 3; ++i)
+            eq.scheduleAfter(1, [] {});
+    });
+    EXPECT_EQ(eq.peakPendingEvents(), 3u);
+    eq.run(); // the fourth fires alone and leaves three pending
+    EXPECT_EQ(eq.peakPendingEvents(), 3u);
+    EXPECT_TRUE(eq.empty());
+}
+
 TEST(EventQueue, ManyEventsStressOrdering)
 {
     EventQueue eq;
