@@ -50,14 +50,14 @@ CrossbarFabric::attached(sim::NodeId id)
 }
 
 void
-CrossbarFabric::launch(const Message &msg)
+CrossbarFabric::launch(PacketId id)
 {
     // Serialize on the per-lane egress pipe, then propagate (flat).
-    const sim::Tick ser = ser_(msg);
+    const Message &msg = packet(id);
     const sim::NodeId srcId = msg.srcNid;
     const Lane lane = msg.lane();
     auto &link = egress_[srcId][li(lane)];
-    link.push(eq_.now(), ser, params_.linkLatency, msg);
+    link.push(eq_.now(), ser_(msg), params_.linkLatency, id);
     link.arm(eq_, [this, srcId, lane] { drain(srcId, lane); });
 }
 
@@ -65,21 +65,22 @@ void
 CrossbarFabric::drain(sim::NodeId srcId, Lane lane)
 {
     egress_[srcId][li(lane)].drain(
-        eq_, [this](const Message &m) { arrive(m); },
+        eq_, [this](PacketId id) { arrive(id); },
         [this, srcId, lane] { drain(srcId, lane); });
 }
 
 void
-CrossbarFabric::arrive(const Message &msg)
+CrossbarFabric::arrive(PacketId id)
 {
     // Link faults are checked at arrival so packets already serialized
     // when the link died are lost too, matching a real cable pull.
+    const Message &msg = packet(id);
     if (failed(msg.dstNid) || contains(failedLinks_, msg.srcNid, msg.dstNid) ||
         contains(lossyLinks_, msg.srcNid, msg.dstNid)) {
-        drop(msg);
+        drop(id);
         return;
     }
-    deliverOrPark(msg, 1);
+    deliverOrPark(id, 1);
 }
 
 bool

@@ -12,8 +12,8 @@
  * Zero-allocation data path: in-flight packets sit in per-(source, lane)
  * ring buffers with precomputed arrival ticks (FIFO serialization makes
  * arrivals monotone per ring), and a single drain event per ring hands
- * them to the destination — no per-packet closures copying ~136 B
- * Messages through the event queue.
+ * them to the destination. A ring entry is 16 bytes, {arrival tick,
+ * PacketId}: the packet itself stays in the Fabric's pool.
  */
 
 #ifndef SONUMA_FABRIC_CROSSBAR_HH
@@ -50,7 +50,7 @@ class CrossbarFabric : public Fabric
 
   private:
     /** Per-lane egress serialization pipes of one node. */
-    using Egress = std::array<sim::SerializedLink<Message>, kNumLanes>;
+    using Egress = std::array<sim::SerializedLink<PacketId>, kNumLanes>;
 
     CrossbarParams params_;
     SerializationTable ser_;
@@ -66,13 +66,13 @@ class CrossbarFabric : public Fabric
     std::vector<std::pair<sim::NodeId, sim::NodeId>> failedLinks_;
     std::vector<std::pair<sim::NodeId, sim::NodeId>> lossyLinks_;
 
-    void launch(const Message &msg) override;
+    void launch(PacketId id) override;
     void attached(sim::NodeId id) override;
     void setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
     void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
 
     void drain(sim::NodeId src, Lane lane);
-    void arrive(const Message &msg);
+    void arrive(PacketId id);
     static void setMember(
         std::vector<std::pair<sim::NodeId, sim::NodeId>> &links,
         sim::NodeId from, sim::NodeId to, bool member);

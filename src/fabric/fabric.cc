@@ -37,8 +37,9 @@ Fabric::attach(sim::NodeId id, NetworkInterface *ni)
 }
 
 bool
-Fabric::tryInject(const Message &msg)
+Fabric::tryInject(PacketId id)
 {
+    const Message &msg = pool_[id];
     assert(msg.srcNid < endpoints_.size() && endpoints_[msg.srcNid].ni);
     Endpoint &src = endpoints_[msg.srcNid];
     const Lane lane = msg.lane();
@@ -46,36 +47,45 @@ Fabric::tryInject(const Message &msg)
     if (src.failed || msg.dstNid >= endpoints_.size() ||
         !endpoints_[msg.dstNid].ni || endpoints_[msg.dstNid].failed) {
         dropped_.inc();
+        pool_.release(id);
         return true; // swallowed: reliable delivery not possible
     }
     if (src.credits[li(lane)] == 0)
         return false;
     --src.credits[li(lane)];
-    launch(msg);
+    launch(id);
     return true;
 }
 
 void
-Fabric::deliverOrPark(const Message &msg, std::uint32_t hops)
+Fabric::deliverOrPark(PacketId id, std::uint32_t hops)
 {
-    Endpoint &dst = endpoints_[msg.dstNid];
+    // Read what the credit needs first: the NI's arrival callback may
+    // pop the packet, and a send from there may move the pool.
+    const Message &msg = pool_[id];
+    const sim::NodeId src = msg.srcNid;
     const Lane lane = msg.lane();
-    if (dst.ni->deliver(msg)) {
+    Endpoint &dst = endpoints_[msg.dstNid];
+    if (dst.ni->deliver(id, lane)) {
         delivered_.inc();
         totalHops_.inc(hops);
-        returnCredit(msg.srcNid, lane);
+        returnCredit(src, lane);
     } else {
         // Receiver eject queue full: park the packet, keep the credit.
         parkedCount_.inc();
-        dst.parked[li(lane)].push(Parked{msg, hops});
+        dst.parked[li(lane)].push(Parked{id, hops});
     }
 }
 
 void
-Fabric::drop(const Message &msg)
+Fabric::drop(PacketId id)
 {
+    const Message &msg = pool_[id];
+    const sim::NodeId src = msg.srcNid;
+    const Lane lane = msg.lane();
+    pool_.release(id);
     dropped_.inc();
-    returnCredit(msg.srcNid, msg.lane());
+    returnCredit(src, lane);
 }
 
 void
@@ -90,11 +100,13 @@ Fabric::ejectSpaceFreed(sim::NodeId id, Lane lane)
     }
     auto &q = dst.parked[li(lane)];
     while (!q.empty()) {
-        if (!dst.ni->deliver(q.front().msg))
+        const Parked p = q.front();
+        const sim::NodeId src = pool_[p.id].srcNid;
+        if (!dst.ni->deliver(p.id, lane))
             break;
         delivered_.inc();
-        totalHops_.inc(q.front().hops);
-        returnCredit(q.front().msg.srcNid, lane);
+        totalHops_.inc(p.hops);
+        returnCredit(src, lane);
         q.pop();
     }
 }
@@ -112,12 +124,11 @@ Fabric::returnCredit(sim::NodeId srcId, Lane lane)
 void
 Fabric::flushParked(Endpoint &ep)
 {
-    for (std::size_t l = 0; l < kNumLanes; ++l) {
-        auto &q = ep.parked[l];
+    for (auto &q : ep.parked) {
         while (!q.empty()) {
-            dropped_.inc();
-            returnCredit(q.front().msg.srcNid, static_cast<Lane>(l));
+            const PacketId id = q.front().id;
             q.pop();
+            drop(id);
         }
     }
 }

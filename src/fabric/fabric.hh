@@ -8,6 +8,14 @@
  * a packet occupies one credit from injection until the destination NI
  * accepts it into its eject queue, so a saturated receiver backpressures
  * the sender without dropping packets.
+ *
+ * One copy per packet: the fabric owns a PacketPool, and every packet
+ * lives in it from NetworkInterface::trySend, which copies the RMC's
+ * message in, until one of four releases: NetworkInterface::pop copies
+ * it out to the RMC; Fabric::drop loses it to a fault; flushParked drops
+ * it at a failed node; tryInject swallows it (dead source, unknown or
+ * dead destination). In between, NI queues, park rings and links hold
+ * only its 4-byte PacketId.
  */
 
 #ifndef SONUMA_FABRIC_FABRIC_HH
@@ -30,6 +38,48 @@
 namespace sonuma::fab {
 
 class NetworkInterface;
+
+/** Handle of a packet in its fabric's PacketPool. */
+using PacketId = std::uint32_t;
+
+/**
+ * The fabric's one copy of every live packet, recycled through a free
+ * list of ids. It grows to the peak number of live packets during
+ * warm-up, like the rings, and never allocates after that. acquire()
+ * may move every slot, so hold an id, not a reference, across any call
+ * that can send a packet.
+ */
+class PacketPool
+{
+  public:
+    /** Copy @p msg in; the id is valid until release(). */
+    PacketId
+    acquire(const Message &msg)
+    {
+        if (free_.empty()) {
+            slots_.push_back(msg);
+            // Every id can be free at once: size the free list with
+            // the slots, so release() never allocates.
+            free_.reserve(slots_.capacity());
+            return static_cast<PacketId>(slots_.size() - 1);
+        }
+        const PacketId id = free_.back();
+        free_.pop_back();
+        slots_[id] = msg;
+        return id;
+    }
+
+    void release(PacketId id) { free_.push_back(id); }
+
+    Message &operator[](PacketId id) { return slots_[id]; }
+
+    /** Packets acquired and not yet released. */
+    std::size_t live() const { return slots_.size() - free_.size(); }
+
+  private:
+    std::vector<Message> slots_;
+    std::vector<PacketId> free_;
+};
 
 /**
  * A link's serialization ticks for every payloadLen, built once: the
@@ -78,12 +128,13 @@ class Fabric
     void attach(sim::NodeId id, NetworkInterface *ni);
 
     /**
-     * Try to inject a message at its source node. Returns false when the
-     * source has no credit on the message's lane; the fabric will invoke
-     * the NI's retry hook when a credit frees. A dead source, an unknown
-     * destination or a dead destination swallows the packet as dropped.
+     * Try to inject a pooled packet at its source node. Returns false
+     * when the source has no credit on the packet's lane; the fabric
+     * will invoke the NI's retry hook when a credit frees. A dead
+     * source, an unknown destination or a dead destination swallows the
+     * packet as dropped and releases it.
      */
-    bool tryInject(const Message &msg);
+    bool tryInject(PacketId id);
 
     /** Called by the destination NI when it frees eject-queue space. */
     void ejectSpaceFreed(sim::NodeId id, Lane lane);
@@ -132,6 +183,9 @@ class Fabric
      */
     std::uint64_t droppedMessages() const { return dropped_.value(); }
 
+    /** Packets in the pool: sent and not yet popped or dropped. */
+    std::size_t livePackets() const { return pool_.live(); }
+
     /** Mean hops of delivered messages (a crossbar crossing is one). */
     double
     meanHops() const
@@ -154,15 +208,18 @@ class Fabric
     /** True if node @p id has failed. */
     bool failed(sim::NodeId id) const { return endpoints_[id].failed; }
 
+    /** The pooled packet @p id; valid until the next send (see PacketPool). */
+    Message &packet(PacketId id) { return pool_[id]; }
+
     /**
      * The packet reached its live destination after @p hops link
-     * crossings: hand it to the NI, or park it with its credit while the
-     * eject queue is full.
+     * crossings: hand its id to the NI, or park it with its credit
+     * while the eject queue is full.
      */
-    void deliverOrPark(const Message &msg, std::uint32_t hops);
+    void deliverOrPark(PacketId id, std::uint32_t hops);
 
-    /** Drop an in-flight packet (fault) and return its credit. */
-    void drop(const Message &msg);
+    /** Drop an in-flight packet (fault): release it, return its credit. */
+    void drop(PacketId id);
 
     static std::size_t li(Lane l) { return static_cast<std::size_t>(l); }
 
@@ -170,10 +227,13 @@ class Fabric
     sim::StatRegistry &stats_;
 
   private:
+    // The NI copies messages into and out of the pool.
+    friend class NetworkInterface;
+
     /** A packet waiting at a full eject queue, with its hop count. */
     struct Parked
     {
-        Message msg;
+        PacketId id = 0;
         std::uint32_t hops = 0;
     };
 
@@ -187,14 +247,15 @@ class Fabric
 
     std::uint32_t creditsPerLane_;
     std::vector<Endpoint> endpoints_;
+    PacketPool pool_;
 
     sim::Counter delivered_;
     sim::Counter dropped_;
     sim::Counter parkedCount_;
     sim::Counter totalHops_;
 
-    /** A credited packet leaves its source toward @c msg.dstNid. */
-    virtual void launch(const Message &msg) = 0;
+    /** A credited packet leaves its source toward its dstNid. */
+    virtual void launch(PacketId id) = 0;
 
     /** Node @p id attached: create its probes when sampling is on. */
     virtual void attached(sim::NodeId id) = 0;
@@ -234,7 +295,8 @@ class NetworkInterface
     // Egress (RMC pipelines -> fabric)
     //
 
-    /** Queue a message for injection. @retval false if the queue is full. */
+    /** Copy a message into the fabric's pool and queue it for injection.
+     *  @retval false if the queue is full (nothing is copied). */
     bool trySend(const Message &msg);
 
     /** True if trySend would accept a message on @p lane. */
@@ -250,7 +312,8 @@ class NetworkInterface
     /** True if a message is waiting on @p lane. */
     bool hasMessage(Lane lane) const;
 
-    /** Pop the oldest message on @p lane. @pre hasMessage(lane) */
+    /** Pop the oldest message on @p lane, releasing its pooled copy.
+     *  @pre hasMessage(lane) */
     Message pop(Lane lane);
 
     /** Register a callback fired whenever a message arrives on @p lane. */
@@ -260,9 +323,10 @@ class NetworkInterface
     // Fabric-side hooks
     //
 
-    /** Fabric delivers a packet. @retval false if the eject queue is full
-     *  (the fabric then holds the packet and its credit). */
-    bool deliver(const Message &msg);
+    /** Fabric delivers pooled packet @p id on @p lane. @retval false if
+     *  the eject queue is full (the fabric then holds the packet and its
+     *  credit). */
+    bool deliver(PacketId id, Lane lane);
 
     /** Fabric signals that credits freed on @p lane; retries injection. */
     void injectSpaceFreed(Lane lane);
@@ -276,8 +340,8 @@ class NetworkInterface
     Fabric &fabric_;
     NiParams params_;
 
-    sim::RingBuffer<Message> injectQ_[kNumLanes];
-    sim::RingBuffer<Message> ejectQ_[kNumLanes];
+    sim::RingBuffer<PacketId> injectQ_[kNumLanes];
+    sim::RingBuffer<PacketId> ejectQ_[kNumLanes];
     sim::Callback sendSpaceCb_[kNumLanes];
     sim::Callback arrivalCb_[kNumLanes];
     bool pumping_[kNumLanes] = {}; //!< pumpInject reentrancy guard

@@ -16,8 +16,8 @@ NetworkInterface::NetworkInterface(sim::EventQueue &eq,
       received_(stats, name + ".received", "messages ejected")
 {
     for (std::size_t l = 0; l < kNumLanes; ++l) {
-        injectQ_[l] = sim::RingBuffer<Message>(params_.injectQueueDepth);
-        ejectQ_[l] = sim::RingBuffer<Message>(params_.ejectQueueDepth);
+        injectQ_[l] = sim::RingBuffer<PacketId>(params_.injectQueueDepth);
+        ejectQ_[l] = sim::RingBuffer<PacketId>(params_.ejectQueueDepth);
     }
     if (stats.samplingEnabled()) {
         ejectDepthProbe_ = std::make_unique<sim::TimeSeries>(
@@ -39,7 +39,7 @@ NetworkInterface::trySend(const Message &msg)
     const Lane lane = msg.lane();
     if (injectQ_[li(lane)].size() >= params_.injectQueueDepth)
         return false;
-    injectQ_[li(lane)].push(msg);
+    injectQ_[li(lane)].push(fabric_.pool_.acquire(msg));
     sent_.inc();
     pumpInject(lane);
     return true;
@@ -61,10 +61,11 @@ void
 NetworkInterface::pumpInject(Lane lane)
 {
     // tryInject can drop the packet synchronously (dead link at the
-    // source, lossy first hop) and return its credit, which re-enters
-    // here via injectSpaceFreed while the message is still at the
-    // front of the queue. The guard makes the nested call a no-op; the
-    // outer loop picks up the freed credit on its next iteration.
+    // source, lossy first hop), releasing it and returning its credit,
+    // which re-enters here via injectSpaceFreed while its id is still at
+    // the front of the queue. The guard makes the nested call a no-op;
+    // the outer loop pops the id and picks up the freed credit on its
+    // next iteration.
     if (pumping_[li(lane)])
         return;
     pumping_[li(lane)] = true;
@@ -92,7 +93,9 @@ NetworkInterface::hasMessage(Lane lane) const
 Message
 NetworkInterface::pop(Lane lane)
 {
-    Message m = ejectQ_[li(lane)].popFront();
+    const PacketId id = ejectQ_[li(lane)].popFront();
+    Message m = fabric_.pool_[id];
+    fabric_.pool_.release(id);
     // Space freed: let the fabric hand over a waiting packet / credit.
     fabric_.ejectSpaceFreed(id_, lane);
     return m;
@@ -105,12 +108,11 @@ NetworkInterface::onArrival(Lane lane, sim::Callback fn)
 }
 
 bool
-NetworkInterface::deliver(const Message &msg)
+NetworkInterface::deliver(PacketId id, Lane lane)
 {
-    const Lane lane = msg.lane();
     if (ejectQ_[li(lane)].size() >= params_.ejectQueueDepth)
         return false;
-    ejectQ_[li(lane)].push(msg);
+    ejectQ_[li(lane)].push(id);
     received_.inc();
     if (arrivalCb_[li(lane)])
         arrivalCb_[li(lane)]();

@@ -5,6 +5,7 @@
 
 #include "fabric/torus.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -28,10 +29,12 @@ TorusFabric::TorusFabric(sim::EventQueue &eq, sim::StatRegistry &stats,
     // Misrouting around failures must terminate: a packet that crossed
     // far more links than any minimal-plus-detour path could need is
     // dropped (and counted) rather than allowed to livelock.
+    // The cap also bounds a hop count to InFlight's 16 bits; dor paths
+    // are at most sum(k / 2) <= 32768 hops long.
     std::uint32_t sumDims = 0;
     for (auto k : params_.dims)
         sumDims += k;
-    hopCap_ = 4 * sumDims + 16;
+    hopCap_ = std::min<std::uint32_t>(4 * sumDims + 16, 0xffff);
 }
 
 void
@@ -74,21 +77,21 @@ TorusFabric::attached(sim::NodeId id)
 }
 
 void
-TorusFabric::launch(const Message &msg)
+TorusFabric::launch(PacketId id)
 {
-    forward(msg.srcNid, msg, 0);
+    forward(packet(id).srcNid, id, 0);
 }
 
 void
-TorusFabric::forward(sim::NodeId here, const Message &msg,
-                     std::uint32_t hops)
+TorusFabric::forward(sim::NodeId here, PacketId id, std::uint32_t hops)
 {
     if (failed(here)) {
-        drop(msg);
+        drop(id);
         return;
     }
+    Message &msg = packet(id);
     if (msg.dstNid == here) {
-        deliverOrPark(msg, hops);
+        deliverOrPark(id, hops);
         return;
     }
 
@@ -106,18 +109,17 @@ TorusFabric::forward(sim::NodeId here, const Message &msg,
     // a transient drop window: the link looks up to routing but loses
     // the packet, with no notification; the sender's timeout recovers.
     if (dir == kNoDir || r.drops(dir)) {
-        drop(msg);
+        drop(id);
         return;
     }
-    const sim::NodeId next = routing_.neighbor(here, dir);
-    const sim::Tick ser = ser_(msg);
+    msg.lastDir = static_cast<std::uint8_t>(dir);
     const std::uint32_t portIdx =
         dir * static_cast<std::uint32_t>(kNumLanes) +
         static_cast<std::uint32_t>(msg.lane());
     auto &link = r.ports[portIdx];
-    InFlight f{next, hops + 1, msg};
-    f.msg.lastDir = static_cast<std::uint8_t>(dir);
-    link.push(eq_.now(), ser, params_.hopLatency, std::move(f));
+    link.push(eq_.now(), ser_(msg), params_.hopLatency,
+              InFlight{id, routing_.neighbor(here, dir),
+                       static_cast<std::uint16_t>(hops + 1)});
     link.arm(eq_, [this, here, portIdx] { drain(here, portIdx); });
 }
 
@@ -150,7 +152,7 @@ TorusFabric::drain(sim::NodeId node, std::uint32_t portIdx)
 {
     routers_[node].ports[portIdx].drain(
         eq_,
-        [this](const InFlight &f) { forward(f.next, f.msg, f.hops); },
+        [this](const InFlight &f) { forward(f.next, f.id, f.hops); },
         [this, node, portIdx] { drain(node, portIdx); });
 }
 

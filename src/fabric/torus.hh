@@ -15,7 +15,11 @@
  *
  * Zero-allocation data path: each output port is a ring of in-flight
  * packets with precomputed hop-completion ticks and one drain event, the
- * same structure the crossbar uses for its egress pipes.
+ * same structure the crossbar uses for its egress pipes. A ring entry is
+ * 16 bytes, {arrival tick, PacketId, next router, hops}: the packet
+ * itself stays in the Fabric's pool from the source NI to the
+ * destination NI's pop (or a drop), and each hop reads its routing
+ * fields there and writes lastDir back in place.
  */
 
 #ifndef SONUMA_FABRIC_TORUS_HH
@@ -56,10 +60,11 @@ class TorusFabric : public Fabric
     /** One packet traversing a link toward its next router. */
     struct InFlight
     {
+        PacketId id = 0;
         sim::NodeId next = 0;
-        std::uint32_t hops = 0;
-        Message msg;
+        std::uint16_t hops = 0; //!< at most hopCap_ (see the constructor)
     };
+    static_assert(sizeof(InFlight) == 8, "a port ring entry is 16 bytes");
 
     /** One node's router: its output ports and their link state. */
     struct Router
@@ -91,12 +96,12 @@ class TorusFabric : public Fabric
     // created at attach() time; see docs/observability.md.
     std::vector<std::unique_ptr<sim::TimeSeries>> probes_;
 
-    void launch(const Message &msg) override;
+    void launch(PacketId id) override;
     void attached(sim::NodeId id) override;
     void setLinkUp(sim::NodeId from, sim::NodeId to, bool up) override;
     void setLossy(sim::NodeId from, sim::NodeId to, bool lossy) override;
 
-    void forward(sim::NodeId here, const Message &msg, std::uint32_t hops);
+    void forward(sim::NodeId here, PacketId id, std::uint32_t hops);
     void drain(sim::NodeId node, std::uint32_t portIdx);
     std::uint32_t dirTo(sim::NodeId from, sim::NodeId to) const;
     std::uint32_t adaptiveDir(const Router &r, sim::NodeId here,
