@@ -95,7 +95,6 @@ struct Message
     std::uint64_t operand1 = 0;    //!< CAS compare / F&A addend
     std::uint64_t operand2 = 0;    //!< CAS swap value
     std::uint8_t payloadLen = 0;   //!< 0, 8 (atomics) or 64 bytes
-    std::array<std::uint8_t, sim::kCacheLineBytes> payload{};
 
     /**
      * Last output direction taken, set per hop by adaptive torus routing
@@ -113,6 +112,10 @@ struct Message
      * wireBytes() — stamping it is timing-neutral.
      */
     std::uint8_t attempt = 0;
+
+    // The payload comes last, so a router's per-hop reads (op, dstNid,
+    // payloadLen, lastDir) sit in the first 42 bytes.
+    std::array<std::uint8_t, sim::kCacheLineBytes> payload{};
 
     /** Fixed header size on the wire (routing + protocol). */
     static constexpr std::uint32_t kHeaderBytes = 24;

@@ -112,7 +112,8 @@ TorusFabric::forward(sim::NodeId here, PacketId id, std::uint32_t hops)
         drop(id);
         return;
     }
-    msg.lastDir = static_cast<std::uint8_t>(dir);
+    if (params_.routing == RoutingMode::kAdaptive)
+        msg.lastDir = static_cast<std::uint8_t>(dir); // only it reads it
     const std::uint32_t portIdx =
         dir * static_cast<std::uint32_t>(kNumLanes) +
         static_cast<std::uint32_t>(msg.lane());
