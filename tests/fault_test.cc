@@ -324,6 +324,90 @@ TEST_F(Torus444, LossyWindowDropsSilently)
 }
 
 //
+// ------------- every lost packet leaves the pool ------------------------
+//
+
+TEST_F(Torus444, DropWindowLeavesNoPacketInThePool)
+{
+    // 0 -> 1 is the first hop of some paths and a middle hop of others,
+    // so packets are lost both inside trySend and from a drain event.
+    build(RoutingMode::kDor);
+    torus->setLinkLossy(0, 1, true);
+    const int sent = sendAllPairs();
+    eq.run();
+    EXPECT_GT(torus->droppedMessages(), 0u);
+    EXPECT_EQ(received + static_cast<int>(torus->droppedMessages()), sent);
+    EXPECT_EQ(torus->livePackets(), 0u);
+}
+
+TEST_F(Torus444, LossyFirstHopInsidePumpReentryReleasesEveryPacket)
+{
+    // Each packet is dropped inside tryInject's launch and its credit
+    // re-enters pumpInject, which must still pop and release it once.
+    build(RoutingMode::kDor);
+    torus->setLinkLossy(0, 1, true);
+    Message m;
+    m.op = Op::kReadReq;
+    m.srcNid = 0;
+    m.dstNid = 1;
+    for (int i = 0; i < 40; ++i)
+        ASSERT_TRUE(nis[0]->trySend(m));
+    EXPECT_EQ(nis[0]->injectDepth(Lane::kRequest), 0u);
+    EXPECT_EQ(torus->droppedMessages(), 40u);
+    EXPECT_EQ(torus->livePackets(), 0u);
+    eq.run();
+    EXPECT_EQ(received, 0);
+    EXPECT_EQ(torus->livePackets(), 0u);
+}
+
+TEST_F(Torus444, DeadDestinationSwallowedAtInjectLeavesNoPacket)
+{
+    build(RoutingMode::kDor);
+    torus->failNode(5);
+    Message m;
+    m.op = Op::kReadReq;
+    m.srcNid = 0;
+    m.dstNid = 5;
+    ASSERT_TRUE(nis[0]->trySend(m));
+    m.srcNid = 5; // a dead source is swallowed the same way
+    m.dstNid = 0;
+    ASSERT_TRUE(nis[5]->trySend(m));
+    EXPECT_EQ(torus->droppedMessages(), 2u);
+    EXPECT_EQ(torus->livePackets(), 0u);
+    eq.run();
+    EXPECT_EQ(received, 0);
+}
+
+TEST_F(Torus444, NodeKillFlushesParkedPacketsOutOfThePool)
+{
+    // Node 5 stops draining: its 16-deep eject queue fills and the rest
+    // park. Killing it drops the parked packets; the ones already in
+    // its eject queue leave the pool when it is drained.
+    build(RoutingMode::kDor);
+    nis[5]->onArrival(Lane::kRequest, [] {});
+    Message m;
+    m.op = Op::kReadReq;
+    m.dstNid = 5;
+    int sent = 0;
+    for (sim::NodeId src : {0, 1, 4, 6, 9}) {
+        m.srcNid = src;
+        for (int i = 0; i < 8; ++i, ++sent)
+            ASSERT_TRUE(nis[src]->trySend(m));
+    }
+    eq.run();
+    const std::size_t ejected = nis[5]->ejectDepth(Lane::kRequest);
+    ASSERT_EQ(ejected, 16u);
+    EXPECT_EQ(torus->livePackets(), static_cast<std::size_t>(sent));
+    torus->failNode(5);
+    EXPECT_EQ(torus->droppedMessages(), sent - ejected);
+    EXPECT_EQ(torus->livePackets(), ejected);
+    while (nis[5]->hasMessage(Lane::kRequest))
+        nis[5]->pop(Lane::kRequest);
+    eq.run();
+    EXPECT_EQ(torus->livePackets(), 0u);
+}
+
+//
 // --------------------- end-to-end degraded runs -------------------------
 //
 

@@ -603,9 +603,11 @@ TEST(AllocCounting, NodeConstructionHeapIsBounded)
     // 380 366 with the directory in its sets; 372 262 with 16-byte L1
     // ways and bitmask torus link state; 273 922 with the RRPP dedup
     // window in a ring of 24-byte entries and a table of ring-slot
-    // indices instead of a FlatMap of packed keys (32 KiB, was 128 KiB).
-    // The bound is the last figure plus under 10%.
-    constexpr std::uint64_t kBoundBytes = 294 * 1024;
+    // indices instead of a FlatMap of packed keys (32 KiB, was 128 KiB);
+    // 251 167 with NI and link rings of 4- to 16-byte packet ids where
+    // they held 112- to 136-byte messages. The bound is the last figure
+    // plus under 10%.
+    constexpr std::uint64_t kBoundBytes = 269 * 1024;
     constexpr std::uint32_t kNodes = 64;
     const std::uint64_t b0 = g_allocBytes;
     api::TestBed bed(api::ClusterSpec{}
@@ -620,61 +622,108 @@ TEST(AllocCounting, NodeConstructionHeapIsBounded)
 
 /**
  * Stream 5'000 warmed packets 0 -> @p dst through @p fabric and expect
- * no allocation on the send, forward and deliver path.
+ * no allocation on the send, forward, park, drop and deliver path. The
+ * sink drains its eject queue only every 2 us, so the queue fills and
+ * packets park at it, and link 0 -> 1 loses what it carries for 1 us of
+ * every 8 us. Every packet is delivered or dropped, and once the run
+ * quiesces the pool holds none.
  */
 void
 expectAllocationFreeFabricPath(sim::EventQueue &eq, fab::Fabric &fabric,
-                               sim::StatRegistry &stats, sim::NodeId dst)
+                               sim::StatRegistry &stats, sim::NodeId dst,
+                               const std::string &prefix)
 {
     std::vector<std::unique_ptr<fab::NetworkInterface>> nis;
     for (sim::NodeId i = 0; i <= dst; ++i)
         nis.push_back(std::make_unique<fab::NetworkInterface>(
             eq, stats, "ni" + std::to_string(i), i, fabric));
-    fab::NetworkInterface &sink = *nis[dst];
-
-    std::uint64_t received = 0;
-    sink.onArrival(fab::Lane::kRequest, [&sink, &received] {
-        while (sink.hasMessage(fab::Lane::kRequest)) {
-            sink.pop(fab::Lane::kRequest);
-            ++received;
-        }
-    });
 
     fab::Message msg;
     msg.op = fab::Op::kReadReq;
     msg.srcNid = 0;
     msg.dstNid = dst;
 
-    struct Producer
+    struct Stream
     {
         sim::EventQueue &eq;
-        fab::NetworkInterface &ni;
+        fab::Fabric &fabric;
+        fab::NetworkInterface &src;
+        fab::NetworkInterface &sink;
         fab::Message &msg;
         std::uint64_t toSend = 0;
+        std::uint64_t received = 0;
+        bool draining = false;
 
+        /** Up to 8 packets every 10 ns: faster than the link drains. */
         void
         pump()
         {
-            while (toSend > 0 && ni.trySend(msg))
+            for (int i = 0; i < 8 && toSend > 0 && src.trySend(msg); ++i)
                 --toSend;
             if (toSend > 0)
-                eq.scheduleAfter(100, [this] { pump(); });
+                eq.scheduleAfter(10 * sim::kTicksPerNs, [this] { pump(); });
         }
-    } producer{eq, *nis[0], msg};
 
-    // Warm-up: sizes the NI rings, link rings, and event storage.
-    producer.toSend = 512;
-    producer.pump();
-    eq.run();
-    received = 0;
+        void
+        arrived()
+        {
+            if (draining)
+                return;
+            draining = true;
+            eq.scheduleAfter(2 * sim::kTicksPerUs, [this] { drain(); });
+        }
 
-    producer.toSend = 5'000;
+        void
+        drain()
+        {
+            draining = false;
+            while (sink.hasMessage(fab::Lane::kRequest)) {
+                sink.pop(fab::Lane::kRequest);
+                ++received;
+            }
+        }
+
+        void
+        lossyWindow()
+        {
+            fabric.setLinkLossy(0, 1, true);
+            eq.scheduleAfter(sim::kTicksPerUs, [this] {
+                fabric.setLinkLossy(0, 1, false);
+                if (toSend > 0)
+                    eq.scheduleAfter(7 * sim::kTicksPerUs,
+                                     [this] { lossyWindow(); });
+            });
+        }
+
+        void
+        run(std::uint64_t packets)
+        {
+            toSend = packets;
+            received = 0;
+            lossyWindow();
+            pump();
+            eq.run();
+        }
+    } stream{eq, fabric, *nis[0], *nis[dst], msg};
+    nis[dst]->onArrival(fab::Lane::kRequest,
+                        [&stream] { stream.arrived(); });
+
+    // Warm-up: the same run sizes the pool, the NI, park and link
+    // rings, and event storage to their peaks.
+    stream.run(5'000);
+
+    const std::uint64_t dropped0 = fabric.droppedMessages();
+    const std::uint64_t parked0 = stats.counter(prefix + ".parked")->value();
     const std::uint64_t a0 = g_allocCount;
-    producer.pump();
-    eq.run();
+    stream.run(5'000);
     EXPECT_EQ(g_allocCount - a0, 0u)
-        << "warmed fabric send/deliver path must not allocate";
-    EXPECT_EQ(received, 5'000u);
+        << "warmed fabric send/park/drop/deliver path must not allocate";
+    const std::uint64_t dropped = fabric.droppedMessages() - dropped0;
+    EXPECT_GT(dropped, 0u) << "the lossy windows must bite";
+    EXPECT_GT(stats.counter(prefix + ".parked")->value(), parked0)
+        << "the slow sink must park packets";
+    EXPECT_EQ(stream.received + dropped, 5'000u);
+    EXPECT_EQ(fabric.livePackets(), 0u) << "a packet leaked from the pool";
 }
 
 TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
@@ -683,7 +732,7 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
         sim::EventQueue eq;
         sim::StatRegistry stats;
         fab::CrossbarFabric xbar(eq, stats);
-        expectAllocationFreeFabricPath(eq, xbar, stats, 1);
+        expectAllocationFreeFabricPath(eq, xbar, stats, 1, "fabric");
     }
     // Two torus hops: the packet is forwarded through node 1's router.
     sim::EventQueue eq;
@@ -691,7 +740,7 @@ TEST(AllocCounting, SteadyStateFabricPathIsAllocationFree)
     fab::TorusParams ring;
     ring.dims = {4};
     fab::TorusFabric torus(eq, stats, ring);
-    expectAllocationFreeFabricPath(eq, torus, stats, 2);
+    expectAllocationFreeFabricPath(eq, torus, stats, 2, "torus");
 }
 
 } // namespace
