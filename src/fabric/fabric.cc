@@ -125,11 +125,8 @@ void
 Fabric::flushParked(Endpoint &ep)
 {
     for (auto &q : ep.parked) {
-        while (!q.empty()) {
-            const PacketId id = q.front().id;
-            q.pop();
-            drop(id);
-        }
+        while (!q.empty())
+            drop(q.popFront().id);
     }
 }
 

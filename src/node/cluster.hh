@@ -123,11 +123,12 @@ class Cluster
     std::unique_ptr<fab::Fabric> fabric_;
     std::vector<std::unique_ptr<Node>> nodes_;
 
+    // The simulation's queue and stats, read by the event counts.
+    sim::EventQueue *eq_ = nullptr;
+    sim::StatRegistry *stats_ = nullptr;
     // Periodic sampler service (armed only when obs.periodNs > 0). The
     // pending event captures `this`, so the destructor cancels it — the
     // event queue can outlive the cluster.
-    sim::EventQueue *eq_ = nullptr;
-    sim::StatRegistry *stats_ = nullptr;
     sim::Tick obsPeriod_ = 0;
     sim::EventId samplerEvent_{};
     bool samplerArmed_ = false;
