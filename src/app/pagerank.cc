@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <stdexcept>
 
@@ -22,6 +21,7 @@
 #include "api/session.hh"
 #include "api/workload.hh"
 #include "node/cluster.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/simulation.hh"
 #include "sim/sync.hh"
 
@@ -323,8 +323,8 @@ PageRankFineWorkload::install(api::TestBed &bed, api::Workload &wl)
             int readPar;
             int writePar;
         };
-        std::deque<PendingRead> pendingReads;
         const std::uint32_t depth = session.queueDepth();
+        sim::RingBuffer<PendingRead> pendingReads(depth);
         const vm::VAddr lbuf =
             session.allocBuffer(std::uint64_t(depth) * 64);
         // Warm-up supersteps are untimed, so their ops and latency
@@ -340,8 +340,7 @@ PageRankFineWorkload::install(api::TestBed &bed, api::Workload &wl)
         // fails would make the rank sum silently drift, so it is fatal.
         auto &ok = ctx.counter("okOps");
         auto retireFront = [&]() -> sim::Task {
-            const PendingRead pr = pendingReads.front();
-            pendingReads.pop_front();
+            const PendingRead pr = pendingReads.popFront();
             const api::OpResult r = co_await pr.h;
             if (!r.ok())
                 sim::fatal("pagerank remote read failed");
@@ -413,7 +412,7 @@ PageRankFineWorkload::install(api::TestBed &bed, api::Workload &wl)
                             static_cast<sim::NodeId>(ref.part),
                             st->vtxOff + std::uint64_t(ref.localIdx) * 64,
                             lbuf + std::uint64_t(slot) * 64, 64);
-                        pendingReads.push_back(
+                        pendingReads.push(
                             PendingRead{h, i, readPar, writePar});
                         ++st->remoteOps;
                         if (measuring) {

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <iostream>
 #include <memory>
 #include <stdexcept>
@@ -19,6 +18,7 @@
 #include "app/pagerank.hh"
 #include "sim/json.hh"
 #include "sim/log.hh"
+#include "sim/ring_buffer.hh"
 #include "sim/time_series.hh"
 
 namespace sonuma::app {
@@ -187,10 +187,9 @@ class UniformReadWorkload final : public SweepWorkload
             const std::uint64_t span =
                 (segBytes - dataOff) / 2 / requestBytes * requestBytes;
 
-            std::deque<api::OpHandle> window;
+            sim::RingBuffer<api::OpHandle> window(depth);
             auto retireFront = [&]() -> sim::Task {
-                const api::OpHandle h = window.front();
-                window.pop_front();
+                const api::OpHandle h = window.popFront();
                 const api::OpResult r = co_await h;
                 if (r.ok()) {
                     ok.inc();
@@ -227,7 +226,7 @@ class UniformReadWorkload final : public SweepWorkload
                     peer, off, buf + std::uint64_t(slot) * requestBytes,
                     requestBytes);
                 issued.inc();
-                window.push_back(h);
+                window.push(h);
                 // Opportunistically retire completed ops as they pass.
                 while (!window.empty() && window.front().done())
                     co_await retireFront();

@@ -9,12 +9,12 @@
  * accepts it into its eject queue, so a saturated receiver backpressures
  * the sender without dropping packets.
  *
- * One copy per packet: the fabric owns a PacketPool, and every packet
- * lives in it from NetworkInterface::trySend, which copies the RMC's
- * message in, until one of four releases: NetworkInterface::pop copies
- * it out to the RMC; Fabric::drop loses it to a fault; flushParked drops
- * it at a failed node; tryInject swallows it (dead source, unknown or
- * dead destination). In between, NI queues, park rings and links hold
+ * One copy per packet: the fabric owns a sim::SlotPool<Message>, and
+ * every packet lives in it from NetworkInterface::trySend, which copies
+ * the RMC's message in, until one of four releases:
+ * NetworkInterface::pop copies it out to the RMC; Fabric::drop loses it
+ * to a fault; flushParked drops it at a failed node; tryInject swallows
+ * it (dead source, unknown or dead destination). In between, NI queues, park rings and links hold
  * only its 4-byte PacketId.
  */
 
@@ -31,6 +31,7 @@
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/ring_buffer.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/time_series.hh"
 #include "sim/types.hh"
@@ -39,47 +40,8 @@ namespace sonuma::fab {
 
 class NetworkInterface;
 
-/** Handle of a packet in its fabric's PacketPool. */
+/** Handle of a packet in its fabric's pool. */
 using PacketId = std::uint32_t;
-
-/**
- * The fabric's one copy of every live packet, recycled through a free
- * list of ids. It grows to the peak number of live packets during
- * warm-up, like the rings, and never allocates after that. acquire()
- * may move every slot, so hold an id, not a reference, across any call
- * that can send a packet.
- */
-class PacketPool
-{
-  public:
-    /** Copy @p msg in; the id is valid until release(). */
-    PacketId
-    acquire(const Message &msg)
-    {
-        if (free_.empty()) {
-            slots_.push_back(msg);
-            // Every id can be free at once: size the free list with
-            // the slots, so release() never allocates.
-            free_.reserve(slots_.capacity());
-            return static_cast<PacketId>(slots_.size() - 1);
-        }
-        const PacketId id = free_.back();
-        free_.pop_back();
-        slots_[id] = msg;
-        return id;
-    }
-
-    void release(PacketId id) { free_.push_back(id); }
-
-    Message &operator[](PacketId id) { return slots_[id]; }
-
-    /** Packets acquired and not yet released. */
-    std::size_t live() const { return slots_.size() - free_.size(); }
-
-  private:
-    std::vector<Message> slots_;
-    std::vector<PacketId> free_;
-};
 
 /**
  * A link's serialization ticks for every payloadLen, built once: the
@@ -208,7 +170,12 @@ class Fabric
     /** True if node @p id has failed. */
     bool failed(sim::NodeId id) const { return endpoints_[id].failed; }
 
-    /** The pooled packet @p id; valid until the next send (see PacketPool). */
+    /**
+     * The pooled packet @p id. The pool grows to the peak number of live
+     * packets during warm-up, and a send that grows it moves every
+     * slot: hold an id, not this reference, across any call that can
+     * send.
+     */
     Message &packet(PacketId id) { return pool_[id]; }
 
     /**
@@ -247,7 +214,7 @@ class Fabric
 
     std::uint32_t creditsPerLane_;
     std::vector<Endpoint> endpoints_;
-    PacketPool pool_;
+    sim::SlotPool<Message> pool_;
 
     sim::Counter delivered_;
     sim::Counter dropped_;

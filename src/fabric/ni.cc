@@ -39,7 +39,9 @@ NetworkInterface::trySend(const Message &msg)
     const Lane lane = msg.lane();
     if (injectQ_[li(lane)].size() >= params_.injectQueueDepth)
         return false;
-    injectQ_[li(lane)].push(fabric_.pool_.acquire(msg));
+    const PacketId id = fabric_.pool_.acquire();
+    fabric_.pool_[id] = msg;
+    injectQ_[li(lane)].push(id);
     sent_.inc();
     pumpInject(lane);
     return true;

@@ -231,7 +231,7 @@ L1Cache::handleFill(PAddr line, bool grantedWrite)
     std::uint32_t w = mshr->head;
     *mshr = mshrs_[--mshrsInUse_];
     while (w != kNoWaiter) {
-        const std::uint32_t next = waiters_.peek(w).next;
+        const std::uint32_t next = waiters_[w].next;
         Waiter waiter = waiters_.take(w);
         w = next;
         if (!waiter.write || grantedWrite) {
@@ -252,7 +252,7 @@ L1Cache::addWaiter(Mshr &mshr, bool write, sim::Callback done)
     if (mshr.tail == kNoWaiter)
         mshr.head = w;
     else
-        waiters_.peek(mshr.tail).next = w;
+        waiters_[mshr.tail].next = w;
     mshr.tail = w;
 }
 
@@ -391,7 +391,7 @@ L2Cache::putback(int requester, PAddr line)
 void
 L2Cache::process(std::uint32_t slot)
 {
-    const ParkedReq &parked = reqSlots_.peek(slot);
+    const ParkedReq &parked = reqSlots_[slot];
     const PAddr line = parked.line;
     SetLines &set = setLines_[sets_(line)];
     const auto tag = std::find(set.tags.begin(), set.tags.end(), line);
@@ -425,7 +425,7 @@ L2Cache::process(std::uint32_t slot)
 void
 L2Cache::fillMissingLine(PAddr line, std::uint32_t slot)
 {
-    const PendingReq &req = reqSlots_.peek(slot).req;
+    const PendingReq &req = reqSlots_[slot].req;
     if (req.fullLine && req.write) {
         // The requester overwrites the entire line: allocate without
         // fetching stale bytes from DRAM (RMC line-wide interface).
@@ -442,14 +442,14 @@ L2Cache::installLine(PAddr line, std::uint32_t slot)
     set.tags.push_back(line);
     DirEntry &dir = set.dirs.emplace_back();
     // Write-validate allocation.
-    dir.dirtyInL2 = reqSlots_.peek(slot).req.fullLine;
+    dir.dirtyInL2 = reqSlots_[slot].req.fullLine;
     finishRequest(slot, dir);
 }
 
 void
 L2Cache::finishRequest(std::uint32_t slot, DirEntry &dir)
 {
-    const ParkedReq &parked = reqSlots_.peek(slot);
+    const ParkedReq &parked = reqSlots_[slot];
     const PAddr line = parked.line;
     const PendingReq &req = parked.req;
     dir.lastUse = eq_.now();

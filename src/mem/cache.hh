@@ -17,7 +17,6 @@
 #define SONUMA_MEM_CACHE_HH
 
 #include <cassert>
-#include <coroutine>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -114,29 +113,6 @@ class L1Cache
      * overwritten ("write-validate").
      */
     void accessFullLineWrite(PAddr addr, sim::Callback done);
-
-    /** Awaitable wrapper for coroutine users. */
-    auto
-    accessAwait(PAddr addr, bool write)
-    {
-        struct AccessAwaiter
-        {
-            L1Cache &cache;
-            PAddr addr;
-            bool write;
-
-            bool await_ready() const noexcept { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                cache.access(addr, write, [h] { h.resume(); });
-            }
-
-            void await_resume() const noexcept {}
-        };
-        return AccessAwaiter{*this, addr, write};
-    }
 
     /** Number of in-flight MSHRs (for tests). */
     std::size_t inflight() const { return mshrsInUse_; }

@@ -64,9 +64,6 @@ class DramChannel
 
     const DramParams &params() const { return params_; }
 
-    /** Fraction of elapsed time the data bus was busy. */
-    double busUtilization() const;
-
   private:
     struct Request
     {
@@ -88,7 +85,6 @@ class DramChannel
     std::vector<Bank> banks_;
     std::vector<Request> queue_;
     sim::Tick busBusyUntil_ = 0;
-    sim::Tick busBusyTotal_ = 0;
     bool drainScheduled_ = false;
 
     sim::Counter reads_;

@@ -56,9 +56,6 @@ class ContextTable
                  mem::PAddr basePa, std::uint32_t maxContexts,
                  std::uint32_t cacheEntries);
 
-    /** Base physical address (the RMC's CT_base register). */
-    mem::PAddr basePa() const { return basePa_; }
-
     /** Physical address of @p ctx's entry (for MAQ timing charges). */
     mem::PAddr
     entryAddr(sim::CtxId ctx) const

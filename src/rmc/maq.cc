@@ -6,7 +6,6 @@
 #include "rmc/maq.hh"
 
 #include <algorithm>
-#include <cassert>
 
 namespace sonuma::rmc {
 
@@ -18,11 +17,8 @@ Maq::Maq(sim::EventQueue &eq, sim::StatRegistry &stats,
       forwards_(stats, name + ".forwards", "store-to-load forwards"),
       structuralStalls_(stats, name + ".stalls", "full-queue stalls")
 {
-    slots_.resize(capacity_);
-    freeSlots_.reserve(capacity_);
+    slots_.reserve(capacity_);
     activeStores_.reserve(capacity_);
-    for (std::uint32_t i = capacity_; i > 0; --i)
-        freeSlots_.push_back(i - 1);
 }
 
 Maq::Slot *
@@ -50,7 +46,7 @@ Maq::submit(mem::PAddr pa, bool isWrite, bool fullLine, sim::Callback done)
         }
     }
 
-    if (inflight_ >= capacity_) {
+    if (slots_.live() >= capacity_) {
         structuralStalls_.inc();
         waiting_.push(Pending{pa, isWrite, fullLine, std::move(done)});
         return;
@@ -61,19 +57,15 @@ Maq::submit(mem::PAddr pa, bool isWrite, bool fullLine, sim::Callback done)
 void
 Maq::issue(mem::PAddr pa, bool isWrite, bool fullLine, sim::Callback done)
 {
-    ++inflight_;
     if (isWrite)
         writes_.inc();
     else
         reads_.inc();
 
-    assert(!freeSlots_.empty());
-    const std::uint32_t idx = freeSlots_.back();
-    freeSlots_.pop_back();
+    const std::uint32_t idx = slots_.acquire();
     Slot &slot = slots_[idx];
     slot.line = lineOf(pa);
     slot.isWrite = isWrite;
-    slot.active = true;
     slot.done = std::move(done);
     if (isWrite)
         activeStores_.push_back(idx);
@@ -89,14 +81,14 @@ Maq::issue(mem::PAddr pa, bool isWrite, bool fullLine, sim::Callback done)
 void
 Maq::complete(std::uint32_t slotIdx)
 {
+    // The pool never grows past its reservation, so this reference
+    // survives callbacks that re-enter submit().
     Slot &slot = slots_[slotIdx];
-    assert(slot.active);
 
     // Detach completion state before invoking anything: callbacks may
-    // re-enter submit() and the freed slot must be reusable immediately.
+    // re-enter submit().
     sim::Callback done = std::move(slot.done);
     const bool wasWrite = slot.isWrite;
-    slot.active = false;
     if (wasWrite) {
         auto it = std::find(activeStores_.begin(), activeStores_.end(),
                             slotIdx);
@@ -107,21 +99,14 @@ Maq::complete(std::uint32_t slotIdx)
     done();
     if (wasWrite && !slot.forwardedLoads.empty()) {
         // Wake loads forwarded from this store. New forwards cannot
-        // subscribe mid-loop (the slot is already inactive), so plain
+        // subscribe mid-loop (the slot left activeStores_), so plain
         // index iteration is safe even if a callback grows other slots.
         for (auto &fn : slot.forwardedLoads)
             fn();
         slot.forwardedLoads.clear();
     }
-    freeSlots_.push_back(slotIdx);
-    release();
-}
-
-void
-Maq::release()
-{
-    --inflight_;
-    if (!waiting_.empty() && inflight_ < capacity_) {
+    slots_.release(slotIdx);
+    if (!waiting_.empty()) {
         Pending p = waiting_.popFront();
         issue(p.pa, p.isWrite, p.fullLine, std::move(p.done));
     }

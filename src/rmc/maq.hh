@@ -8,11 +8,12 @@
  * (32 in Table 1, matching the L1's MSHRs), supports out-of-order
  * completion, and provides store-to-load forwarding.
  *
- * Zero-allocation design: in-flight accesses live in a fixed table of
- * MAQ slots (the completion passed down to the cache captures only
- * {maq, slot} and stays inline in sim::Callback), the overflow queue is
- * a ring buffer, and store-to-load forwarding subscribes waiters on the
- * in-flight store's slot instead of a per-line hash map. The slot
+ * Zero-allocation design: in-flight accesses live in a sim::SlotPool of
+ * MAQ slots reserved at the queue depth (the completion passed down to
+ * the cache captures only {maq, slot} and stays inline in
+ * sim::Callback), the overflow queue is a ring buffer, and
+ * store-to-load forwarding subscribes waiters on the in-flight store's
+ * slot instead of a per-line hash map. The slot
  * indices of active stores are kept in a packed list, so a load's
  * forwarding lookup scans only the stores in flight, not every slot.
  */
@@ -29,6 +30,7 @@
 #include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/ring_buffer.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/sync.hh"
 
@@ -72,7 +74,11 @@ class Maq
         return AccessAwaiter{*this, pa, true, true};
     }
 
-    std::uint32_t inflight() const { return inflight_; }
+    std::uint32_t
+    inflight() const
+    {
+        return static_cast<std::uint32_t>(slots_.live());
+    }
     std::uint32_t capacity() const { return capacity_; }
     std::uint64_t forwardCount() const { return forwards_.value(); }
 
@@ -116,7 +122,6 @@ class Maq
     {
         mem::PAddr line = 0;
         bool isWrite = false;
-        bool active = false;
         sim::Callback done;
         // Loads forwarded from this in-flight store. The vector keeps
         // its capacity across slot reuse, so it stops allocating once
@@ -127,9 +132,7 @@ class Maq
     sim::EventQueue &eq_;
     mem::L1Cache &l1_;
     std::uint32_t capacity_;
-    std::uint32_t inflight_ = 0;
-    std::vector<Slot> slots_;              //!< capacity_ entries
-    std::vector<std::uint32_t> freeSlots_;
+    sim::SlotPool<Slot> slots_; //!< reserved at capacity_: never moves
     std::vector<std::uint32_t> activeStores_; //!< slots of stores in flight
     sim::RingBuffer<Pending> waiting_;
 
@@ -141,11 +144,10 @@ class Maq
     void issue(mem::PAddr pa, bool isWrite, bool fullLine,
                sim::Callback done);
     void complete(std::uint32_t slotIdx);
-    void release();
 
     /**
      * Any in-flight store to @p line (lowest slot index, which under
-     * freelist reuse is unrelated to issue age), or nullptr.
+     * SlotPool reuse is unrelated to issue age), or nullptr.
      */
     Slot *findInflightStore(mem::PAddr line);
 

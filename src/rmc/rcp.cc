@@ -128,7 +128,8 @@ Rmc::postCompletion(IttEntry &itt, std::uint32_t tidIndex)
         co_return;
     }
     const QpDescriptor qp = ce->qps[itt.qpIndex];
-    RingCursor &cursor = cqCursor_[itt.ctx][itt.qpIndex];
+    QpState &q = qpState(itt.ctx, itt.qpIndex);
+    RingCursor &cursor = q.cq;
 
     // Claim the CQ slot *before* any suspension: concurrent completions
     // must each land in their own ring slot. A later-claimed slot may be
@@ -149,7 +150,6 @@ Rmc::postCompletion(IttEntry &itt, std::uint32_t tidIndex)
     // post a duplicate completion for the same WQ slot. The epoch bump
     // in freeTid drops any straggler replies for the old incarnation.
     const sim::CtxId ctx = itt.ctx;
-    const std::uint32_t qpIndex = itt.qpIndex;
     const mem::PAddr ptRoot = ce->ptRoot;
     freeTid(tidIndex);
 
@@ -159,11 +159,11 @@ Rmc::postCompletion(IttEntry &itt, std::uint32_t tidIndex)
         co_await maq_.write(*pa);
         phys_.write(*pa, &cq, sizeof(cq));
         completionsPosted_.inc();
-        ++qpOcc_[ctx][qpIndex].cq;
+        ++q.occ.cq;
     }
 
-    if (completionHooks_[ctx][qpIndex])
-        completionHooks_[ctx][qpIndex]();
+    if (q.completionHook)
+        q.completionHook();
 }
 
 } // namespace sonuma::rmc

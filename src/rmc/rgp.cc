@@ -23,7 +23,7 @@ Rmc::rgpLoop()
         const QpRef ref = armedQps_.popFront();
         // Disarm before scanning: a doorbell during the scan re-arms the
         // QP and forces another scan, so no wake-up is lost.
-        qpArmed_[ref.ctx][ref.qpIndex] = false;
+        qpState(ref.ctx, ref.qpIndex).armed = false;
         co_await processWq(ref.ctx, ref.qpIndex);
     }
 }
@@ -35,7 +35,7 @@ Rmc::processWq(sim::CtxId ctx, std::uint32_t qpIndex)
     if (!ce)
         co_return; // QP vanished (context teardown)
     const QpDescriptor qp = ce->qps[qpIndex];
-    RingCursor &cursor = wqCursor_[ctx][qpIndex];
+    RingCursor &cursor = qpState(ctx, qpIndex).wq;
 
     // Per-QP arbitration: one turn consumes at most rgpQpBurst entries,
     // then the QP re-arms behind the other armed QPs. A re-armed QP's
@@ -115,7 +115,7 @@ Rmc::generateRequests(sim::CtxId ctx, std::uint32_t qpIndex,
     itt.operand2 = entry.operand2;
     // Counted here — synchronously with the ITT init, so every freeTid
     // on this entry (the single decrement point) sees a counted entry.
-    ++qpOcc_[ctx][qpIndex].wq;
+    ++qpState(ctx, qpIndex).occ.wq;
     const std::uint16_t myEpoch = itt.epoch;
     // Close the teardown window between WQ consumption and ITT entry:
     // while this coroutine waited for a tid the op was invisible to a

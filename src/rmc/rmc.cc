@@ -23,11 +23,8 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
       ct_(stats, name + ".ct", ctBasePa, params.maxContexts,
           params.ctCacheEntries),
       ittBasePa_(ittBasePa),
-      itt_(params.maxTids),
       tidAvailable_(eq),
       armedQps_(std::size_t(params.maxContexts) * params.maxQpsPerContext),
-      qpArmed_(params.maxContexts,
-               std::vector<bool>(params.maxQpsPerContext, false)),
       rgpWork_(eq),
       sendSpace_{sim::Condition(eq), sim::Condition(eq)},
       arrival_{sim::Condition(eq), sim::Condition(eq)},
@@ -64,29 +61,19 @@ Rmc::Rmc(sim::EventQueue &eq, sim::StatRegistry &stats,
                      "budget exhausted)"),
       dedup_(params.dedupWindow)
 {
-    freeTids_.reserve(params.maxTids);
-    for (std::uint32_t i = 0; i < params.maxTids; ++i)
-        freeTids_.push_back(params.maxTids - 1 - i);
-
-    // Per-(ctx, qp) ring cursors, completion hooks, and occupancy.
-    for (std::uint32_t c = 0; c < params.maxContexts; ++c) {
-        wqCursor_.emplace_back();
-        cqCursor_.emplace_back();
-        completionHooks_.emplace_back(params.maxQpsPerContext);
-        qpOcc_.emplace_back(params.maxQpsPerContext);
-        qpProbed_.emplace_back(params.maxQpsPerContext, false);
-        for (std::uint32_t q = 0; q < params.maxQpsPerContext; ++q) {
-            wqCursor_.back().emplace_back(params.qpEntries);
-            cqCursor_.back().emplace_back(params.qpEntries);
-        }
-    }
+    itt_.reserve(params.maxTids);
+    const std::size_t qps =
+        std::size_t(params.maxContexts) * params.maxQpsPerContext;
+    qps_.reserve(qps);
+    while (qps_.size() < qps)
+        qps_.emplace_back(params.qpEntries);
 
     if (stats_.samplingEnabled()) {
         ittProbe_ = std::make_unique<sim::TimeSeries>(
             stats_, name + ".ittOccupancy", "transfers",
             "active ITT entries (in-flight transfers)",
             sim::TimeSeries::Kind::kGauge,
-            [this] { return static_cast<double>(activeTids_); });
+            [this] { return static_cast<double>(itt_.live()); });
     }
 
     if (params_.emulation()) {
@@ -118,8 +105,9 @@ void
 Rmc::armQp(sim::CtxId ctx, std::uint32_t qpIndex)
 {
     assert(ctx < params_.maxContexts && qpIndex < params_.maxQpsPerContext);
-    if (!qpArmed_[ctx][qpIndex]) {
-        qpArmed_[ctx][qpIndex] = true;
+    QpState &q = qpState(ctx, qpIndex);
+    if (!q.armed) {
+        q.armed = true;
         armedQps_.push(QpRef{ctx, qpIndex});
         rgpWork_.notifyAll();
     }
@@ -136,35 +124,35 @@ void
 Rmc::setCompletionHook(sim::CtxId ctx, std::uint32_t qpIndex,
                        sim::Callback hook)
 {
-    completionHooks_[ctx][qpIndex] = std::move(hook);
+    qpState(ctx, qpIndex).completionHook = std::move(hook);
 }
 
 void
 Rmc::noteQpCreated(sim::CtxId ctx, std::uint32_t qpIndex)
 {
-    if (!stats_.samplingEnabled() || qpProbed_[ctx][qpIndex])
+    QpState &q = qpState(ctx, qpIndex);
+    if (!stats_.samplingEnabled() || q.probed)
         return;
-    qpProbed_[ctx][qpIndex] = true;
+    q.probed = true;
+    const QpOccupancy *occ = &q.occ; // qps_ never reallocates
     const std::string base = name_ + ".ctx" + std::to_string(ctx) + ".qp" +
                              std::to_string(qpIndex);
     qpProbes_.push_back(std::make_unique<sim::TimeSeries>(
         stats_, base + ".wqOccupancy", "transfers",
         "WQ entries consumed, transfer not yet completed",
-        sim::TimeSeries::Kind::kGauge, [this, ctx, qpIndex] {
-            return static_cast<double>(qpOcc_[ctx][qpIndex].wq);
-        }));
+        sim::TimeSeries::Kind::kGauge,
+        [occ] { return static_cast<double>(occ->wq); }));
     qpProbes_.push_back(std::make_unique<sim::TimeSeries>(
         stats_, base + ".cqOccupancy", "completions",
         "CQ entries written, not yet reaped by software",
-        sim::TimeSeries::Kind::kGauge, [this, ctx, qpIndex] {
-            return static_cast<double>(qpOcc_[ctx][qpIndex].cq);
-        }));
+        sim::TimeSeries::Kind::kGauge,
+        [occ] { return static_cast<double>(occ->cq); }));
 }
 
 void
 Rmc::noteCqConsumed(sim::CtxId ctx, std::uint32_t qpIndex)
 {
-    QpOccupancy &occ = qpOcc_[ctx][qpIndex];
+    QpOccupancy &occ = qpState(ctx, qpIndex).occ;
     if (occ.cq > 0)
         --occ.cq;
 }
@@ -186,7 +174,8 @@ Rmc::postFunctionalCompletion(sim::CtxId ctx, std::uint32_t qpIndex,
     if (!ce || qpIndex >= ce->qps.size())
         return;
     const QpDescriptor &qp = ce->qps[qpIndex];
-    RingCursor &cur = cqCursor_[ctx][qpIndex];
+    QpState &q = qpState(ctx, qpIndex);
+    RingCursor &cur = q.cq;
     CqEntry cq;
     cq.phase = cur.expectedPhase();
     cq.status = static_cast<std::uint8_t>(status);
@@ -202,9 +191,9 @@ Rmc::postFunctionalCompletion(sim::CtxId ctx, std::uint32_t qpIndex,
     phys_.write(*pa, &cq, sizeof(cq));
     cur.advance();
     completionsPosted_.inc();
-    ++qpOcc_[ctx][qpIndex].cq;
-    if (completionHooks_[ctx][qpIndex])
-        completionHooks_[ctx][qpIndex]();
+    ++q.occ.cq;
+    if (q.completionHook)
+        q.completionHook();
 }
 
 void
@@ -243,7 +232,7 @@ Rmc::fenceQueuePair(sim::CtxId ctx, std::uint32_t qpIndex)
     if (!ce || qpIndex >= ce->qps.size())
         return;
     const QpDescriptor &qp = ce->qps[qpIndex];
-    RingCursor &cur = wqCursor_[ctx][qpIndex];
+    RingCursor &cur = qpState(ctx, qpIndex).wq;
     while (true) {
         const std::optional<mem::PAddr> pa = vm::PageTable::walk(
             phys_, ce->ptRoot, qp.wqEntryVa(cur.index()));
@@ -299,7 +288,7 @@ Rmc::sweepTimeouts()
         retransmits_.inc();
         retransmitTransfer(i);
     }
-    if (activeTids_ > 0)
+    if (itt_.live() > 0)
         scheduleSweep();
 }
 
@@ -323,7 +312,7 @@ Rmc::sendWhenSpace(fab::Message msg)
 sim::Step
 Rmc::allocTid(std::uint32_t *out)
 {
-    if (freeTids_.empty())
+    if (itt_.live() == params_.maxTids)
         return sim::Step(allocTidWhenFree(out));
     *out = takeTid();
     return {};
@@ -334,16 +323,14 @@ Rmc::allocTidWhenFree(std::uint32_t *out)
 {
     do
         co_await tidAvailable_.wait();
-    while (freeTids_.empty());
+    while (itt_.live() == params_.maxTids);
     *out = takeTid();
 }
 
 std::uint32_t
 Rmc::takeTid()
 {
-    const std::uint32_t idx = freeTids_.back();
-    freeTids_.pop_back();
-    ++activeTids_;
+    const std::uint32_t idx = itt_.acquire();
     itt_[idx].issuedAt = eq_.now();
     scheduleSweep();
     return idx;
@@ -356,19 +343,16 @@ Rmc::freeTid(std::uint32_t tidIndex)
     // Every transfer release funnels through here, so this is the single
     // WQ-occupancy decrement matching generateRequests' increment. The
     // guard covers entries freed before their ITT init (never counted).
-    {
-        QpOccupancy &occ =
-            qpOcc_[itt_[tidIndex].ctx][itt_[tidIndex].qpIndex];
-        if (occ.wq > 0)
-            --occ.wq;
-    }
-    itt_[tidIndex].active = false;
+    IttEntry &e = itt_[tidIndex];
+    QpOccupancy &occ = qpState(e.ctx, e.qpIndex).occ;
+    if (occ.wq > 0)
+        --occ.wq;
+    assert(itt_.live() > 0);
+    e.active = false;
     // Bump the per-entry epoch so a late reply for the old incarnation
     // of this tid cannot be confused with a future reuse.
-    ++itt_[tidIndex].epoch;
-    freeTids_.push_back(tidIndex);
-    assert(activeTids_ > 0);
-    --activeTids_;
+    ++e.epoch;
+    itt_.release(tidIndex);
     tidAvailable_.notifyAll();
 }
 

@@ -52,6 +52,7 @@
 #include "sim/event_queue.hh"
 #include "sim/ring_buffer.hh"
 #include "sim/service.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/sync.hh"
 #include "sim/task.hh"
@@ -192,10 +193,9 @@ class Rmc
     ContextTable ct_;
     mem::PAddr ittBasePa_;
 
-    // ITT + tid management.
-    std::vector<IttEntry> itt_;
-    std::vector<std::uint32_t> freeTids_;
-    std::uint32_t activeTids_ = 0;
+    // ITT: a tid is its entry's slot. Reserved at maxTids, so an
+    // IttEntry& held across a suspension never moves.
+    sim::SlotPool<IttEntry> itt_;
     sim::Condition tidAvailable_;
     bool sweepScheduled_ = false;
 
@@ -210,16 +210,31 @@ class Rmc
         std::uint32_t qpIndex = 0;
     };
     sim::RingBuffer<QpRef> armedQps_;
-    std::vector<std::vector<bool>> qpArmed_;     //!< [ctx][qp]
-    std::vector<std::vector<RingCursor>> wqCursor_;
-    std::vector<std::vector<RingCursor>> cqCursor_;
-    std::vector<std::vector<sim::Callback>> completionHooks_;
     sim::Condition rgpWork_;
 
-    // Per-QP live occupancy, maintained unconditionally (two integer
-    // bumps per op); exported as time series when sampling is on.
-    std::vector<std::vector<QpOccupancy>> qpOcc_;    //!< [ctx][qp]
-    std::vector<std::vector<bool>> qpProbed_;        //!< [ctx][qp]
+    /** The RMC's state of one (ctx, qp). */
+    struct QpState
+    {
+        explicit QpState(std::uint32_t entries) : wq(entries), cq(entries)
+        {}
+
+        RingCursor wq;
+        RingCursor cq;
+        sim::Callback completionHook;
+        // Live occupancy, maintained unconditionally (two integer bumps
+        // per op); exported as time series when sampling is on.
+        QpOccupancy occ;
+        bool armed = false;  //!< queued in armedQps_
+        bool probed = false; //!< occupancy series registered
+    };
+    std::vector<QpState> qps_; //!< [ctx * maxQpsPerContext + qp]
+
+    QpState &
+    qpState(sim::CtxId ctx, std::uint32_t qpIndex)
+    {
+        return qps_[std::size_t(ctx) * params_.maxQpsPerContext + qpIndex];
+    }
+
     std::unique_ptr<sim::TimeSeries> ittProbe_;
     std::vector<std::unique_ptr<sim::TimeSeries>> qpProbes_;
 
@@ -338,8 +353,8 @@ class Rmc
     /** Allocate a transfer id, waiting only if the ITT is full. */
     sim::Step allocTid(std::uint32_t *out);
     sim::Task allocTidWhenFree(std::uint32_t *out);
-    /** Take the top free tid: count it active, start its timeout
-     *  clock and make sure a sweep is scheduled. */
+    /** Claim an ITT slot (sim::SlotPool's order is the model's): start
+     *  its timeout clock and make sure a sweep is scheduled. */
     std::uint32_t takeTid();
     void freeTid(std::uint32_t tidIndex);
 

@@ -16,6 +16,7 @@
 #include <coroutine>
 #include <cstdlib>
 #include <exception>
+#include <type_traits>
 #include <utility>
 
 #include "sim/event_queue.hh"
@@ -24,30 +25,56 @@
 
 namespace sonuma::sim {
 
+namespace detail {
+
+/** The promise's return half: keep the returned T (nothing for void). */
+template <typename T>
+struct TaskReturn
+{
+    T value{};
+
+    void
+    return_value(T v) noexcept
+    {
+        value = std::move(v);
+    }
+};
+
+template <>
+struct TaskReturn<void>
+{
+    void return_void() noexcept {}
+};
+
+} // namespace detail
+
 /**
  * A lazily-started coroutine representing a simulated software thread
- * (or a sub-routine of one).
+ * (or a sub-routine of one) that returns a T, or nothing.
  *
- * Tasks are move-only and own their coroutine frame. `co_await task`
- * runs the child to completion (in simulated time) and then resumes the
- * parent via symmetric transfer; exceptions propagate to the awaiter.
+ * Tasks are move-only and own their (pooled) coroutine frame.
+ * `co_await task` runs the child to completion (in simulated time),
+ * then resumes the parent via symmetric transfer with the returned
+ * value; exceptions propagate to the awaiter. The access library's
+ * awaitable operations are value tasks:
+ * `OpResult r = co_await session.read(...)`.
  */
-class Task
+template <typename T>
+class BasicTask
 {
   public:
     struct promise_type;
     using Handle = std::coroutine_handle<promise_type>;
 
-    struct promise_type : PooledFrame
+    struct promise_type : PooledFrame, detail::TaskReturn<T>
     {
         std::coroutine_handle<> continuation;
         std::exception_ptr exception;
-        bool *completionFlag = nullptr;
 
-        Task
+        BasicTask
         get_return_object()
         {
-            return Task(Handle::from_promise(*this));
+            return BasicTask(Handle::from_promise(*this));
         }
 
         std::suspend_always initial_suspend() noexcept { return {}; }
@@ -60,8 +87,6 @@ class Task
             await_suspend(Handle h) noexcept
             {
                 auto &p = h.promise();
-                if (p.completionFlag)
-                    *p.completionFlag = true;
                 return p.continuation ? p.continuation
                                       : std::coroutine_handle<>(
                                             std::noop_coroutine());
@@ -71,7 +96,6 @@ class Task
         };
 
         FinalAwaiter final_suspend() noexcept { return {}; }
-        void return_void() noexcept {}
 
         void
         unhandled_exception() noexcept
@@ -80,13 +104,15 @@ class Task
         }
     };
 
-    Task() = default;
-    explicit Task(Handle h) : handle_(h) {}
+    BasicTask() = default;
+    explicit BasicTask(Handle h) : handle_(h) {}
 
-    Task(Task &&o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
+    BasicTask(BasicTask &&o) noexcept
+        : handle_(std::exchange(o.handle_, nullptr))
+    {}
 
-    Task &
-    operator=(Task &&o) noexcept
+    BasicTask &
+    operator=(BasicTask &&o) noexcept
     {
         if (this != &o) {
             destroy();
@@ -95,24 +121,16 @@ class Task
         return *this;
     }
 
-    Task(const Task &) = delete;
-    Task &operator=(const Task &) = delete;
+    BasicTask(const BasicTask &) = delete;
+    BasicTask &operator=(const BasicTask &) = delete;
 
-    ~Task() { destroy(); }
+    ~BasicTask() { destroy(); }
 
     /** True if this task holds a coroutine frame. */
     bool valid() const { return static_cast<bool>(handle_); }
 
     /** True once the coroutine ran to completion. */
     bool done() const { return handle_ && handle_.done(); }
-
-    /** Rethrow an exception that escaped the coroutine, if any. */
-    void
-    rethrowIfFailed() const
-    {
-        if (handle_ && handle_.promise().exception)
-            std::rethrow_exception(handle_.promise().exception);
-    }
 
     /** Awaiter for `co_await task`: start child, resume parent when done. */
     struct JoinAwaiter
@@ -128,11 +146,13 @@ class Task
             return handle; // symmetric transfer: start the child now
         }
 
-        void
+        T
         await_resume() const
         {
             if (handle && handle.promise().exception)
                 std::rethrow_exception(handle.promise().exception);
+            if constexpr (!std::is_void_v<T>)
+                return std::move(handle.promise().value);
         }
     };
 
@@ -160,6 +180,11 @@ class Task
         }
     }
 };
+
+using Task = BasicTask<void>;
+
+template <typename T>
+using ValueTask = BasicTask<T>;
 
 /**
  * Awaitable result of a step whose common path does not suspend.
@@ -192,130 +217,6 @@ class [[nodiscard]] Step
 
   private:
     Task tail_;
-};
-
-/**
- * A lazily-started coroutine that computes a value of type T.
- *
- * The value-bearing sibling of Task, used by the access library for
- * awaitable operations: `OpResult r = co_await session.read(...)`.
- * Same lifetime rules as Task (move-only, owns its frame, pooled
- * allocation); `co_await valueTask` runs the child to completion in
- * simulated time and yields the returned value.
- */
-template <typename T>
-class ValueTask
-{
-  public:
-    struct promise_type;
-    using Handle = std::coroutine_handle<promise_type>;
-
-    struct promise_type : PooledFrame
-    {
-        std::coroutine_handle<> continuation;
-        std::exception_ptr exception;
-        T value{};
-
-        ValueTask
-        get_return_object()
-        {
-            return ValueTask(Handle::from_promise(*this));
-        }
-
-        std::suspend_always initial_suspend() noexcept { return {}; }
-
-        struct FinalAwaiter
-        {
-            bool await_ready() noexcept { return false; }
-
-            std::coroutine_handle<>
-            await_suspend(Handle h) noexcept
-            {
-                auto &p = h.promise();
-                return p.continuation ? p.continuation
-                                      : std::coroutine_handle<>(
-                                            std::noop_coroutine());
-            }
-
-            void await_resume() noexcept {}
-        };
-
-        FinalAwaiter final_suspend() noexcept { return {}; }
-
-        void
-        return_value(T v) noexcept
-        {
-            value = std::move(v);
-        }
-
-        void
-        unhandled_exception() noexcept
-        {
-            exception = std::current_exception();
-        }
-    };
-
-    ValueTask() = default;
-    explicit ValueTask(Handle h) : handle_(h) {}
-
-    ValueTask(ValueTask &&o) noexcept
-        : handle_(std::exchange(o.handle_, nullptr))
-    {}
-
-    ValueTask &
-    operator=(ValueTask &&o) noexcept
-    {
-        if (this != &o) {
-            destroy();
-            handle_ = std::exchange(o.handle_, nullptr);
-        }
-        return *this;
-    }
-
-    ValueTask(const ValueTask &) = delete;
-    ValueTask &operator=(const ValueTask &) = delete;
-
-    ~ValueTask() { destroy(); }
-
-    bool valid() const { return static_cast<bool>(handle_); }
-    bool done() const { return handle_ && handle_.done(); }
-
-    /** Awaiter: start the child, resume the parent with the value. */
-    struct JoinAwaiter
-    {
-        Handle handle;
-
-        bool await_ready() const noexcept { return !handle || handle.done(); }
-
-        std::coroutine_handle<>
-        await_suspend(std::coroutine_handle<> parent) noexcept
-        {
-            handle.promise().continuation = parent;
-            return handle; // symmetric transfer: start the child now
-        }
-
-        T
-        await_resume() const
-        {
-            if (handle && handle.promise().exception)
-                std::rethrow_exception(handle.promise().exception);
-            return std::move(handle.promise().value);
-        }
-    };
-
-    JoinAwaiter operator co_await() const noexcept { return {handle_}; }
-
-  private:
-    Handle handle_;
-
-    void
-    destroy()
-    {
-        if (handle_) {
-            handle_.destroy();
-            handle_ = nullptr;
-        }
-    }
 };
 
 /**

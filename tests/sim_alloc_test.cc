@@ -8,8 +8,9 @@
  * (MSHR compaction, L2 transactions), MAQ store-to-load forwarding and
  * the RRPP dedup window perform zero allocations per event. It also bounds the
  * heap a node takes to build, checks that the pipeline steps whose
- * common path does not suspend take no coroutine frame on it, and pins
- * the frames of one warm remote read.
+ * common path does not suspend take no coroutine frame on it, pins
+ * the frames of one warm remote read, and checks that a slot pool's
+ * release and a sweep's in-flight read window do not allocate.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "api/testbed.hh"
+#include "app/sweep.hh"
 #include "fabric/crossbar.hh"
 #include "fabric/fabric.hh"
 #include "fabric/torus.hh"
@@ -32,6 +34,7 @@
 #include "rmc/rmc.hh"
 #include "sim/event_queue.hh"
 #include "sim/frame_pool.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
 
@@ -482,6 +485,47 @@ TEST(AllocCounting, RrppDedupWindowChurnIsAllocationFree)
     EXPECT_GT(kMeasured, int(rmc::RmcParams{}.dedupWindow));
     EXPECT_EQ(a1 - a0, 0u)
         << "RRPP writes past the dedup window must not allocate";
+}
+
+TEST(AllocCounting, SlotPoolReleaseNeverAllocates)
+{
+    // Grown by acquire() alone, with no reserve(): releasing every slot
+    // at once still fits the free list.
+    constexpr std::uint32_t kSlots = 1'000;
+    sim::SlotPool<std::uint64_t> pool;
+    for (std::uint32_t i = 0; i < kSlots; ++i)
+        ASSERT_EQ(pool.acquire(), i);
+    const std::uint64_t a0 = g_allocCount;
+    for (std::uint32_t i = 0; i < kSlots; ++i)
+        pool.release(i);
+    EXPECT_EQ(g_allocCount - a0, 0u);
+    EXPECT_EQ(pool.live(), 0u);
+}
+
+TEST(AllocCounting, SweepReadWindowDoesNotAllocatePerOp)
+{
+    // Two-node uniform-read sweep cells, 8 reads in flight per node,
+    // that differ only in ops per node: every per-cell structure
+    // reaches its peak in the shorter run, so the longer one may
+    // allocate no more. A std::deque window allocated a 512-byte node
+    // about every 27 reads. The longer cell runs once first, to grow
+    // the process-wide frame pool to its (deterministic) peak.
+    const auto cellAllocs = [](std::uint32_t opsPerNode) {
+        app::SweepConfig cfg;
+        cfg.opsPerNode = opsPerNode;
+        cfg.echo = false;
+        app::SweepDriver driver(cfg);
+        const std::uint64_t a0 = g_allocCount;
+        const app::SweepCellResult cell =
+            driver.runCell(2, node::Topology::kCrossbar, 64, 8);
+        const std::uint64_t allocs = g_allocCount - a0;
+        EXPECT_EQ(cell.okOps, 2ull * opsPerNode);
+        return allocs;
+    };
+    cellAllocs(4'096);
+    const std::uint64_t shorter = cellAllocs(512);
+    const std::uint64_t longer = cellAllocs(4'096);
+    EXPECT_LE(longer, shorter);
 }
 
 /** Coroutine frames allocated so far (all sizes, pooled or not). */

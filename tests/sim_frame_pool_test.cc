@@ -2,16 +2,20 @@
  * @file
  * Frame-pool tests: coroutine frames are recycled through the freelist,
  * outstanding counts balance, and oversize frames fall through cleanly.
+ * Slot-pool tests: the order in which sim::SlotPool hands out indices,
+ * which the ITT and the MAQ simulate.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 
 #include "sim/event_queue.hh"
 #include "sim/frame_pool.hh"
 #include "sim/simulation.hh"
+#include "sim/slot_pool.hh"
 #include "sim/task.hh"
 
 namespace {
@@ -131,6 +135,53 @@ TEST(FramePool, ConcurrentFramesGetDistinctBlocksThenPool)
     eq.run();
     EXPECT_EQ(pool.stats().fresh, 0u);
     EXPECT_EQ(pool.stats().reuses, 16u);
+}
+
+TEST(SlotPool, FreshIndicesAscendAndReuseIsLifo)
+{
+    sim::SlotPool<int> pool;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+        EXPECT_EQ(pool.acquire(), i);
+        pool[i] = 10 + int(i);
+    }
+    EXPECT_EQ(pool.live(), 4u);
+
+    pool.release(1);
+    pool.release(3);
+    pool.release(0);
+    EXPECT_EQ(pool.live(), 1u);
+    EXPECT_EQ(pool.size(), 4u);
+
+    // The most recently released slot first, its contents untouched.
+    EXPECT_EQ(pool.acquire(), 0u);
+    EXPECT_EQ(pool[0], 10);
+    EXPECT_EQ(pool.acquire(), 3u);
+    EXPECT_EQ(pool[3], 13);
+    EXPECT_EQ(pool.acquire(), 1u);
+    EXPECT_EQ(pool[1], 11);
+    // Nothing left to reuse: the next fresh index, value-initialized.
+    EXPECT_EQ(pool.acquire(), 4u);
+    EXPECT_EQ(pool[4], 0);
+    EXPECT_EQ(pool.live(), 5u);
+    EXPECT_EQ(pool.size(), 5u);
+}
+
+TEST(SlotPool, TakeMovesTheValueOutAndFreesTheSlot)
+{
+    sim::SlotPool<std::string> pool;
+    const std::uint32_t a = pool.put("parked a");
+    const std::uint32_t b = pool.put("parked b");
+    EXPECT_EQ(pool.live(), 2u);
+
+    EXPECT_EQ(pool.take(a), "parked a");
+    EXPECT_EQ(pool.live(), 1u);
+    // put() reuses the freed slot and overwrites it.
+    EXPECT_EQ(pool.put("parked c"), a);
+    EXPECT_EQ(pool[a], "parked c");
+    EXPECT_EQ(pool.take(b), "parked b");
+    EXPECT_EQ(pool.take(a), "parked c");
+    EXPECT_EQ(pool.live(), 0u);
+    EXPECT_EQ(pool.size(), 2u);
 }
 
 } // namespace
