@@ -14,8 +14,8 @@
  * the RMC's message in, until one of four releases:
  * NetworkInterface::pop copies it out to the RMC; Fabric::drop loses it
  * to a fault; flushParked drops it at a failed node; tryInject swallows
- * it (dead source, unknown or dead destination). In between, NI queues, park rings and links hold
- * only its 4-byte PacketId.
+ * it (dead source, unknown or dead destination). In between, NI
+ * queues, park rings and links hold only its 4-byte PacketId.
  */
 
 #ifndef SONUMA_FABRIC_FABRIC_HH

@@ -25,7 +25,7 @@ void
 EventQueue::reserve(std::size_t events)
 {
     heap_.reserve(events);
-    freeSlots_.reserve(events);
+    freeEventSlots_.reserve(events);
     if (slots_.size() < events) {
         const auto first = static_cast<std::uint32_t>(slots_.size());
         slots_.resize(events);
@@ -33,7 +33,7 @@ EventQueue::reserve(std::size_t events)
         // index so warm runs and cold runs allocate slots identically.
         for (std::uint32_t i = static_cast<std::uint32_t>(slots_.size());
              i > first; --i)
-            freeSlots_.push_back(i - 1);
+            freeEventSlots_.push_back(i - 1);
     }
 }
 

@@ -116,7 +116,7 @@ class EventQueue
         // identified by its stale generation.
         s.fn.reset();
         ++s.gen;
-        freeSlots_.push_back(index);
+        freeEventSlots_.push_back(index);
         --live_;
         return true;
     }
@@ -138,7 +138,7 @@ class EventQueue
         // schedule new events that reuse this very slot.
         Callback fn = std::move(s.fn);
         ++s.gen;
-        freeSlots_.push_back(top.slot);
+        freeEventSlots_.push_back(top.slot);
         --live_;
         // Start the next event's first load now; a tombstone's hint is
         // stale, which a prefetch tolerates.
@@ -224,7 +224,7 @@ class EventQueue
 
     std::vector<HeapEntry> heap_; //!< min-heap via std::push/pop_heap
     std::vector<Slot> slots_;
-    std::vector<std::uint32_t> freeSlots_;
+    std::vector<std::uint32_t> freeEventSlots_;
     std::size_t live_ = 0;
     std::size_t peakLive_ = 0;
     Tick now_ = 0;
@@ -253,12 +253,12 @@ class EventQueue
     std::uint32_t
     allocSlot()
     {
-        if (freeSlots_.empty()) {
+        if (freeEventSlots_.empty()) {
             slots_.emplace_back();
             return static_cast<std::uint32_t>(slots_.size() - 1);
         }
-        const std::uint32_t index = freeSlots_.back();
-        freeSlots_.pop_back();
+        const std::uint32_t index = freeEventSlots_.back();
+        freeEventSlots_.pop_back();
         return index;
     }
 };
